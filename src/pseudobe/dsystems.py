@@ -20,6 +20,7 @@ from .algebra import (
     vee1,
     vee2,
 )
+from .linalg import ConsistencyAlarmError
 
 Subset = frozenset[int]
 
@@ -34,15 +35,6 @@ class NotProperError(ValueError):
 
 class NotDistributiveError(ValueError):
     """Quotients are only guaranteed to exist on distributive algebras."""
-
-
-class ConsistencyAlarmError(AssertionError):
-    """An internally provable equivalence failed on a concrete table.
-
-    Raised when the arrow- and squig-based modus ponens closures disagree,
-    or when a quotient relation fails to be a congruence; both indicate a
-    table outside the theory's scope (or an implementation bug).
-    """
 
 
 def format_subset(a: FiniteAlgebra, subset: Subset) -> str:

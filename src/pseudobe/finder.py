@@ -231,9 +231,11 @@ def enumerate_models(
 ) -> Iterator[FiniteAlgebra]:
     """Stream the pseudo-BE algebras of the given size up to isomorphism.
 
-    Output order is deterministic: models appear in lexicographic order of
-    their (canonical) table pair; only canonical representatives are
-    emitted.
+    Only canonical representatives are emitted, in the deterministic order
+    the search fills the table pair: cell by cell in row-major order, each
+    cell taking one (arrow, squig) pair, arrow entry first.  Models thus
+    increase in the sequence of per-cell (arrow, squig) pairs, which is not
+    the lexicographic order of (arrow table, squig table).
     """
     if c.size > MAX_EXHAUSTIVE_SIZE:
         raise SizeGuardError(f"exhaustive search capped at n = {MAX_EXHAUSTIVE_SIZE}")

@@ -1,7 +1,7 @@
-"""Exact rational linear algebra on small systems.
+"""Exact linear algebra on small systems.
 
-Everything here works over `fractions.Fraction`, so results are exact and
-deterministic.  The three entry points are:
+Everything here works over `fractions.Fraction` and Python integers, so
+results are exact and deterministic.  The three entry points are:
 
 * :func:`solve_affine` -- canonical RREF solution space of a linear
   equality system,
@@ -9,8 +9,18 @@ deterministic.  The three entry points are:
   coordinate box,
 * :func:`cone_rays` -- extreme rays of ``{x : Ax = 0, Cx >= 0}``.
 
-Vertex and ray enumeration are combinatorial (active-set enumeration),
-which is all that is needed at desk scale (solution-space dimension <= 6).
+Vertices and rays come from one exact engine.  The inequalities are
+restricted to an integer basis of the equality space and scaled to
+primitive integer rows, dropping zero rows and positive multiples.  An
+incremental double description pass (Motzkin et al. 1953; Fukuda & Prodon
+1996) then runs in integer arithmetic, starting from independent rows found
+by fraction-free Bareiss elimination.  A polytope is handled as the cone over
+its homogenised box: a vertex is a ray with t > 0, scaled to t = 1.
+
+``audit=True`` replaces the engine by the active-set enumerators, which
+try every choice of active constraints and solve each with Fractions; they
+are kept as oracles.  Every output ray or vertex, from either path, is
+re-checked against every input equality and inequality in integers.
 """
 
 from __future__ import annotations
@@ -19,15 +29,27 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 MAX_DIMENSION = 6
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 
 class DimensionTooLargeError(ValueError):
     """Solution-space dimension exceeds the combinatorial-enumeration guard."""
+
+
+class ConsistencyAlarmError(AssertionError):
+    """An internally provable fact failed on a concrete input.
+
+    Raised when the arrow- and squig-based modus ponens closures disagree,
+    when a quotient relation fails to be a congruence, or when a computed
+    ray, vertex or valuation violates the constraints it was computed from.
+    Each indicates a table outside the theory's scope or an implementation
+    bug.
+    """
 
 
 def _frac_vec(values: Sequence) -> Vector:
@@ -67,7 +89,8 @@ class AffineSolutionSpace:
         return len(self.basis)
 
     def point(self, coords: Sequence[Fraction]) -> Vector:
-        assert len(coords) == self.dimension
+        if len(coords) != self.dimension:
+            raise ValueError(f"expected {self.dimension} coordinates, got {len(coords)}")
         vals = list(self.particular)
         for lam, direction in zip(coords, self.basis):
             for i, d in enumerate(direction):
@@ -151,19 +174,205 @@ def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> Optional
     d = len(matrix)
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
     rows, pivots = _rref(aug)
-    if len(pivots) < d:
+    # a singular system may put a pivot in the right-hand side column
+    if pivots != list(range(d)):
         return None
     return [rows[i][d] for i in range(d)]
 
 
-def box_vertices(
-    space: AffineSolutionSpace, lower: Sequence, upper: Sequence
-) -> tuple[Vector, ...]:
-    """Vertices of ``space`` intersected with the box [lower, upper].
+# ---------------------------------------------------------------------------
+# integer helpers
 
-    Enumerates all choices of ``dimension`` active bound constraints,
-    solves each exactly, keeps feasible points, dedupes and sorts
+
+def _dot(a: Sequence, b: Sequence):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _primitive(values: Sequence) -> IntVector:
+    """The smallest integer vector that is a positive multiple of ``values``."""
+    lcm = 1
+    for v in values:
+        q = v.denominator
+        if q != 1:
+            lcm = lcm * q // gcd(lcm, q)
+    ints = [v.numerator * (lcm // v.denominator) for v in values]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
+
+
+def _distinct_rows(rows: Iterable[Sequence]) -> list[IntVector]:
+    """Primitive forms of ``rows`` without zero rows and positive multiples,
+    in order of first occurrence."""
+    seen: dict[IntVector, None] = {}
+    for row in rows:
+        p = _primitive(row)
+        if any(p):
+            seen.setdefault(p)
+    return list(seen)
+
+
+def _bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gaussian elimination (Bareiss 1968) of integer rows.
+
+    Returns the indices of a maximal independent set of rows and the signed
+    last pivot, which for a square nonsingular matrix is its determinant.
+    """
+    m = [list(row) for row in matrix]
+    order = list(range(len(m)))
+    ncols = len(m[0]) if m else 0
+    k, prev, sign = 0, 1, 1
+    for c in range(ncols):
+        if k == len(m):
+            break
+        p = next((i for i in range(k, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            order[k], order[p] = order[p], order[k]
+            sign = -sign
+        top = m[k]
+        for row in m[k + 1 :]:
+            f = row[c]
+            for j in range(c + 1, ncols):
+                # exact: every entry stays a minor of the input
+                row[j] = (row[j] * top[c] - f * top[j]) // prev
+            row[c] = 0
+        prev = top[c]
+        k += 1
+    return order[:k], sign * prev
+
+
+def _det(matrix: Sequence[Sequence[int]]) -> int:
+    pivots, last = _bareiss(matrix)
+    return last if len(pivots) == len(matrix) else 0
+
+
+def _check(
+    points: Iterable[IntVector],
+    equalities: Sequence[IntVector],
+    inequalities: Sequence[IntVector],
+) -> None:
+    """Raise unless every point satisfies every constraint row exactly."""
+    for x in points:
+        if any(_dot(r, x) != 0 for r in equalities) or any(
+            _dot(r, x) < 0 for r in inequalities
+        ):
+            raise ConsistencyAlarmError(f"computed point {x} violates its constraints")
+
+
+# ---------------------------------------------------------------------------
+# ray engines: extreme rays of the pointed cone {lam : r . lam >= 0}, given
+# distinct primitive integer rows r over lam in R^d
+
+
+def _dd_rays(rows: list[IntVector], start: list[int]) -> list[IntVector]:
+    """Double description: begin with the simplicial cone of the d
+    independent rows ``start``, then intersect with one half-space at a
+    time.  Each ray carries the bitmask of processed rows it makes tight;
+    two rays are adjacent when no third ray is tight on all rows they share.
+    """
+    d = len(start)
+    done = 0
+    for i in start:
+        done |= 1 << i
+    base = [rows[i] for i in start]
+    rays: list[IntVector] = []
+    zeros: list[int] = []
+    for i, row_index in enumerate(start):
+        # generalized cross product of the other d - 1 start rows
+        others = base[:i] + base[i + 1 :]
+        ray = [(-1) ** j * _det([r[:j] + r[j + 1 :] for r in others]) for j in range(d)]
+        if _dot(rows[row_index], ray) < 0:
+            ray = [-v for v in ray]
+        rays.append(_primitive(ray))
+        zeros.append(done & ~(1 << row_index))
+
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        if done & bit:
+            continue
+        done |= bit
+        vals = [_dot(row, r) for r in rays]
+        new_rays, new_zeros = [], []
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for q, vq in enumerate(vals):
+                if vq >= 0:
+                    continue
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < d - 2:
+                    continue
+                if any(
+                    zeros[t] & common == common
+                    for t in range(len(rays))
+                    if t != p and t != q
+                ):
+                    continue
+                new_rays.append(
+                    _primitive([vp * b - vq * a for a, b in zip(rays[p], rays[q])])
+                )
+                new_zeros.append(common | bit)
+        kept = [i for i, v in enumerate(vals) if v >= 0]
+        rays = [rays[i] for i in kept] + new_rays
+        zeros = [zeros[i] | bit if vals[i] == 0 else zeros[i] for i in kept] + new_zeros
+    return rays
+
+
+def _active_set_rays(rows: list[IntVector], d: int) -> list[list[Fraction]]:
+    """Audit path: an extreme ray lies on d - 1 independent active rows, so
+    try every such choice, solve it with Fractions and keep feasible signs."""
+    found = []
+    for combo in itertools.combinations(rows, d - 1):
+        rref_rows, pivots = _rref([[Fraction(v) for v in r] for r in combo])
+        if len(pivots) != d - 1:
+            continue
+        # 1-dimensional null space: free coordinate set to 1
+        free = next(c for c in range(d) if c not in pivots)
+        lam = [Fraction(0)] * d
+        lam[free] = Fraction(1)
+        for row, pc in zip(rref_rows, pivots):
+            lam[pc] = -row[free]
+        for sign in (1, -1):
+            cand = [sign * v for v in lam]
+            if all(_dot(r, cand) >= 0 for r in rows):
+                found.append(cand)
+    return found
+
+
+def _rays(
+    generators: Sequence[IntVector], rows: Sequence[IntVector], audit: bool
+) -> set[IntVector]:
+    """Extreme rays of ``{x = sum lam_j g_j : r . x >= 0}`` as primitive
+    integer vectors, for linearly independent integer generators g_j."""
+    d = len(generators)
+    reduced = _distinct_rows([_dot(r, g) for g in generators] for r in rows)
+    start, _ = _bareiss(reduced)
+    if len(start) < d:
+        raise ValueError("cone is not pointed: it contains a line")
+    lams = _active_set_rays(reduced, d) if audit else _dd_rays(reduced, start)
+    return {
+        _primitive([_dot(lam, coords) for coords in zip(*generators)]) for lam in lams
+    }
+
+
+# ---------------------------------------------------------------------------
+# public enumerators
+
+
+def box_vertices(
+    space: AffineSolutionSpace, lower: Sequence, upper: Sequence, audit: bool = False
+) -> tuple[Vector, ...]:
+    """Vertices of ``space`` intersected with the box [lower, upper], sorted
     lexicographically.
+
+    The engine homogenises: the point ``(x, 1)`` becomes the ray ``(x, t)``
+    with t >= 0 and lower * t <= x <= upper * t, whose extreme rays with
+    t > 0 are the vertices.  ``audit=True`` instead solves every choice of
+    ``dimension`` active bound constraints.
     """
     d = space.dimension
     if d > MAX_DIMENSION:
@@ -171,110 +380,68 @@ def box_vertices(
     lo = _frac_vec(lower)
     hi = _frac_vec(upper)
     n = space.num_vars
+    unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+    # constraint rows on the homogeneous point (x, t)
+    bounds = [_primitive(e + (-lo[i],)) for i, e in enumerate(unit)]
+    bounds += [_primitive(tuple(-v for v in e) + (hi[i],)) for i, e in enumerate(unit)]
+    equalities = [_primitive(eq.coeffs + (-eq.rhs,)) for eq in space.equalities]
 
-    def feasible(p: Vector) -> bool:
-        return all(lo[i] <= p[i] <= hi[i] for i in range(n))
-
-    if d == 0:
-        p = space.point(())
-        return (p,) if feasible(p) else ()
-
-    # candidate active constraints: (variable, bound value)
-    candidates = [(i, lo[i]) for i in range(n)] + [(i, hi[i]) for i in range(n)]
-    found = set()
-    for combo in itertools.combinations(candidates, d):
-        matrix = [[space.basis[j][i] for j in range(d)] for i, _ in combo]
-        rhs = [bound - space.particular[i] for i, bound in combo]
-        lam = _solve_square(matrix, rhs)
-        if lam is None:
-            continue
-        p = space.point(lam)
-        if feasible(p):
-            found.add(p)
-    return tuple(sorted(found))
-
-
-def _normalize_ray(direction: Sequence[Fraction]) -> Vector:
-    """Scale to the smallest integer coordinates (positive multiple)."""
-    denoms = [v.denominator for v in direction]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(v * lcm) for v in direction]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    if audit:
+        # hyperplanes basis . lam + (particular - bound) = 0, one per bound
+        planes = _distinct_rows(
+            tuple(b[i] for b in space.basis) + (space.particular[i] - bound,)
+            for i in range(n)
+            for bound in (lo[i], hi[i])
+        )
+        found = set()
+        for combo in itertools.combinations(planes, d):
+            matrix = [[Fraction(v) for v in r[:d]] for r in combo]
+            lam = _solve_square(matrix, [Fraction(-r[d]) for r in combo])
+            if lam is None:
+                continue
+            p = space.point(lam)
+            if all(lo[i] <= p[i] <= hi[i] for i in range(n)):
+                found.add(_primitive(p + (1,)))
+    else:
+        generators = [_primitive(b) + (0,) for b in space.basis]
+        generators.append(_primitive(space.particular + (1,)))
+        found = _rays(generators, bounds + [(0,) * n + (1,)], False)
+    # a ray with t = 0 meets the bounds only at x = 0, so the check rejects it
+    # before the division by t
+    _check(found, equalities, bounds)
+    return tuple(sorted(tuple(Fraction(v, r[n]) for v in r[:n]) for r in found))
 
 
 def cone_rays(
     equalities: Sequence[LinearEquation],
     inequalities: Sequence[Vector],
     num_vars: int,
+    audit: bool = False,
 ) -> tuple[Vector, ...]:
     """Extreme rays of ``{x : equalities(x)=0, ineq . x >= 0}``.
 
     The equalities must be homogeneous.  The cone must be pointed (the
     inequalities must not admit a line), which holds for every system built
-    by this package.  Rays are normalized to smallest integer coordinates
-    and sorted lexicographically.
+    by this package; otherwise ``ValueError``.  Rays are normalized to
+    smallest integer coordinates and sorted lexicographically.
+    ``audit=True`` enumerates every choice of d - 1 active inequalities
+    instead of running the double description engine.
     """
     for eq in equalities:
         if eq.rhs != 0:
             raise ValueError("cone equalities must be homogeneous")
     space = solve_affine(equalities, num_vars)
-    if space is None:  # homogeneous systems always contain 0
-        raise AssertionError("homogeneous system reported inconsistent")
+    if space is None or any(v != 0 for v in space.particular):
+        raise ConsistencyAlarmError("homogeneous system without the solution 0")
     d = space.dimension
     if d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
     if d == 0:
         return ()
-
-    ineqs = [_frac_vec(row) for row in inequalities]
-    # restrict inequalities to the lambda-parametrization of the equality space
-    reduced = []
-    for row in ineqs:
-        const = sum((c * p for c, p in zip(row, space.particular)), Fraction(0))
-        assert const == 0
-        reduced.append(
-            tuple(
-                sum((c * b[i] for i, c in enumerate(row)), Fraction(0))
-                for b in space.basis
-            )
-        )
-
-    def lam_feasible(lam: Sequence[Fraction]) -> bool:
-        return all(
-            sum((c * v for c, v in zip(row, lam)), Fraction(0)) >= 0 for row in reduced
-        )
-
-    found = set()
-    if d == 1:
-        for lam in ((Fraction(1),), (Fraction(-1),)):
-            if lam_feasible(lam):
-                found.add(_normalize_ray(space.point(lam)))
-        return tuple(sorted(found))
-
-    # an extreme ray lies on d-1 independent active inequalities
-    for combo in itertools.combinations(range(len(reduced)), d - 1):
-        rows = [list(reduced[i]) for i in combo]
-        rref_rows, pivots = _rref([list(r) for r in rows])
-        if len(pivots) != d - 1:
-            continue
-        # 1-dimensional null space: free coordinate set to 1
-        free = [c for c in range(d) if c not in pivots][0]
-        lam = [Fraction(0)] * d
-        lam[free] = Fraction(1)
-        for row, pc in zip(rref_rows, pivots):
-            lam[pc] = -row[free]
-        for sign in (1, -1):
-            cand = [sign * v for v in lam]
-            if lam_feasible(cand) and any(v != 0 for v in cand):
-                found.add(_normalize_ray(space.point(cand)))
-    return tuple(sorted(found))
+    rows = _distinct_rows(inequalities)
+    found = _rays([_primitive(b) for b in space.basis], rows, audit)
+    _check(found, [_primitive(eq.coeffs) for eq in equalities], rows)
+    return tuple(sorted(tuple(Fraction(v) for v in r) for r in found))
 
 
 def format_fraction(value: Fraction) -> str:

@@ -14,7 +14,7 @@ from typing import Optional
 from .algebra import FiniteAlgebra
 from .dsystems import Subset, is_deductive_system, is_fantastic
 from .homs import Homomorphism, NotBijectiveError, hom_witness, NotAHomomorphismError
-from .linalg import LinearEquation, Vector, cone_rays
+from .linalg import ConsistencyAlarmError, LinearEquation, Vector, cone_rays
 from .states import Assignment, Witness
 
 ZERO = Fraction(0)
@@ -192,7 +192,8 @@ def valuation_cone(a: FiniteAlgebra) -> tuple[Vector, ...]:
     eqs, ineqs = valuation_equations(a)
     rays = cone_rays(eqs, ineqs, a.size)
     for ray in rays:
-        assert is_pseudo_valuation(a, ray)
+        if not is_pseudo_valuation(a, ray):
+            raise ConsistencyAlarmError(f"valuation cone ray {ray} is not a pseudo-valuation")
     return rays
 
 

@@ -190,6 +190,17 @@ def test_valuations(capsys, alg):
     assert "is-weak-pseudo-valuation true" in out
 
 
+def test_valuations_rays_proper6(capsys, alg):
+    code, out, err = run(capsys, "valuations", alg("proper6.alg"), "--rays")
+    assert code == 0 and err == ""
+    assert out == (
+        "ray-count 3\n"
+        "ray 1=0 a=0 b=1 c=1 d=1 e=0\n"
+        "ray 1=0 a=1 b=0 c=0 d=0 e=0\n"
+        "ray 1=0 a=1 b=0 c=0 d=0 e=1\n"
+    )
+
+
 def test_hom(capsys, alg):
     code, out, _ = run(
         capsys,

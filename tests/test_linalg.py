@@ -5,9 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pseudobe import linalg
 from pseudobe.linalg import (
+    AffineSolutionSpace,
+    ConsistencyAlarmError,
     DimensionTooLargeError,
     LinearEquation,
     box_vertices,
@@ -178,3 +181,104 @@ def test_cone_rays_satisfy_constraints():
         assert r[0] == r[1]
         assert all(x >= 0 for x in r)
     assert len(rays) == 2
+
+
+def test_cone_not_pointed():
+    # a half-plane contains the line x = 0
+    with pytest.raises(ValueError):
+        cone_rays([], [(F(1), F(0))], 2)
+
+
+def test_point_arity():
+    space = solve_affine([_eq([1, 1], 1)], 2)
+    with pytest.raises(ValueError):
+        space.point((F(1), F(2)))
+
+
+def test_cone_alarm_on_nonzero_particular(monkeypatch):
+    bogus = AffineSolutionSpace(2, (F(1), F(0)), ((F(0), F(1)),), ())
+    monkeypatch.setattr(linalg, "solve_affine", lambda eqs, n: bogus)
+    with pytest.raises(ConsistencyAlarmError):
+        cone_rays([], [(F(1), F(0)), (F(0), F(1))], 2)
+
+
+@pytest.mark.parametrize("audit", [False, True])
+def test_cone_alarm_on_infeasible_ray(monkeypatch, audit):
+    # each engine's output is re-checked against the input rows
+    monkeypatch.setattr(linalg, "_dd_rays", lambda rows, start: [(-1, 0)])
+    monkeypatch.setattr(linalg, "_active_set_rays", lambda rows, d: [(-1, 0)])
+    with pytest.raises(ConsistencyAlarmError):
+        cone_rays([], [(F(1), F(0)), (F(0), F(1))], 2, audit=audit)
+
+
+def test_box_alarm_on_infeasible_vertex(monkeypatch):
+    # homogeneous points (x, y, t): (2, 0, 1) leaves the unit square
+    monkeypatch.setattr(linalg, "_rays", lambda gens, rows, audit: {(2, 0, 1)})
+    with pytest.raises(ConsistencyAlarmError):
+        box_vertices(solve_affine([], 2), [F(0)] * 2, [F(1)] * 2)
+
+
+@pytest.mark.parametrize("audit", [False, True])
+def test_box_alarm_on_equality_violation(audit):
+    # the point (1, 1) lies in the box but not on its space's line x + y = 1
+    bogus = AffineSolutionSpace(2, (F(1), F(1)), (), (_eq([1, 1], 1),))
+    with pytest.raises(ConsistencyAlarmError):
+        box_vertices(bogus, [F(0)] * 2, [F(1)] * 2, audit=audit)
+
+
+def test_box_vertices_degenerate_box():
+    # x is pinned to 0, so the polytope is the segment (0,0)-(0,2); the
+    # inconsistent active set {y = 0, y = 2} must not yield the point (0,1)
+    space = solve_affine([], 2)
+    expected = ((F(0), F(0)), (F(0), F(2)))
+    for audit in (False, True):
+        assert box_vertices(space, [F(0)] * 2, [F(0), F(2)], audit=audit) == expected
+
+
+def _sympy_rank(rows):
+    return sympy.Matrix([[*r] for r in rows]).rank() if rows else 0
+
+
+small_rows = st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), small_rows, small_rows)
+def test_cone_engine_matches_audit_and_rank_oracle(n, eq_rows, ineq_rows):
+    """Random pointed cones: random rows plus x >= 0.  Both engines agree,
+    and every ray is tight on a set of constraints of rank n - 1."""
+    eqs = [_eq(r[:n], 0) for r in eq_rows[:2]]
+    nonneg = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+    ineqs = [tuple(F(v) for v in r[:n]) for r in ineq_rows] + nonneg
+    rays = cone_rays(eqs, ineqs, n)
+    assert rays == cone_rays(eqs, ineqs, n, audit=True)
+    for ray in rays:
+        assert all(eq.residual(ray) == 0 for eq in eqs)
+        tight = [row for row in ineqs if sum(c * x for c, x in zip(row, ray)) == 0]
+        assert all(sum(c * x for c, x in zip(row, ray)) >= 0 for row in ineqs)
+        assert _sympy_rank([eq.coeffs for eq in eqs] + tight) == n - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    small_rows,
+    st.lists(st.tuples(rationals, rationals), min_size=4, max_size=4),
+)
+def test_box_engine_matches_audit_and_rank_oracle(n, eq_rows, bounds):
+    """Random affine spaces in random boxes: both engines agree, and every
+    vertex is tight on a set of constraints of rank n."""
+    eqs = [_eq(r[:n], r[n]) for r in eq_rows[:2]]
+    space = solve_affine(eqs, n)
+    if space is None:
+        return
+    lower = [min(b) for b in bounds[:n]]
+    upper = [max(b) for b in bounds[:n]]
+    verts = box_vertices(space, lower, upper)
+    assert verts == box_vertices(space, lower, upper, audit=True)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for v in verts:
+        assert all(eq.residual(v) == 0 for eq in eqs)
+        assert all(lower[i] <= v[i] <= upper[i] for i in range(n))
+        active = [unit[i] for i in range(n) if v[i] in (lower[i], upper[i])]
+        assert _sympy_rank([eq.coeffs for eq in eqs] + active) == n

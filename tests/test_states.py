@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from pseudobe import catalog
 from pseudobe.algebra import vee1
+from pseudobe.linalg import box_vertices, cone_rays, solve_affine
 from pseudobe.states import (
     ConditionAMissingError,
     MembershipError,
@@ -19,15 +21,18 @@ from pseudobe.states import (
     is_state_morphism,
     lukasiewicz,
     measure_cone,
+    measure_equations,
     measure_kernel,
     measure_witness,
     parse_assignment,
     sm_characterization_check,
+    state_equations,
     state_kernel,
     state_morphism_witness,
     state_space,
     state_measure_bijection,
 )
+from pseudobe.valuations import valuation_equations
 
 # the four named state families of the 5-element algebra, at the
 # parameter values used throughout the suite (carrier order 1 a b c d)
@@ -240,3 +245,36 @@ def test_assignment_missing_element(conda5):
 def test_assignment_wrong_kind(conda5):
     with pytest.raises(ValueError, match="expected header"):
         parse_assignment(conda5, "valuation v\n", ("state",))
+
+
+def _cone_inputs():
+    from pseudobe.finder import SearchConstraints, enumerate_models
+
+    fixtures = [
+        catalog.four_element_bck(),
+        catalog.five_element_condition_a(),
+        catalog.six_element_proper(),
+        catalog.six_element_bounded(),
+    ]
+    models = [m for n in range(1, 5) for m in enumerate_models(SearchConstraints(size=n))]
+    return fixtures + models
+
+
+def test_engine_matches_audit_on_small_models():
+    """The double description engine and the active-set audit return the
+    same tuples for the valuation cone, the measure cone and the state
+    polytope on the four fixtures and every model of size <= 4."""
+    inputs = _cone_inputs()
+    assert len(inputs) == 87
+    for a in inputs:
+        n = a.size
+        nonneg = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+        cones = [valuation_equations(a), (measure_equations(a), nonneg)]
+        for eqs, ineqs in cones:
+            rays = cone_rays(eqs, ineqs, n)
+            assert rays == cone_rays(eqs, ineqs, n, audit=True), a.name
+        space = solve_affine(state_equations(a), n)
+        if space is not None:
+            lower, upper = [F(0)] * n, [F(1)] * n
+            verts = box_vertices(space, lower, upper)
+            assert verts == box_vertices(space, lower, upper, audit=True), a.name

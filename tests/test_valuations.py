@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from pseudobe.dsystems import parse_subset
+from pseudobe import valuations
+from pseudobe.dsystems import ConsistencyAlarmError, parse_subset
 from pseudobe.homs import Homomorphism, NotBijectiveError, identity_hom
 from pseudobe.valuations import (
     NotAPseudoValuationError,
@@ -78,6 +79,37 @@ def test_cone_rays(conda5):
             parse_subset(conda5, "{b,c}") ,
             parse_subset(conda5, "{a,d}"),
         )
+
+
+def _ints(*rows):
+    return tuple(tuple(F(v) for v in r) for r in rows)
+
+
+# carrier order 1 a b c d e; the double description engine and the
+# active-set audit agree on both cones
+def test_cone_rays_proper6(proper6):
+    assert valuation_cone(proper6) == _ints(
+        (0, 0, 1, 1, 1, 0), (0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 1)
+    )
+
+
+def test_cone_rays_bounded6(bounded6):
+    assert valuation_cone(bounded6) == _ints(
+        (0, 1, 1, 0, 1, 1),
+        (0, 1, 1, 1, 0, 1),
+        (0, 1, 1, 1, 1, 1),
+        (0, 1, 1, 1, 1, 2),
+        (0, 1, 2, 1, 1, 2),
+        (0, 2, 1, 1, 1, 2),
+        (0, 2, 2, 1, 1, 3),
+    )
+
+
+def test_cone_alarm_on_unverified_ray(conda5, monkeypatch):
+    # a ray that is not a pseudo-valuation must not pass the re-verification
+    monkeypatch.setattr(valuations, "cone_rays", lambda eqs, ineqs, n: (PHI_WEAK,))
+    with pytest.raises(ConsistencyAlarmError):
+        valuation_cone(conda5)
 
 
 def test_equations_shape(conda5):
