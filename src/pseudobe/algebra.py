@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from .linalg import ConsistencyAlarmError
+
 AXIOM_SYSTEMS = (
     "pseudo-BE",
     "pseudo-BCK",
@@ -145,42 +147,74 @@ class AxiomReport:
     total: int
 
     def __post_init__(self):
-        assert self.holds == (not self.violations)
+        if self.holds != (not self.violations):
+            raise ConsistencyAlarmError("AxiomReport: holds disagrees with violations")
 
 
-# Each axiom: (tag, arity, predicate(algebra, *tuple) -> bool)
+# Each axiom: (tag, arity, predicate(algebra, *tuple) -> bool).  An identity
+# that several systems share is one function, listed under each tag.
 Axiom = tuple[str, int, Callable]
 
 
-def _axioms_pseudo_be(a: FiniteAlgebra) -> list[Axiom]:
-    u = a.unit
-    return [
-        ("psBE1", 1, lambda A, x: A.arrow[x][x] == u and A.squig[x][x] == u),
-        ("psBE2", 1, lambda A, x: A.arrow[x][u] == u and A.squig[x][u] == u),
-        ("psBE3", 1, lambda A, x: A.arrow[u][x] == x and A.squig[u][x] == x),
-        (
-            "psBE4",
-            3,
-            lambda A, x, y, z: A.arrow[x][A.squig[y][z]] == A.squig[y][A.arrow[x][z]],
-        ),
-        (
-            "psBE5",
-            2,
-            lambda A, x, y: (A.arrow[x][y] == u) == (A.squig[x][y] == u),
-        ),
-    ]
+def _unit_right(A: FiniteAlgebra, x: int) -> bool:
+    """x -> 1 = 1 and x ~> 1 = 1"""
+    u = A.unit
+    return A.arrow[x][u] == u and A.squig[x][u] == u
 
 
-def _axioms_pseudo_bck(a: FiniteAlgebra) -> list[Axiom]:
-    u = a.unit
-    return [
+def _unit_left(A: FiniteAlgebra, x: int) -> bool:
+    """1 -> x = x and 1 ~> x = x"""
+    u = A.unit
+    return A.arrow[u][x] == x and A.squig[u][x] == x
+
+
+def _exchange(A: FiniteAlgebra, x: int, y: int, z: int) -> bool:
+    """x -> (y ~> z) = y ~> (x -> z)"""
+    return A.arrow[x][A.squig[y][z]] == A.squig[y][A.arrow[x][z]]
+
+
+def _same_order(A: FiniteAlgebra, x: int, y: int) -> bool:
+    """x -> y = 1 iff x ~> y = 1"""
+    u = A.unit
+    return (A.arrow[x][y] == u) == (A.squig[x][y] == u)
+
+
+def _swap_law(A: FiniteAlgebra, x: int, y: int, z: int) -> bool:
+    """(x -> z) ~> (y -> z) = (z -> x) ~> (y -> x), and dually"""
+    return (
+        A.squig[A.arrow[x][z]][A.arrow[y][z]] == A.squig[A.arrow[z][x]][A.arrow[y][x]]
+        and A.arrow[A.squig[x][z]][A.squig[y][z]]
+        == A.arrow[A.squig[z][x]][A.squig[y][x]]
+    )
+
+
+def _antitone(A: FiniteAlgebra, x: int, y: int, z: int) -> bool:
+    """x <= y implies y -> z <= x -> z and y ~> z <= x ~> z"""
+    if not _le_arrow(A, x, y):
+        return True
+    u = A.unit
+    return (
+        A.arrow[A.arrow[y][z]][A.arrow[x][z]] == u
+        and A.arrow[A.squig[y][z]][A.squig[x][z]] == u
+    )
+
+
+_SYSTEM_AXIOMS: dict[str, list[Axiom]] = {
+    "pseudo-BE": [
+        ("psBE1", 1, lambda A, x: A.arrow[x][x] == A.unit and A.squig[x][x] == A.unit),
+        ("psBE2", 1, _unit_right),
+        ("psBE3", 1, _unit_left),
+        ("psBE4", 3, _exchange),
+        ("psBE5", 2, _same_order),
+    ],
+    "pseudo-BCK": [
         (
             "psBCK1",
             3,
             lambda A, x, y, z: A.squig[A.arrow[x][y]][
                 A.squig[A.arrow[y][z]][A.arrow[x][z]]
             ]
-            == u,
+            == A.unit,
         ),
         (
             "psBCK2",
@@ -188,117 +222,50 @@ def _axioms_pseudo_bck(a: FiniteAlgebra) -> list[Axiom]:
             lambda A, x, y, z: A.arrow[A.squig[x][y]][
                 A.arrow[A.squig[y][z]][A.squig[x][z]]
             ]
-            == u,
+            == A.unit,
         ),
-        ("psBCK3", 1, lambda A, x: A.arrow[u][x] == x),
-        ("psBCK4", 1, lambda A, x: A.squig[u][x] == x),
-        ("psBCK5", 1, lambda A, x: A.arrow[x][u] == u),
+        ("psBCK3", 1, lambda A, x: A.arrow[A.unit][x] == x),
+        ("psBCK4", 1, lambda A, x: A.squig[A.unit][x] == x),
+        ("psBCK5", 1, lambda A, x: A.arrow[x][A.unit] == A.unit),
         (
             "psBCK6",
             2,
             lambda A, x, y: not (
-                A.arrow[x][y] == u and A.arrow[y][x] == u and x != y
+                A.arrow[x][y] == A.unit and A.arrow[y][x] == A.unit and x != y
             ),
         ),
-    ]
-
-
-def _axioms_condition_a(a: FiniteAlgebra) -> list[Axiom]:
-    u = a.unit
-
-    def antitone(A: FiniteAlgebra, x: int, y: int, z: int) -> bool:
-        if not _le_arrow(A, x, y):
-            return True
-        return (
-            A.arrow[A.arrow[y][z]][A.arrow[x][z]] == u
-            and A.arrow[A.squig[y][z]][A.squig[x][z]] == u
-        )
-
-    return [("A", 3, antitone)]
-
-
-def _axioms_distributive(a: FiniteAlgebra) -> list[Axiom]:
-    return [
+    ],
+    "condition-A": [("A", 3, _antitone)],
+    "distributive": [
         (
             "dist",
             3,
             lambda A, x, y, z: A.arrow[x][A.squig[y][z]]
             == A.squig[A.arrow[x][y]][A.arrow[x][z]],
         )
-    ]
-
-
-def _axioms_commutative(a: FiniteAlgebra) -> list[Axiom]:
-    return [
+    ],
+    "commutative": [
         ("comm1", 2, lambda A, x, y: vee1(A, x, y) == vee1(A, y, x)),
         ("comm2", 2, lambda A, x, y: vee2(A, x, y) == vee2(A, y, x)),
-    ]
-
-
-def _axioms_p_system(a: FiniteAlgebra) -> list[Axiom]:
-    u = a.unit
-    return [
-        ("P1", 1, lambda A, x: A.arrow[u][x] == x and A.squig[u][x] == x),
-        ("P2", 1, lambda A, x: A.arrow[x][u] == u and A.squig[x][u] == u),
-        (
-            "P3",
-            3,
-            lambda A, x, y, z: A.squig[A.arrow[x][z]][A.arrow[y][z]]
-            == A.squig[A.arrow[z][x]][A.arrow[y][x]]
-            and A.arrow[A.squig[x][z]][A.squig[y][z]]
-            == A.arrow[A.squig[z][x]][A.squig[y][x]],
-        ),
-        (
-            "P4",
-            3,
-            lambda A, x, y, z: A.arrow[x][A.squig[y][z]] == A.squig[y][A.arrow[x][z]],
-        ),
-        (
-            "P5",
-            2,
-            lambda A, x, y: (A.arrow[x][y] == u) == (A.squig[x][y] == u),
-        ),
-    ]
-
-
-def _axioms_q_system(a: FiniteAlgebra) -> list[Axiom]:
-    u = a.unit
-    return [
+    ],
+    "P-system": [
+        ("P1", 1, _unit_left),
+        ("P2", 1, _unit_right),
+        ("P3", 3, _swap_law),
+        ("P4", 3, _exchange),
+        ("P5", 2, _same_order),
+    ],
+    "Q-system": [
         (
             "Q1",
             2,
-            lambda A, x, y: A.squig[A.arrow[x][u]][y] == y
-            and A.arrow[A.squig[x][u]][y] == y,
+            lambda A, x, y: A.squig[A.arrow[x][A.unit]][y] == y
+            and A.arrow[A.squig[x][A.unit]][y] == y,
         ),
-        (
-            "Q2",
-            3,
-            lambda A, x, y, z: A.squig[A.arrow[x][z]][A.arrow[y][z]]
-            == A.squig[A.arrow[z][x]][A.arrow[y][x]]
-            and A.arrow[A.squig[x][z]][A.squig[y][z]]
-            == A.arrow[A.squig[z][x]][A.squig[y][x]],
-        ),
-        (
-            "Q3",
-            3,
-            lambda A, x, y, z: A.arrow[x][A.squig[y][z]] == A.squig[y][A.arrow[x][z]],
-        ),
-        (
-            "Q4",
-            2,
-            lambda A, x, y: (A.arrow[x][y] == u) == (A.squig[x][y] == u),
-        ),
-    ]
-
-
-_SYSTEM_AXIOMS = {
-    "pseudo-BE": _axioms_pseudo_be,
-    "pseudo-BCK": _axioms_pseudo_bck,
-    "condition-A": _axioms_condition_a,
-    "distributive": _axioms_distributive,
-    "commutative": _axioms_commutative,
-    "P-system": _axioms_p_system,
-    "Q-system": _axioms_q_system,
+        ("Q2", 3, _swap_law),
+        ("Q3", 3, _exchange),
+        ("Q4", 2, _same_order),
+    ],
 }
 
 
@@ -310,7 +277,7 @@ def check_axioms(a: FiniteAlgebra, system: str) -> AxiomReport:
     """
     if system not in _SYSTEM_AXIOMS:
         raise ValueError(f"unknown axiom system {system!r}")
-    axioms = _SYSTEM_AXIOMS[system](a)
+    axioms = _SYSTEM_AXIOMS[system]
     first: dict[str, tuple[int, ...]] = {}
     total = 0
     rng = range(a.size)
@@ -420,6 +387,13 @@ def classify(a: FiniteAlgebra) -> ClassificationReport:
 # file format
 
 
+def content_lines(text: str) -> list[str]:
+    """The non-blank lines of ``text``, stripped, with ``#`` comments removed;
+    the line reader of every file format."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
+
+
 def parse_algebra(text: str) -> FiniteAlgebra:
     """Parse the line-based algebra file format.
 
@@ -435,12 +409,7 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         <N rows of N tokens>
         end
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-
+    lines = content_lines(text)
     pos = 0
 
     def next_line() -> str:
@@ -522,3 +491,25 @@ def serialize_algebra(a: FiniteAlgebra) -> str:
             out.append(" ".join(a.token(v) for v in row))
     out.append("end")
     return "\n".join(out) + "\n"
+
+
+def format_map(a: FiniteAlgebra, b: FiniteAlgebra, m: tuple[int, ...], keyword: str) -> str:
+    """One ``<keyword> x->y`` line per element x of A, in carrier order."""
+    return "\n".join(f"{keyword} {a.token(x)}->{b.token(y)}" for x, y in enumerate(m))
+
+
+def parse_map(a: FiniteAlgebra, b: FiniteAlgebra, text: str, keyword: str) -> tuple[int, ...]:
+    """A map A -> B written as one ``<keyword> x->y`` line per element of A."""
+    mapping: dict[int, int] = {}
+    for line in content_lines(text):
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != keyword or "->" not in parts[1]:
+            raise ValueError(f"bad {keyword} line: {line!r}")
+        src, tgt = parts[1].split("->", 1)
+        x = a.index(src)
+        if x in mapping:
+            raise ValueError(f"{keyword} line for {src!r} given twice")
+        mapping[x] = b.index(tgt)
+    if len(mapping) != a.size:
+        raise ValueError(f"{keyword} file does not cover the whole source carrier")
+    return tuple(mapping[x] for x in range(a.size))

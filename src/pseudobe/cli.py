@@ -23,15 +23,7 @@ from .algebra import (
     parse_algebra,
     serialize_algebra,
 )
-from .dsystems import (
-    NotADeductiveSystemError,
-    NotDistributiveError,
-    NotProperError,
-    enumerate_ds,
-    format_subset,
-    parse_subset,
-    quotient,
-)
+from .dsystems import enumerate_ds, format_subset, parse_subset, quotient
 from .finder import (
     STRUCTURE_FLAGS,
     CounterexampleError,
@@ -40,14 +32,7 @@ from .finder import (
     enumerate_models,
     verify_meta_theorems,
 )
-from .homs import (
-    NotAHomomorphismError,
-    SizeGuardError,
-    enumerate_homomorphisms,
-    hom_witness,
-    kernel,
-    parse_hom,
-)
+from .homs import enumerate_homomorphisms, hom_witness, kernel, parse_hom
 from .linalg import format_fraction
 from .operators import (
     enumerate_internal_states,
@@ -72,16 +57,8 @@ from .valuations import (
     weak_pv_witness,
 )
 
-USAGE_ERRORS = (
-    AlgebraError,
-    NotADeductiveSystemError,
-    NotDistributiveError,
-    NotProperError,
-    NotAHomomorphismError,
-    SizeGuardError,
-    ValueError,
-    OSError,
-)
+# every input and precondition error of the library is a ValueError
+USAGE_ERRORS = (ValueError, OSError)
 
 
 class Report:
@@ -422,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("internal", help="internal states and SMO operators")
     sp.add_argument("algebra")
     sp.add_argument("--kind", choices=("I", "II", "smo"), required=True)
-    sp.add_argument("--enumerate", action="store_true")
     sp.add_argument("--verify", metavar="FILE")
     sp.set_defaults(func=_cmd_internal)
 
@@ -436,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hom", help="homomorphisms between two algebras")
     sp.add_argument("algebra_a")
     sp.add_argument("algebra_b")
-    sp.add_argument("--enumerate", action="store_true")
     sp.add_argument("--iso", action="store_true")
     sp.add_argument("--verify", metavar="FILE")
     sp.set_defaults(func=_cmd_hom)
@@ -476,3 +451,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

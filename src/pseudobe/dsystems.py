@@ -176,7 +176,8 @@ def generated_ds(a: FiniteAlgebra, seed: Subset) -> Subset:
                         d.add(y)
                         changed = True
     out = frozenset(d)
-    assert is_deductive_system(a, out)
+    if not is_deductive_system(a, out):
+        raise ConsistencyAlarmError("modus ponens fixpoint is not a deductive system")
     return out
 
 

@@ -25,7 +25,7 @@ from .algebra import (
 from .dsystems import enumerate_ds, format_subset, is_fantastic, is_involutive_ds, is_normal
 from .homs import SizeGuardError
 from .parallel import pmap
-from .operators import enumerate_internal_states, enumerate_smo, is_smo
+from .operators import enumerate_internal_states, is_smo
 from .states import measure_cone, measure_kernel, state_kernel, state_space
 from .valuations import (
     is_commutative_pv,

@@ -1,19 +1,23 @@
 """Homomorphisms between finite two-implication algebras.
 
-Verification, kernel/image, DS transport, and brute-force enumeration of
-homomorphisms and isomorphisms between small algebras.
+Verification, kernel/image, DS transport, and enumeration of homomorphisms
+and isomorphisms on ``search_maps``, the partial-map backtracker that also
+enumerates :mod:`pseudobe.operators`; ``scan_maps`` is their audit oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .algebra import FiniteAlgebra, leq
-from .dsystems import Subset, is_deductive_system
+from .algebra import FiniteAlgebra, format_map, leq, parse_map
+from .dsystems import ConsistencyAlarmError, Subset, is_deductive_system
 
 SEARCH_GUARD = 10_000_000
+
+Map = tuple[int, ...]
+Check = Callable[[Map, int], bool]
 
 
 class NotAHomomorphismError(ValueError):
@@ -99,7 +103,8 @@ def preimage_ds(f: Homomorphism, e: Subset) -> Subset:
     if not is_deductive_system(f.target, e):
         raise PreconditionError("E is not a deductive system of the target")
     pre = frozenset(x for x in range(f.source.size) if f.map[x] in e)
-    assert is_deductive_system(f.source, pre)
+    if not is_deductive_system(f.source, pre):
+        raise ConsistencyAlarmError("preimage of a deductive system is not one")
     return pre
 
 
@@ -113,8 +118,48 @@ def image_ds(f: Homomorphism, d: Subset) -> Subset:
     if not kernel(f) <= d:
         raise PreconditionError("Ker(f) is not contained in D")
     img = frozenset(f.map[x] for x in d)
-    assert is_deductive_system(f.target, img)
+    if not is_deductive_system(f.target, img):
+        raise ConsistencyAlarmError("image of a deductive system is not one")
     return img
+
+
+def search_maps(n: int, m: int, check: Check, accept: Callable[[Map], bool]) -> tuple[Map, ...]:
+    """The maps {0..n-1} -> {0..m-1} that ``accept`` keeps, in lexicographic order.
+
+    Points are assigned in the order 0..n-1; ``check(f, k)`` tests the
+    constraints among points <= k that involve point k and prunes on failure.
+    It may only reject maps that ``accept`` rejects, so the result is exact.
+    """
+    out: list[Map] = []
+
+    def extend(f: Map) -> None:
+        if len(f) == n:
+            if accept(f):
+                out.append(f)
+            return
+        for v in range(m):
+            g = f + (v,)
+            if check(g, len(f)):
+                extend(g)
+
+    extend(())
+    return tuple(out)
+
+
+def scan_maps(n: int, m: int, accept: Callable[[Map], bool]) -> tuple[Map, ...]:
+    """Audit oracle for ``search_maps``: filter all m^n maps, unpruned."""
+    if m**n > SEARCH_GUARD:
+        raise SizeGuardError(f"{m}^{n} maps exceeds the search guard")
+    return tuple(f for f in itertools.product(range(m), repeat=n) if accept(f))
+
+
+def equation_check(n: int, equations) -> Check:
+    """Check for equations f(r) = t[f(p)][f(q)], given as (p, q, r, t),
+    each tested once: when the largest of p, q, r is assigned."""
+    at: list[list] = [[] for _ in range(n)]
+    for p, q, r, t in equations:
+        at[max(p, q, r)].append((p, q, r, t))
+    return lambda f, k: all(f[r] == t[f[p]][f[q]] for p, q, r, t in at[k])
 
 
 def enumerate_homomorphisms(
@@ -122,88 +167,26 @@ def enumerate_homomorphisms(
 ) -> tuple[Homomorphism, ...]:
     """All homomorphisms A -> B in lexicographic map order.
 
-    The default search forces f(1)=1 and backtracks with incremental
-    operation-preservation checks; ``audit=True`` instead filters the full
-    |B|^|A| product (for cross-checking the pruned search on tiny inputs).
+    The search checks each preservation equation once its points are
+    assigned; ``audit=True`` filters all |B|^|A| maps instead.
     """
-    if b.size ** a.size > SEARCH_GUARD:
-        raise SizeGuardError(f"{b.size}^{a.size} maps exceeds the search guard")
 
-    homs: list[Homomorphism] = []
+    def accept(m: Map) -> bool:
+        # the inverse of a bijective homomorphism is one, too
+        f = Homomorphism(a, b, m)
+        return is_homomorphism(f) and (not iso_only or f.is_bijective())
+
     if audit:
-        for m in itertools.product(range(b.size), repeat=a.size):
-            f = Homomorphism(a, b, m)
-            if is_homomorphism(f) and (not iso_only or _iso_ok(f)):
-                homs.append(f)
-        return tuple(homs)
-
-    partial: list[Optional[int]] = [None] * a.size
-    partial[a.unit] = b.unit
-
-    def consistent(x: int) -> bool:
-        for y in range(a.size):
-            if partial[y] is None:
-                continue
-            for (p, q) in ((x, y), (y, x)):
-                fp, fq = partial[p], partial[q]
-                fa = partial[a.arrow[p][q]]
-                if fa is not None and fa != b.arrow[fp][fq]:
-                    return False
-                fs = partial[a.squig[p][q]]
-                if fs is not None and fs != b.squig[fp][fq]:
-                    return False
-        return True
-
-    order = [x for x in range(a.size) if x != a.unit]
-
-    def backtrack(i: int) -> None:
-        if i == len(order):
-            # the incremental check skips constraints whose value entry
-            # was unassigned at the time; re-verify the complete map
-            f = Homomorphism(a, b, tuple(partial))
-            if is_homomorphism(f) and (not iso_only or _iso_ok(f)):
-                homs.append(f)
-            return
-        x = order[i]
-        for v in range(b.size):
-            partial[x] = v
-            if consistent(x):
-                backtrack(i + 1)
-            partial[x] = None
-
-    backtrack(0)
-    homs.sort(key=lambda f: f.map)
-    return tuple(homs)
-
-
-def _iso_ok(f: Homomorphism) -> bool:
-    if not f.is_bijective():
-        return False
-    inv = [0] * f.target.size
-    for x, y in enumerate(f.map):
-        inv[y] = x
-    return is_homomorphism(Homomorphism(f.target, f.source, tuple(inv)))
+        return tuple(Homomorphism(a, b, m) for m in scan_maps(a.size, b.size, accept))
+    pairs = [(p, q) for p in range(a.size) for q in range(a.size)]
+    tables = ((a.arrow, b.arrow), (a.squig, b.squig))
+    check = equation_check(a.size, [(p, q, s[p][q], t) for s, t in tables for p, q in pairs])
+    return tuple(Homomorphism(a, b, m) for m in search_maps(a.size, b.size, check, accept))
 
 
 def format_hom(f: Homomorphism) -> str:
-    """One ``hom src->tgt`` line per element, in carrier order."""
-    return "\n".join(
-        f"hom {f.source.token(x)}->{f.target.token(f.map[x])}"
-        for x in range(f.source.size)
-    )
+    return format_map(f.source, f.target, f.map, "hom")
 
 
 def parse_hom(a: FiniteAlgebra, b: FiniteAlgebra, text: str) -> Homomorphism:
-    mapping: dict[int, int] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != "hom" or "->" not in parts[1]:
-            raise ValueError(f"bad hom line: {raw!r}")
-        src, tgt = parts[1].split("->", 1)
-        mapping[a.index(src)] = b.index(tgt)
-    if set(mapping) != set(range(a.size)):
-        raise ValueError("hom file does not cover the whole source carrier")
-    return Homomorphism(a, b, tuple(mapping[x] for x in range(a.size)))
+    return Homomorphism(a, b, parse_map(a, b, text, "hom"))

@@ -1,24 +1,28 @@
 """Internal states (type I/II) and state-morphism operators.
 
-Candidates are unary maps on the carrier; enumeration brute-forces all
-n^n maps with an optional unit-image pruning that is only sound under
-condition (A) (and can be disabled for auditing).
+Candidates are unary maps on the carrier, enumerated on the partial-map
+backtracker of :mod:`pseudobe.homs`: internal states with (is1)-(is3)
+checked as the points are assigned, state-morphism operators as the
+idempotent endomorphisms.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
-from .algebra import FiniteAlgebra, check_axioms, vee1, vee2
-from .dsystems import Subset, is_deductive_system
-from .homs import Homomorphism, PreconditionError, SizeGuardError
-
-ENUM_GUARD = 10_000_000
+from .algebra import FiniteAlgebra, check_axioms, format_map, parse_map, vee1, vee2
+from .dsystems import ConsistencyAlarmError, Subset, is_deductive_system
+from .homs import Check, Homomorphism, PreconditionError, enumerate_homomorphisms, hom_witness
+from .homs import equation_check, scan_maps, search_maps
 
 UnaryOperator = tuple[int, ...]
 
 Witness = tuple[str, tuple[int, ...]]
+
+
+def _require_kind(kind: str) -> None:
+    if kind not in ("I", "II"):
+        raise ValueError(f"kind must be 'I' or 'II', got {kind!r}")
 
 
 def internal_state_witness(
@@ -29,8 +33,7 @@ def internal_state_witness(
     ``kind`` is "I" (join of the left operand) or "II" (join reversed).
     The order used by (is1) is the preorder x -> y = 1.
     """
-    if kind not in ("I", "II"):
-        raise ValueError(f"kind must be 'I' or 'II', got {kind!r}")
+    _require_kind(kind)
     u = a.unit
     for x in range(a.size):
         for y in range(a.size):
@@ -62,32 +65,47 @@ def is_internal_state(a: FiniteAlgebra, mu: UnaryOperator, kind: str) -> bool:
 def enumerate_internal_states(
     a: FiniteAlgebra, kind: str, audit: bool = False
 ) -> tuple[UnaryOperator, ...]:
-    """All internal states of the given kind, in lexicographic map order.
+    """All internal states of the given kind, in lexicographic map order;
+    ``audit=True`` scans all n^n maps instead of the pruned search."""
+    _require_kind(kind)
 
-    Maps with mu(1) != 1 are pruned when condition (A) holds (where the
-    theory proves mu(1)=1); ``audit=True`` always scans all n^n maps.
-    """
-    n = a.size
-    if n ** n > ENUM_GUARD:
-        raise SizeGuardError(f"{n}^{n} maps exceeds the enumeration guard")
-    prune_unit = (not audit) and check_axioms(a, "condition-A").holds
-    out = []
-    for mu in itertools.product(range(n), repeat=n):
-        if prune_unit and mu[a.unit] != a.unit:
-            continue
-        if is_internal_state(a, mu, kind):
-            out.append(mu)
-    return tuple(out)
+    def accept(mu: UnaryOperator) -> bool:
+        return is_internal_state(a, mu, kind)
+
+    if audit:
+        return scan_maps(a.size, a.size, accept)
+    return search_maps(a.size, a.size, _internal_state_check(a, kind), accept)
+
+
+def _internal_state_check(a: FiniteAlgebra, kind: str) -> Check:
+    """At point k: the (is2) equations on points <= k, and (is1) and
+    (is3) on the pairs whose larger point is k ((is3) where the value it
+    must fix is already assigned)."""
+    n, u = a.size, a.unit
+    is2, pairs = [], [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            p, q = (x, y) if kind == "I" else (y, x)
+            is2.append((vee1(a, p, q), y, a.arrow[x][y], a.arrow))
+            is2.append((vee2(a, p, q), y, a.squig[x][y], a.squig))
+            pairs[max(x, y)].append((x, y, a.arrow[x][y] == u))
+    is2_holds = equation_check(n, is2)
+
+    def check(f: UnaryOperator, k: int) -> bool:
+        for x, y, le in pairs[k]:
+            s, t = a.arrow[f[x]][f[y]], a.squig[f[x]][f[y]]
+            if (le and s != u) or (s <= k and f[s] != s) or (t <= k and f[t] != t):
+                return False
+        return is2_holds(f, k)
+
+    return check
 
 
 def smo_witness(a: FiniteAlgebra, mu: UnaryOperator) -> Optional[Witness]:
     """Endomorphism + idempotence; first failing pair, or None."""
-    for x in range(a.size):
-        for y in range(a.size):
-            if mu[a.arrow[x][y]] != a.arrow[mu[x]][mu[y]]:
-                return ("hom-arrow", (x, y))
-            if mu[a.squig[x][y]] != a.squig[mu[x]][mu[y]]:
-                return ("hom-squig", (x, y))
+    w = hom_witness(Homomorphism(a, a, mu))
+    if w is not None:
+        return ("hom-" + w[0], w[1])
     for x in range(a.size):
         if mu[mu[x]] != mu[x]:
             return ("idempotent", (x,))
@@ -99,13 +117,8 @@ def is_smo(a: FiniteAlgebra, mu: UnaryOperator) -> bool:
 
 
 def enumerate_smo(a: FiniteAlgebra) -> tuple[UnaryOperator, ...]:
-    """All state-morphism operators, in lexicographic map order."""
-    n = a.size
-    if n ** n > ENUM_GUARD:
-        raise SizeGuardError(f"{n}^{n} maps exceeds the enumeration guard")
-    return tuple(
-        mu for mu in itertools.product(range(n), repeat=n) if is_smo(a, mu)
-    )
+    """All state-morphism operators (idempotent endomorphisms), in lexicographic order."""
+    return tuple(f.map for f in enumerate_homomorphisms(a, a) if is_smo(a, f.map))
 
 
 def kernel_image(a: FiniteAlgebra, mu: UnaryOperator) -> tuple[Subset, Subset]:
@@ -113,7 +126,8 @@ def kernel_image(a: FiniteAlgebra, mu: UnaryOperator) -> tuple[Subset, Subset]:
     or a state-morphism operator.
 
     On condition-(A) internal states the structural facts Ker in DS(A),
-    Im closed under both implications, and Ker n Im = {1} are asserted.
+    Im closed under both implications, and Ker n Im = {1} are re-checked
+    and raise ``ConsistencyAlarmError`` if they fail.
     """
     cond_a = check_axioms(a, "condition-A").holds
     internal = cond_a and (
@@ -127,11 +141,12 @@ def kernel_image(a: FiniteAlgebra, mu: UnaryOperator) -> tuple[Subset, Subset]:
     ker = frozenset(x for x in range(a.size) if mu[x] == a.unit)
     img = frozenset(mu)
     if internal:
-        assert is_deductive_system(a, ker)
-        for x in img:
-            for y in img:
-                assert a.arrow[x][y] in img and a.squig[x][y] in img
-        assert ker & img == {a.unit}
+        if not is_deductive_system(a, ker):
+            raise ConsistencyAlarmError("kernel of an internal state is not a deductive system")
+        if any(a.arrow[x][y] not in img or a.squig[x][y] not in img for x in img for y in img):
+            raise ConsistencyAlarmError("image of an internal state is not closed")
+        if ker & img != {a.unit}:
+            raise ConsistencyAlarmError("kernel and image of an internal state meet outside 1")
     return ker, img
 
 
@@ -140,21 +155,8 @@ def as_endomorphism(a: FiniteAlgebra, mu: UnaryOperator) -> Homomorphism:
 
 
 def format_operator(a: FiniteAlgebra, mu: UnaryOperator) -> str:
-    """One ``map tok->tok`` line per element, in carrier order."""
-    return "\n".join(f"map {a.token(x)}->{a.token(mu[x])}" for x in range(a.size))
+    return format_map(a, a, mu, "map")
 
 
 def parse_operator(a: FiniteAlgebra, text: str) -> UnaryOperator:
-    mapping: dict[int, int] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != "map" or "->" not in parts[1]:
-            raise ValueError(f"bad operator line: {raw!r}")
-        src, tgt = parts[1].split("->", 1)
-        mapping[a.index(src)] = a.index(tgt)
-    if set(mapping) != set(range(a.size)):
-        raise ValueError("operator file does not cover the whole carrier")
-    return tuple(mapping[x] for x in range(a.size))
+    return parse_map(a, a, text, "map")

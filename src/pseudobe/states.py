@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import FiniteAlgebra, UnboundedAlgebraError, check_axioms, leq
+from .algebra import FiniteAlgebra, UnboundedAlgebraError, check_axioms, content_lines, leq
 from .dsystems import Subset
 from .linalg import (
     AffineSolutionSpace,
@@ -47,22 +47,22 @@ def parse_assignment(
     """Parse ``<kind> <name>`` followed by ``<element> = <rational>`` lines."""
     values: dict[int, Fraction] = {}
     kind = name = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         if kind is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] not in expected_kinds:
                 raise ValueError(
-                    f"expected header '<{('|'.join(expected_kinds))}> <name>', got {raw!r}"
+                    f"expected header '<{('|'.join(expected_kinds))}> <name>', got {line!r}"
                 )
             kind, name = parts
             continue
         if "=" not in line:
-            raise ValueError(f"bad assignment line: {raw!r}")
-        tok, val = line.split("=", 1)
-        values[a.index(tok.strip())] = parse_fraction(val)
+            raise ValueError(f"bad assignment line: {line!r}")
+        tok, val = (part.strip() for part in line.split("=", 1))
+        x = a.index(tok)
+        if x in values:
+            raise ValueError(f"element {tok!r} assigned twice")
+        values[x] = parse_fraction(val)
     if kind is None:
         raise ValueError("empty assignment file")
     missing = [a.token(i) for i in range(a.size) if i not in values]

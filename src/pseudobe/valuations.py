@@ -201,9 +201,10 @@ def valuation_kernel(a: FiniteAlgebra, phi: Assignment) -> Subset:
     """Preimage of 0; always a DS, and fantastic for commutative phi."""
     _require_pv(a, phi)
     ker = frozenset(x for x in range(a.size) if phi[x] == ZERO)
-    assert is_deductive_system(a, ker)
-    if commutative_pv_witness(a, phi) is None:
-        assert is_fantastic(a, ker)
+    if not is_deductive_system(a, ker):
+        raise ConsistencyAlarmError("kernel of a pseudo-valuation is not a deductive system")
+    if commutative_pv_witness(a, phi) is None and not is_fantastic(a, ker):
+        raise ConsistencyAlarmError("kernel of a commutative pseudo-valuation is not fantastic")
     return ker
 
 
@@ -214,11 +215,9 @@ def pullback(f: Homomorphism, phi: Assignment) -> Assignment:
         raise NotAHomomorphismError(str(w))
     _require_pv(f.target, phi)
     psi = tuple(phi[f.map[x]] for x in range(f.source.size))
-    assert is_pseudo_valuation(f.source, psi)
-    expected = frozenset(
-        x for x in range(f.source.size) if f.map[x] in valuation_kernel(f.target, phi)
-    )
-    assert valuation_kernel(f.source, psi) == expected
+    target_kernel = valuation_kernel(f.target, phi)
+    expected = frozenset(x for x in range(f.source.size) if f.map[x] in target_kernel)
+    _require_transported(f.source, psi, expected, "pullback")
     return psi
 
 
@@ -234,7 +233,15 @@ def pushforward(f: Homomorphism, phi: Assignment) -> Assignment:
     for x in range(f.source.size):
         psi[f.map[x]] = phi[x]
     psi = tuple(psi)
-    assert is_pseudo_valuation(f.target, psi)
     expected = frozenset(f.map[x] for x in valuation_kernel(f.source, phi))
-    assert valuation_kernel(f.target, psi) == expected
+    _require_transported(f.target, psi, expected, "pushforward")
     return psi
+
+
+def _require_transported(a: FiniteAlgebra, psi: Assignment, kernel: Subset, how: str) -> None:
+    """Alarm unless the transported ``psi`` is a pseudo-valuation on ``a``
+    whose kernel is the transported ``kernel``."""
+    if not is_pseudo_valuation(a, psi):
+        raise ConsistencyAlarmError(f"{how} is not a pseudo-valuation")
+    if valuation_kernel(a, psi) != kernel:
+        raise ConsistencyAlarmError(f"{how} does not carry the kernel along")

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from pseudobe.algebra import (
     AlgebraError,
+    AxiomReport,
     FiniteAlgebra,
     InconsistentOrderError,
     UnboundedAlgebraError,
@@ -19,6 +20,7 @@ from pseudobe.algebra import (
     vee1,
     vee2,
 )
+from pseudobe.linalg import ConsistencyAlarmError
 
 
 def test_all_fixtures_are_pseudo_be(bck4, proper6, bounded6, conda5):
@@ -75,6 +77,13 @@ def test_violation_report_counts(proper6):
     rep = check_axioms(proper6, "pseudo-BCK")
     assert rep.total >= len(rep.violations)
     assert rep.violations == tuple(sorted(rep.violations))
+
+
+def test_axiom_report_alarm():
+    with pytest.raises(ConsistencyAlarmError):
+        AxiomReport("pseudo-BE", True, (("psBE1", (0,)),), 1)
+    with pytest.raises(ConsistencyAlarmError):
+        AxiomReport("pseudo-BE", False, (), 0)
 
 
 def test_classify_flags(bck4, proper6, bounded6, conda5):

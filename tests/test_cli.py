@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pseudobe
 from pseudobe import cli
 from pseudobe.algebra import check_axioms, parse_algebra
 
@@ -222,6 +226,45 @@ def test_hom(capsys, alg):
         capsys, "hom", alg("bck4.alg"), alg("conda5.alg"), "--iso"
     )
     assert code == 1 and "count 0" in out
+
+
+def test_hom_outside_pseudo_be(capsys, alg):
+    # 1->a, a->a preserves both tables of constant2 but does not fix 1
+    code, out, _ = run(capsys, "hom", alg("constant2.alg"), alg("constant2.alg"))
+    assert code == 0
+    assert out == "hom 1 a\nhom a a\ncount 2\n"
+
+
+def test_repeated_lines_are_usage_errors(capsys, alg, tmp_path):
+    op = tmp_path / "twice.op"
+    op.write_text("map 1->1\nmap a->1\nmap b->b\nmap c->b\nmap d->1\nmap d->d\n")
+    hom = tmp_path / "twice.hom"
+    hom.write_text("hom 1->1\nhom a->a\nhom a->d\nhom b->b\nhom c->c\nhom d->d\n")
+    state = tmp_path / "twice.state"
+    state.write_text("state s\n1 = 1\na = 1\nb = 1/2\nc = 1/2\nd = 1\na = 0\n")
+    c5 = alg("conda5.alg")
+    for argv in (
+        ("internal", c5, "--kind", "smo", "--verify", str(op)),
+        ("hom", c5, c5, "--verify", str(hom)),
+        ("states", c5, "--verify", str(state)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize("module", ["pseudobe", "pseudobe.cli"])
+def test_module_entry_points(alg, module):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudobe.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "hom", alg("constant2.alg"), alg("constant2.alg")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "hom 1 a\nhom a a\ncount 2\n"
 
 
 def test_find_and_emit(capsys, tmp_path):

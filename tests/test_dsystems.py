@@ -5,8 +5,10 @@ import itertools
 
 import pytest
 
+from pseudobe import dsystems
 from pseudobe.algebra import check_axioms
 from pseudobe.dsystems import (
+    ConsistencyAlarmError,
     NotADeductiveSystemError,
     NotDistributiveError,
     NotProperError,
@@ -155,6 +157,12 @@ def test_generated_ds(bck4):
     b_i, c_i = bck4.index("b"), bck4.index("c")
     assert generated_ds(bck4, frozenset({b_i})) == parse_subset(bck4, "{1,b}")
     assert generated_ds(bck4, frozenset({c_i})) == frozenset(range(bck4.size))
+
+
+def test_generated_ds_alarm(bck4, monkeypatch):
+    monkeypatch.setattr(dsystems, "is_deductive_system", lambda a, d: False)
+    with pytest.raises(ConsistencyAlarmError):
+        generated_ds(bck4, frozenset())
 
 
 def test_subset_format_round_trip(conda5):

@@ -3,7 +3,8 @@ pruned enumeration audited against the full product filter."""
 
 import pytest
 
-from pseudobe.dsystems import parse_subset
+from pseudobe import homs
+from pseudobe.dsystems import ConsistencyAlarmError, parse_subset
 from pseudobe.homs import (
     Homomorphism,
     NotAHomomorphismError,
@@ -41,6 +42,20 @@ def test_enumeration_matches_audit(bck4, conda5):
         pruned = enumerate_homomorphisms(a, a)
         audited = enumerate_homomorphisms(a, a, audit=True)
         assert [f.map for f in pruned] == sorted(f.map for f in audited)
+
+
+def test_pruned_search_matches_product_on_small_inputs(small_inputs):
+    for a in small_inputs:
+        pruned = [f.map for f in enumerate_homomorphisms(a, a)]
+        assert pruned == [f.map for f in enumerate_homomorphisms(a, a, audit=True)], a.name
+
+
+def test_no_unit_forcing_outside_pseudo_be(constant2):
+    # x -> x = 1 fails here, so f(1) = 1 is no theorem: 1->a, a->a is a
+    # homomorphism that a search forcing f(1) = 1 would miss
+    maps = [f.map for f in enumerate_homomorphisms(constant2, constant2)]
+    assert maps == [(0, 1), (1, 1)]
+    assert maps == [f.map for f in enumerate_homomorphisms(constant2, constant2, audit=True)]
 
 
 def test_conda5_endomorphisms_contain_smo_maps(conda5):
@@ -90,3 +105,28 @@ def test_hom_file_round_trip(conda5):
 def test_parse_hom_rejects_partial(conda5):
     with pytest.raises(ValueError, match="cover"):
         parse_hom(conda5, conda5, "hom 1->1\n")
+
+
+def test_parse_hom_rejects_repeated_element(conda5):
+    text = format_hom(identity_hom(conda5)) + "\nhom a->1  # a again\n"
+    with pytest.raises(ValueError, match="twice"):
+        parse_hom(conda5, conda5, text)
+
+
+def test_ds_transport_alarms(conda5, monkeypatch):
+    # the transported set is re-checked; a failing re-check is an alarm,
+    # not a silently wrong answer (the hypotheses are checked first)
+    f = identity_hom(conda5)
+    d = parse_subset(conda5, "{1,a,d}")
+    calls = []
+
+    def second_call_fails(a, e):
+        calls.append(e)
+        return len(calls) == 1
+
+    monkeypatch.setattr(homs, "is_deductive_system", second_call_fails)
+    with pytest.raises(ConsistencyAlarmError, match="preimage"):
+        preimage_ds(f, d)
+    calls.clear()
+    with pytest.raises(ConsistencyAlarmError, match="image"):
+        image_ds(f, d)

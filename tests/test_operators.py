@@ -4,9 +4,15 @@ The expected operator families below were frozen from an unpruned n^n
 enumeration and hand-checked against the defining axioms.
 """
 
+import itertools
+import time
+
 import pytest
 
-from pseudobe.homs import PreconditionError
+from pseudobe import operators
+from pseudobe.algebra import FiniteAlgebra, check_axioms
+from pseudobe.dsystems import ConsistencyAlarmError
+from pseudobe.homs import PreconditionError, SizeGuardError, enumerate_homomorphisms
 from pseudobe.operators import (
     as_endomorphism,
     enumerate_internal_states,
@@ -65,6 +71,54 @@ def test_enumeration_pruning_audit(conda5):
         ) == enumerate_internal_states(conda5, kind, audit=True)
 
 
+def test_pruned_searches_match_product_on_small_inputs(small_inputs):
+    for a in small_inputs:
+        for kind in ("I", "II"):
+            assert enumerate_internal_states(a, kind) == enumerate_internal_states(
+                a, kind, audit=True
+            ), (a.name, kind)
+        product = itertools.product(range(a.size), repeat=a.size)
+        assert enumerate_smo(a) == tuple(mu for mu in product if is_smo(a, mu)), a.name
+
+
+def test_no_unit_forcing_outside_pseudo_be(constant2):
+    # no condition (A) and no x -> x = 1: mu(1) = 1 must not be assumed
+    for kind in ("I", "II"):
+        assert enumerate_internal_states(constant2, kind) == enumerate_internal_states(
+            constant2, kind, audit=True
+        )
+
+
+def _goedel_chain(n):
+    """The n-element Goedel chain 0 < c1 < ... < 1 as a BE algebra:
+    x -> y = 1 if x <= y, else y."""
+    rank = [n - 1] + list(range(n - 1))  # carrier 1, c0, ..., c(n-2)
+    table = tuple(
+        tuple(0 if rank[x] <= rank[y] else y for y in range(n)) for x in range(n)
+    )
+    tokens = ("1",) + tuple(f"c{i}" for i in range(n - 1))
+    return FiniteAlgebra(f"goedel{n}", tokens, table, table, 0, 1)
+
+
+def test_nine_element_chain_needs_no_product_scan():
+    g = _goedel_chain(9)
+    assert check_axioms(g, "pseudo-BE").holds
+    start = time.perf_counter()
+    endos = enumerate_homomorphisms(g, g)
+    smo = enumerate_smo(g)
+    enumerate_internal_states(g, "II")
+    assert time.perf_counter() - start < 1.0
+    # an endomorphism fixes 1, is injective on the elements it does not
+    # send to 1, and those form a down-set: one per subset of the 8
+    # non-unit elements; the idempotent ones are the identity below a cut
+    assert len(endos) == 2**8
+    assert len(smo) == 9
+    with pytest.raises(SizeGuardError):
+        enumerate_internal_states(g, "II", audit=True)
+    with pytest.raises(SizeGuardError):
+        enumerate_homomorphisms(g, g, audit=True)
+
+
 def test_smo_family(conda5):
     assert set(enumerate_smo(conda5)) == _ops(conda5, SMO_ROWS)
 
@@ -121,6 +175,20 @@ def test_kernel_image_precondition(conda5):
         kernel_image(conda5, mu)
 
 
+def test_kernel_image_alarms(conda5, monkeypatch):
+    # with the internal-state test forced true, operators that are not
+    # internal states reach the re-checks of kernel and image
+    monkeypatch.setattr(operators, "is_internal_state", lambda a, mu, kind: True)
+    monkeypatch.setattr(operators, "is_deductive_system", lambda a, d: False)
+    with pytest.raises(ConsistencyAlarmError, match="deductive system"):
+        kernel_image(conda5, tuple(range(conda5.size)))
+    monkeypatch.setattr(operators, "is_deductive_system", lambda a, d: True)
+    with pytest.raises(ConsistencyAlarmError, match="not closed"):
+        kernel_image(conda5, (0, 2, 1, 1, 2))  # a -> b = c leaves {1,a,b}
+    with pytest.raises(ConsistencyAlarmError, match="meet"):
+        kernel_image(conda5, (1, 0, 2, 3, 4))  # swaps 1 and a
+
+
 def test_smo_as_endomorphism(conda5):
     from pseudobe.homs import is_homomorphism
 
@@ -137,6 +205,12 @@ def test_operator_file_round_trip(conda5):
 def test_parse_operator_rejects_partial(conda5):
     with pytest.raises(ValueError, match="cover"):
         parse_operator(conda5, "map 1->1\n")
+
+
+def test_parse_operator_rejects_repeated_element(conda5):
+    text = format_operator(conda5, tuple(range(conda5.size))) + "\nmap b->1\n"
+    with pytest.raises(ValueError, match="twice"):
+        parse_operator(conda5, text)
 
 
 def test_identity_and_constant_unit_are_smo(bck4, proper6, bounded6, conda5):

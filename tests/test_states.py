@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from pseudobe import catalog
 from pseudobe.algebra import vee1
 from pseudobe.linalg import box_vertices, cone_rays, solve_affine
 from pseudobe.states import (
@@ -247,26 +246,18 @@ def test_assignment_wrong_kind(conda5):
         parse_assignment(conda5, "valuation v\n", ("state",))
 
 
-def _cone_inputs():
-    from pseudobe.finder import SearchConstraints, enumerate_models
-
-    fixtures = [
-        catalog.four_element_bck(),
-        catalog.five_element_condition_a(),
-        catalog.six_element_proper(),
-        catalog.six_element_bounded(),
-    ]
-    models = [m for n in range(1, 5) for m in enumerate_models(SearchConstraints(size=n))]
-    return fixtures + models
+def test_assignment_duplicate_key(conda5):
+    text = "state s\n1 = 1\na = 1\nb = 1/2\nc = 1/2\nd = 1\nb = 1  # b again\n"
+    with pytest.raises(ValueError, match="assigned twice"):
+        parse_assignment(conda5, text, ("state",))
 
 
-def test_engine_matches_audit_on_small_models():
+def test_engine_matches_audit_on_small_models(small_inputs):
     """The double description engine and the active-set audit return the
     same tuples for the valuation cone, the measure cone and the state
     polytope on the four fixtures and every model of size <= 4."""
-    inputs = _cone_inputs()
-    assert len(inputs) == 87
-    for a in inputs:
+    assert len(small_inputs) == 87
+    for a in small_inputs:
         n = a.size
         nonneg = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
         cones = [valuation_equations(a), (measure_equations(a), nonneg)]

@@ -139,6 +139,27 @@ def test_kernels(conda5):
     assert valuation_kernel(conda5, RAY_AD) == parse_subset(conda5, "{1,b,c}")
 
 
+def test_kernel_alarms(conda5, monkeypatch):
+    monkeypatch.setattr(valuations, "is_fantastic", lambda a, d: False)
+    with pytest.raises(ConsistencyAlarmError, match="fantastic"):
+        valuation_kernel(conda5, PHI_1_3)
+    monkeypatch.setattr(valuations, "is_deductive_system", lambda a, d: False)
+    with pytest.raises(ConsistencyAlarmError, match="deductive system"):
+        valuation_kernel(conda5, PHI_1_3)
+
+
+@pytest.mark.parametrize("transport", [pullback, pushforward])
+def test_transport_alarms(conda5, monkeypatch, transport):
+    f = identity_hom(conda5)
+    fresh = iter(range(100))  # a different kernel on every call
+    monkeypatch.setattr(valuations, "valuation_kernel", lambda a, phi: frozenset({next(fresh)}))
+    with pytest.raises(ConsistencyAlarmError, match="kernel"):
+        transport(f, PHI_1_3)
+    monkeypatch.setattr(valuations, "is_pseudo_valuation", lambda a, phi: False)
+    with pytest.raises(ConsistencyAlarmError, match="not a pseudo-valuation"):
+        transport(f, PHI_1_3)
+
+
 def test_pullback_identity(conda5):
     psi = pullback(identity_hom(conda5), PHI_1_3)
     assert psi == PHI_1_3
