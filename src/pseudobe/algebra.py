@@ -83,12 +83,6 @@ class FiniteAlgebra:
     def token(self, x: int) -> str:
         return self.elements[x]
 
-    def arr(self, x: int, y: int) -> int:
-        return self.arrow[x][y]
-
-    def sq(self, x: int, y: int) -> int:
-        return self.squig[x][y]
-
     def is_be(self) -> bool:
         """arrow and squig coincide everywhere."""
         return self.arrow == self.squig
@@ -476,6 +470,8 @@ def parse_algebra(text: str) -> FiniteAlgebra:
 
     if next_line() != "end":
         raise AlgebraError("missing required section: end")
+    if pos < len(lines):
+        raise AlgebraError(f"text after end: {lines[pos]!r}")
 
     return FiniteAlgebra(name, tuple(elements), tables["arrow"], tables["squig"], unit, bottom)
 

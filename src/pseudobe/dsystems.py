@@ -49,7 +49,10 @@ def parse_subset(a: FiniteAlgebra, text: str) -> Subset:
     body = text[1:-1].strip()
     if not body:
         return frozenset()
-    return frozenset(a.index(tok.strip()) for tok in body.split(","))
+    toks = [tok.strip() for tok in body.split(",")]
+    if len(set(toks)) != len(toks):
+        raise AlgebraError(f"repeated token in subset {text!r}")
+    return frozenset(a.index(tok) for tok in toks)
 
 
 def _closed_mp(a: FiniteAlgebra, d: Subset, table) -> bool:

@@ -1,11 +1,13 @@
 """Exhaustive enumeration of small two-implication algebras up to
 isomorphism, plus the meta-theorem verification sweep.
 
-The search backtracks over the free table entries (unit rows/columns and
-diagonals are forced by the axioms), interleaving both tables so the
-"arrow = 1 iff squig = 1" coupling prunes immediately, and rejects
-isomorphic duplicates by a canonical form: the lexicographically minimal
-table pair over all carrier permutations fixing the unit.
+A table pair is searched as a map from its free cells (unit rows and
+columns and the diagonal are forced by the axioms) to (arrow, squig) value
+pairs on ``homs.search_maps``, so the "arrow = 1 iff squig = 1" coupling
+and the exchange identity prune as soon as a cell is assigned;
+``homs.scan_maps`` is the audit.  Isomorphic duplicates are rejected by a
+canonical form: the lexicographically minimal table pair over all carrier
+permutations fixing the unit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .algebra import (
     FiniteAlgebra,
@@ -23,7 +25,7 @@ from .algebra import (
     serialize_algebra,
 )
 from .dsystems import enumerate_ds, format_subset, is_fantastic, is_involutive_ds, is_normal
-from .homs import SizeGuardError
+from .homs import Map, SizeGuardError, scan_maps, search_maps
 from .parallel import pmap
 from .operators import enumerate_internal_states, is_smo
 from .states import measure_cone, measure_kernel, state_kernel, state_space
@@ -152,78 +154,68 @@ def _passes_flags(a: FiniteAlgebra, flags: tuple[str, ...]) -> Optional[FiniteAl
     return out
 
 
-def _raw_search(n: int, prune: bool) -> Iterator[tuple[tuple, tuple]]:
-    """Yield all pseudo-BE table pairs on n elements with unit index 0.
+def _table_pairs(n: int, audit: bool) -> Iterator[tuple[tuple, tuple]]:
+    """Stream the pseudo-BE table pairs on n elements with unit index 0.
 
-    With ``prune`` the coupled-unit and associativity-style axiom are
-    checked incrementally during backtracking; without it every total
-    table pair is generated and filtered (audit mode).
+    A table pair is a map from the free cells, (x, y) with x, y != unit and
+    x != y in row-major order, to value pairs ``arrow * n + squig``; the
+    other cells are forced by psBE1-3.  The pruned search on
+    ``homs.search_maps`` checks at each cell the coupled unit (arrow = 1
+    iff squig = 1) and the exchange identity on the triples that read the
+    cell; ``audit=True`` scans every map with ``homs.scan_maps``.  Both
+    confirm each complete pair with ``check_axioms``.
     """
     u = 0
     rng = range(n)
-    free = [(x, y) for x in rng for y in rng if x != u and y != u and x != y]
-
-    if not prune:
-        base_arrow = [[None] * n for _ in rng]
-        for x in rng:
-            base_arrow[x][x] = u
-            base_arrow[x][u] = u
-            base_arrow[u][x] = x
-        for combo in itertools.product(rng, repeat=2 * len(free)):
-            arrow = [row[:] for row in base_arrow]
-            squig = [row[:] for row in base_arrow]
-            for k, (x, y) in enumerate(free):
-                arrow[x][y] = combo[2 * k]
-                squig[x][y] = combo[2 * k + 1]
-            ta = tuple(tuple(r) for r in arrow)
-            ts = tuple(tuple(r) for r in squig)
-            alg = FiniteAlgebra("tmp", tuple(_TOKENS[:n]), ta, ts, u)
-            if check_axioms(alg, "pseudo-BE").holds:
-                yield ta, ts
-        return
-
-    arrow = [[None] * n for _ in rng]
-    squig = [[None] * n for _ in rng]
+    tokens = tuple(_TOKENS[:n])
+    free = [(x, y) for x in rng for y in rng if u not in (x, y) and x != y]
+    base: list[list[Optional[int]]] = [[None] * n for _ in rng]
     for x in rng:
-        arrow[x][x] = squig[x][x] = u
-        arrow[x][u] = squig[x][u] = u
-        arrow[u][x] = squig[u][x] = x
+        base[x][x] = base[x][u] = u
+        base[u][x] = x
 
-    def partial_ok() -> bool:
-        # x -> (y ~> z) = y ~> (x -> z) whenever both sides are determined
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    syz = squig[y][z]
-                    axz = arrow[x][z]
-                    if syz is None or axz is None:
-                        continue
-                    lhs = arrow[x][syz]
-                    rhs = squig[y][axz]
-                    if lhs is not None and rhs is not None and lhs != rhs:
-                        return False
+    def tables(f: Map) -> tuple[list, list]:
+        arrow = [row[:] for row in base]
+        squig = [row[:] for row in base]
+        for (x, y), p in zip(free, f):
+            arrow[x][y], squig[x][y] = divmod(p, n)
+        return arrow, squig
+
+    def frozen(f: Map) -> tuple[tuple, tuple]:
+        arrow, squig = tables(f)
+        return tuple(map(tuple, arrow)), tuple(map(tuple, squig))
+
+    def accept(f: Map) -> bool:
+        ta, ts = frozen(f)
+        return check_axioms(FiniteAlgebra("tmp", tokens, ta, ts, u), "pseudo-BE").holds
+
+    # Exchange x -> (y ~> z) = y ~> (x -> z) reads arrow row x and squig
+    # row y.  Cell k = (row, .) is read by the triples with x or y = row;
+    # one is kept once its x -> z and y ~> z cells are assigned and tested
+    # once the cells those values point to are assigned, too.
+    order = {cell: k for k, cell in enumerate(free)}
+    exchange = [
+        [(x, y, z) for x in rng for y in rng for z in rng
+         if row in (x, y) and max(order.get((x, z), -1), order.get((y, z), -1)) <= k]
+        for k, (row, _) in enumerate(free)
+    ]
+
+    def check(f: Map, k: int) -> bool:
+        va, vs = divmod(f[k], n)
+        if (va == u) != (vs == u):
+            return False
+        arrow, squig = tables(f)
+        for x, y, z in exchange[k]:
+            lhs, rhs = arrow[x][squig[y][z]], squig[y][arrow[x][z]]
+            if lhs is not None and rhs is not None and lhs != rhs:
+                return False
         return True
 
-    def backtrack(k: int) -> Iterator[tuple[tuple, tuple]]:
-        if k == len(free):
-            yield (
-                tuple(tuple(r) for r in arrow),
-                tuple(tuple(r) for r in squig),
-            )
-            return
-        x, y = free[k]
-        for va in rng:
-            for vs in rng:
-                if (va == u) != (vs == u):
-                    continue
-                arrow[x][y] = va
-                squig[x][y] = vs
-                if partial_ok():
-                    yield from backtrack(k + 1)
-        arrow[x][y] = None
-        squig[x][y] = None
-
-    yield from backtrack(0)
+    if audit:
+        maps = scan_maps(len(free), n * n, accept)
+    else:
+        maps = search_maps(len(free), n * n, check, accept)
+    return map(frozen, maps)
 
 
 def enumerate_models(
@@ -241,7 +233,7 @@ def enumerate_models(
         raise SizeGuardError(f"exhaustive search capped at n = {MAX_EXHAUSTIVE_SIZE}")
     n = c.size
     emitted = 0
-    for ta, ts in _raw_search(n, prune=not audit):
+    for ta, ts in _table_pairs(n, audit):
         if canonical_tables(ta, ts, 0) != (ta, ts):
             continue
         alg = FiniteAlgebra(_model_name(n, ta, ts), tuple(_TOKENS[:n]), ta, ts, 0)
@@ -319,7 +311,7 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     results["distributive-ds-all-normal"] = None
     if rep.distributive:
         for d in family.subsets:
-            if not is_normal(a, d):
+            if d not in family.normal:
                 results["distributive-ds-all-normal"] = fail(
                     f"non-normal DS {format_subset(a, d)}"
                 )
@@ -377,10 +369,10 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     rays = valuation_cone(a)
     results["pv-implies-weak-pv"] = None
     results["commutative-pv-all-commutative"] = None
+    # the rays and their pairwise sums; r + r is a multiple of r
     candidates = list(rays)
-    for r1 in rays:
-        for r2 in rays:
-            candidates.append(tuple(v1 + v2 for v1, v2 in zip(r1, r2)))
+    for r1, r2 in itertools.combinations(rays, 2):
+        candidates.append(tuple(v1 + v2 for v1, v2 in zip(r1, r2)))
     for phi in candidates:
         if is_pseudo_valuation(a, phi) and not is_weak_pseudo_valuation(a, phi):
             results["pv-implies-weak-pv"] = fail("pv that is not a weak pv")

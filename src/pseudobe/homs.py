@@ -2,14 +2,17 @@
 
 Verification, kernel/image, DS transport, and enumeration of homomorphisms
 and isomorphisms on ``search_maps``, the partial-map backtracker that also
-enumerates :mod:`pseudobe.operators`; ``scan_maps`` is their audit oracle.
+enumerates :mod:`pseudobe.operators` and the table pairs of
+:mod:`pseudobe.finder`; ``scan_maps``, the only search under
+``SEARCH_GUARD``, is their audit oracle.  Both stream their maps; the
+enumerators here and in :mod:`pseudobe.operators` return tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .algebra import FiniteAlgebra, format_map, leq, parse_map
 from .dsystems import ConsistencyAlarmError, Subset, is_deductive_system
@@ -41,9 +44,6 @@ class Homomorphism:
     source: FiniteAlgebra
     target: FiniteAlgebra
     map: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
 
     def is_bijective(self) -> bool:
         return self.source.size == self.target.size and len(set(self.map)) == len(self.map)
@@ -123,34 +123,35 @@ def image_ds(f: Homomorphism, d: Subset) -> Subset:
     return img
 
 
-def search_maps(n: int, m: int, check: Check, accept: Callable[[Map], bool]) -> tuple[Map, ...]:
-    """The maps {0..n-1} -> {0..m-1} that ``accept`` keeps, in lexicographic order.
+def search_maps(
+    n: int, m: int, check: Check, accept: Callable[[Map], bool]
+) -> Iterator[Map]:
+    """Stream the maps {0..n-1} -> {0..m-1} that ``accept`` keeps, in lexicographic order.
 
-    Points are assigned in the order 0..n-1; ``check(f, k)`` tests the
-    constraints among points <= k that involve point k and prunes on failure.
-    It may only reject maps that ``accept`` rejects, so the result is exact.
+    Points are assigned depth first in the order 0..n-1; ``check(f, k)``
+    tests the constraints among points <= k that involve point k and prunes
+    on failure.  It may only reject maps that ``accept`` rejects, so the
+    result is exact.  With n = 0 the empty map is the only candidate.
     """
-    out: list[Map] = []
-
-    def extend(f: Map) -> None:
+    stack: list[Map] = [()]  # partial maps still to extend, smallest on top
+    while stack:
+        f = stack.pop()
         if len(f) == n:
             if accept(f):
-                out.append(f)
-            return
-        for v in range(m):
-            g = f + (v,)
-            if check(g, len(f)):
-                extend(g)
-
-    extend(())
-    return tuple(out)
+                yield f
+            continue
+        children = (f + (v,) for v in reversed(range(m)))
+        stack.extend(g for g in children if check(g, len(f)))
 
 
-def scan_maps(n: int, m: int, accept: Callable[[Map], bool]) -> tuple[Map, ...]:
-    """Audit oracle for ``search_maps``: filter all m^n maps, unpruned."""
+def scan_maps(n: int, m: int, accept: Callable[[Map], bool]) -> Iterator[Map]:
+    """Audit oracle for ``search_maps``: stream all m^n maps that ``accept``
+    keeps, unpruned; the size guard trips at the first ``next()``."""
     if m**n > SEARCH_GUARD:
         raise SizeGuardError(f"{m}^{n} maps exceeds the search guard")
-    return tuple(f for f in itertools.product(range(m), repeat=n) if accept(f))
+    for f in itertools.product(range(m), repeat=n):
+        if accept(f):
+            yield f
 
 
 def equation_check(n: int, equations) -> Check:

@@ -26,6 +26,7 @@ re-checked against every input equality and inequality in integers.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -452,4 +453,9 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """Inverse of :func:`format_fraction`: ``p/q`` or ``p``, optionally
+    signed; decimals, exponents and a zero denominator are rejected."""
+    text = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?", text):
+        raise ValueError(f"expected a rational p/q, got {text!r}")
+    return Fraction(text)

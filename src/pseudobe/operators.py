@@ -73,8 +73,8 @@ def enumerate_internal_states(
         return is_internal_state(a, mu, kind)
 
     if audit:
-        return scan_maps(a.size, a.size, accept)
-    return search_maps(a.size, a.size, _internal_state_check(a, kind), accept)
+        return tuple(scan_maps(a.size, a.size, accept))
+    return tuple(search_maps(a.size, a.size, _internal_state_check(a, kind), accept))
 
 
 def _internal_state_check(a: FiniteAlgebra, kind: str) -> Check:

@@ -183,6 +183,14 @@ def test_parse_missing_section(conda5):
         parse_algebra(text)
 
 
+def test_parse_rejects_text_after_end(bck4):
+    text = serialize_algebra(bck4) + "table arrow\nnonsense here\n"
+    with pytest.raises(AlgebraError, match="after end"):
+        parse_algebra(text)
+    # comments and blank lines after end are still fine
+    assert parse_algebra(serialize_algebra(bck4) + "\n# trailing note\n") == bck4
+
+
 def test_entry_out_of_range():
     with pytest.raises(AlgebraError, match="out of range"):
         FiniteAlgebra("x", ("1",), ((1,),), ((0,),), 0)

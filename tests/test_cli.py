@@ -252,6 +252,21 @@ def test_repeated_lines_are_usage_errors(capsys, alg, tmp_path):
         assert code == 2 and out == "" and err.startswith("error:"), argv
 
 
+def test_ambiguous_input_is_usage_error(capsys, alg, tmp_path):
+    c5 = alg("conda5.alg")
+    trailing = tmp_path / "trailing.alg"
+    trailing.write_text(open(c5).read() + "table arrow\n")
+    decimal = tmp_path / "decimal.state"
+    decimal.write_text("state s\n1 = 1\na = 1\nb = 0.5\nc = 0.5\nd = 1\n")
+    for argv in (
+        ("classify", str(trailing)),
+        ("states", c5, "--verify", str(decimal)),
+        ("quotient", c5, "--ds", "{1,a,a,d}"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
 @pytest.mark.parametrize("module", ["pseudobe", "pseudobe.cli"])
 def test_module_entry_points(alg, module):
     src = os.path.dirname(os.path.dirname(os.path.abspath(pseudobe.__file__)))

@@ -165,6 +165,11 @@ def test_generated_ds_alarm(bck4, monkeypatch):
         generated_ds(bck4, frozenset())
 
 
+def test_parse_subset_rejects_repeated_token(conda5):
+    with pytest.raises(ValueError, match="repeated"):
+        parse_subset(conda5, "{1,a,a}")
+
+
 def test_subset_format_round_trip(conda5):
     fam = enumerate_ds(conda5)
     for d in fam.subsets:

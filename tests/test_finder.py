@@ -1,6 +1,8 @@
 """Model enumeration: frozen counts, audit mode, canonicity, and the
 meta-theorem sweep."""
 
+import time
+
 import pytest
 
 from pseudobe.algebra import check_axioms, classify, parse_algebra, serialize_algebra
@@ -79,6 +81,21 @@ def test_size_guard():
         list(enumerate_models(SearchConstraints(size=6)))
     with pytest.raises(SizeGuardError):
         verify_meta_theorems(5)
+    # 16^6 table pairs: the audit scan refuses instead of running for hours
+    audit4 = enumerate_models(SearchConstraints(size=4), audit=True)
+    with pytest.raises(SizeGuardError):
+        next(audit4)
+
+
+def test_size_five_search_streams():
+    # the whole size-5 search takes minutes; its first models must not wait for it
+    start = time.perf_counter()
+    assert len(_models(5, limit=5)) == 5
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    first = next(enumerate_models(SearchConstraints(size=5)))
+    assert time.perf_counter() - start < 1.0
+    assert check_axioms(first, "pseudo-BE").holds
 
 
 def test_invalid_flag():

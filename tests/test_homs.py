@@ -130,3 +130,31 @@ def test_ds_transport_alarms(conda5, monkeypatch):
     calls.clear()
     with pytest.raises(ConsistencyAlarmError, match="image"):
         image_ds(f, d)
+
+
+def test_search_maps_streams_in_lexicographic_order():
+    everything = homs.search_maps(2, 2, lambda f, k: True, lambda f: True)
+    assert next(everything) == (0, 0)
+    assert list(everything) == [(0, 1), (1, 0), (1, 1)]
+    # no points: the empty map is the one candidate
+    assert list(homs.search_maps(0, 3, lambda f, k: True, lambda f: True)) == [()]
+    assert list(homs.search_maps(0, 3, lambda f, k: True, lambda f: False)) == []
+    # pruning each value below its predecessor keeps exactly the monotone maps
+    monotone = list(homs.search_maps(3, 3, lambda f, k: k == 0 or f[k - 1] <= f[k], lambda f: True))
+    assert monotone == list(homs.scan_maps(3, 3, lambda f: f[0] <= f[1] <= f[2]))
+
+
+def test_scan_maps_guard_trips_at_first_next():
+    maps = homs.scan_maps(8, 8, lambda f: True)  # 8^8 > SEARCH_GUARD
+    with pytest.raises(homs.SizeGuardError):
+        next(maps)
+
+
+def test_enumerators_return_tuples(conda5):
+    from pseudobe.operators import enumerate_internal_states, enumerate_smo
+
+    for audit in (False, True):
+        assert isinstance(enumerate_homomorphisms(conda5, conda5, audit=audit), tuple)
+        for kind in ("I", "II"):
+            assert isinstance(enumerate_internal_states(conda5, kind, audit=audit), tuple)
+    assert isinstance(enumerate_smo(conda5), tuple)

@@ -43,6 +43,18 @@ def test_fraction_round_trip(x):
     assert parse_fraction(format_fraction(x)) == x
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e-3", "1/0", ".5", "1/2.0", "1 / 2", ""])
+def test_parse_fraction_rejects_non_rational_forms(text):
+    # output is always p/q, so a decimal or exponent input is refused, not guessed
+    with pytest.raises(ValueError):
+        parse_fraction(text)
+
+
+def test_parse_fraction_forms():
+    assert parse_fraction(" -3/6 ") == F(-1, 2)
+    assert parse_fraction("+4") == 4
+
+
 def test_format_fraction_integer():
     assert format_fraction(F(4, 2)) == "2"
     assert format_fraction(F(1, 3)) == "1/3"
