@@ -3,14 +3,15 @@
 Every subcommand reads algebra files in the line-based format of
 :mod:`pseudobe.algebra` and writes a deterministic report.  Exit codes:
 0 when the checked property holds (or an enumeration succeeded), 1 when
-it fails (a witness is printed), 2 for usage or input errors.
+it fails (a witness is printed), 2 for usage or input errors and for a
+consistency alarm (an internal check that failed on the input).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import pathlib
 import sys
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .finder import (
     verify_meta_theorems,
 )
 from .homs import enumerate_homomorphisms, hom_witness, kernel, parse_hom
-from .linalg import format_fraction
+from .linalg import ConsistencyAlarmError, format_fraction
 from .operators import (
     enumerate_internal_states,
     enumerate_smo,
@@ -59,6 +60,8 @@ from .valuations import (
 
 # every input and precondition error of the library is a ValueError
 USAGE_ERRORS = (ValueError, OSError)
+
+DS_KINDS = ("normal", "fantastic", "involutive", "prime", "maximal")
 
 
 class Report:
@@ -95,9 +98,20 @@ def _jsonable(value):
     return str(value)
 
 
-def _load(path: str) -> FiniteAlgebra:
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+        return fh.read()
+
+
+def _load(path: str) -> FiniteAlgebra:
+    return parse_algebra(_read(path))
+
+
+def _assignment(rep: Report, a: FiniteAlgebra, path: str, kind: str):
+    """Parse a ``kind`` file, report its name and return its values."""
+    _, name, values = parse_assignment(a, _read(path), (kind,))
+    rep.add(kind, name)
+    return values
 
 
 def _witness_str(a: FiniteAlgebra, w) -> str:
@@ -113,6 +127,21 @@ def _values_str(a: FiniteAlgebra, values) -> str:
 
 def _op_str(a: FiniteAlgebra, mu) -> str:
     return " ".join(a.token(v) for v in mu)
+
+
+def _verdict(rep: Report, a: FiniteAlgebra, key: str, witness) -> bool:
+    """Report ``key`` true or false, then the witness of a failure."""
+    rep.add(key, witness is None)
+    if witness is not None:
+        rep.add("violation", _witness_str(a, witness))
+    return witness is None
+
+
+def _ray_report(rep: Report, a: FiniteAlgebra, rays, show: bool) -> None:
+    rep.add("ray-count", len(rays))
+    if show:
+        for r in rays:
+            rep.add("ray", _values_str(a, r))
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +162,9 @@ def _cmd_check(args, rep: Report) -> int:
 def _cmd_classify(args, rep: Report) -> int:
     a = _load(args.algebra)
     r = classify(a)
-    for key in (
-        "pseudo_be",
-        "pseudo_bck",
-        "be",
-        "proper",
-        "condition_a",
-        "distributive",
-        "commutative",
-        "bounded",
-        "linear",
-    ):
-        rep.add(key.replace("_", "-"), getattr(r, key))
+    for flag in STRUCTURE_FLAGS:
+        key = flag.lower()
+        rep.add(key, getattr(r, key.replace("-", "_")))
     if r.bounded:
         rep.add("good", r.good)
         rep.add("involutive", r.involutive)
@@ -157,24 +177,14 @@ def _cmd_ds(args, rep: Report) -> int:
     a = _load(args.algebra)
     fam = enumerate_ds(a)
     which = None
-    for flag in ("normal", "fantastic", "involutive", "prime", "maximal"):
-        if getattr(args, flag):
-            which = flag
+    for kind in DS_KINDS:
+        if getattr(args, kind):
+            which = kind
     if which == "involutive" and fam.involutive is None:
         raise AlgebraError("involutive classification requires a bounded algebra")
     if which is None:
         for d in fam.subsets:
-            tags = [
-                t
-                for t, group in (
-                    ("normal", fam.normal),
-                    ("fantastic", fam.fantastic),
-                    ("involutive", fam.involutive or ()),
-                    ("prime", fam.prime),
-                    ("maximal", fam.maximal),
-                )
-                if d in group
-            ]
+            tags = [kind for kind in DS_KINDS if d in (getattr(fam, kind) or ())]
             rep.add("ds", " ".join([format_subset(a, d)] + tags))
         rep.add("count", len(fam.subsets))
     else:
@@ -199,20 +209,13 @@ def _cmd_quotient(args, rep: Report) -> int:
 def _cmd_states(args, rep: Report) -> int:
     a = _load(args.algebra)
     if args.verify:
-        with open(args.verify, "r", encoding="utf-8") as fh:
-            _, name, values = parse_assignment(a, fh.read(), ("state",))
-        rep.add("state", name)
-        w = bosbach_witness(a, values)
-        rep.add("bosbach", w is None)
-        if w is not None:
-            rep.add("violation", _witness_str(a, w))
+        values = _assignment(rep, a, args.verify, "state")
+        if not _verdict(rep, a, "bosbach", bosbach_witness(a, values)):
             return 1
-        if args.morphism:
-            wm = state_morphism_witness(a, values)
-            rep.add("state-morphism", wm is None)
-            if wm is not None:
-                rep.add("violation", _witness_str(a, wm))
-                return 1
+        if args.morphism and not _verdict(
+            rep, a, "state-morphism", state_morphism_witness(a, values)
+        ):
+            return 1
         return 0
     space = state_space(a)
     rep.add("dimension", -1 if space.affine is None else space.affine.dimension)
@@ -226,22 +229,13 @@ def _cmd_states(args, rep: Report) -> int:
 def _cmd_measures(args, rep: Report) -> int:
     a = _load(args.algebra)
     if args.verify:
-        with open(args.verify, "r", encoding="utf-8") as fh:
-            _, name, values = parse_assignment(a, fh.read(), ("measure",))
-        rep.add("measure", name)
-        w = measure_witness(a, values)
-        rep.add("is-measure", w is None)
-        if w is not None:
-            rep.add("violation", _witness_str(a, w))
+        values = _assignment(rep, a, args.verify, "measure")
+        if not _verdict(rep, a, "is-measure", measure_witness(a, values)):
             return 1
-        wm = measure_morphism_witness(a, values)
-        rep.add("is-measure-morphism", wm is None)
+        # not a failure: a measure need not be a measure-morphism
+        rep.add("is-measure-morphism", measure_morphism_witness(a, values) is None)
         return 0
-    rays = measure_cone(a)
-    rep.add("ray-count", len(rays))
-    if args.rays:
-        for r in rays:
-            rep.add("ray", _values_str(a, r))
+    _ray_report(rep, a, measure_cone(a), args.rays)
     return 0
 
 
@@ -249,19 +243,14 @@ def _cmd_internal(args, rep: Report) -> int:
     a = _load(args.algebra)
     kind = args.kind
     if args.verify:
-        with open(args.verify, "r", encoding="utf-8") as fh:
-            mu = parse_operator(a, fh.read())
+        mu = parse_operator(a, _read(args.verify))
         rep.add("operator", _op_str(a, mu))
         w = (
             smo_witness(a, mu)
             if kind == "smo"
             else internal_state_witness(a, mu, kind)
         )
-        rep.add("valid", w is None)
-        if w is not None:
-            rep.add("violation", _witness_str(a, w))
-            return 1
-        return 0
+        return 0 if _verdict(rep, a, "valid", w) else 1
     ops = enumerate_smo(a) if kind == "smo" else enumerate_internal_states(a, kind)
     for mu in ops:
         rep.add("op", _op_str(a, mu))
@@ -272,28 +261,20 @@ def _cmd_internal(args, rep: Report) -> int:
 def _cmd_valuations(args, rep: Report) -> int:
     a = _load(args.algebra)
     if args.verify:
-        with open(args.verify, "r", encoding="utf-8") as fh:
-            _, name, values = parse_assignment(a, fh.read(), ("valuation",))
-        rep.add("valuation", name)
+        values = _assignment(rep, a, args.verify, "valuation")
+        # both verdicts come before the pv violation
         w = pv_witness(a, values)
         rep.add("is-pseudo-valuation", w is None)
-        ww = weak_pv_witness(a, values)
-        rep.add("is-weak-pseudo-valuation", ww is None)
+        rep.add("is-weak-pseudo-valuation", weak_pv_witness(a, values) is None)
         if w is not None:
             rep.add("violation", _witness_str(a, w))
             return 1
-        if args.commutative:
-            wc = commutative_pv_witness(a, values)
-            rep.add("is-commutative", wc is None)
-            if wc is not None:
-                rep.add("violation", _witness_str(a, wc))
-                return 1
+        if args.commutative and not _verdict(
+            rep, a, "is-commutative", commutative_pv_witness(a, values)
+        ):
+            return 1
         return 0
-    rays = valuation_cone(a)
-    rep.add("ray-count", len(rays))
-    if args.rays:
-        for r in rays:
-            rep.add("ray", _values_str(a, r))
+    _ray_report(rep, a, valuation_cone(a), args.rays)
     return 0
 
 
@@ -301,12 +282,8 @@ def _cmd_hom(args, rep: Report) -> int:
     a = _load(args.algebra_a)
     b = _load(args.algebra_b)
     if args.verify:
-        with open(args.verify, "r", encoding="utf-8") as fh:
-            f = parse_hom(a, b, fh.read())
-        w = hom_witness(f)
-        rep.add("is-homomorphism", w is None)
-        if w is not None:
-            rep.add("violation", _witness_str(a, w))
+        f = parse_hom(a, b, _read(args.verify))
+        if not _verdict(rep, a, "is-homomorphism", hom_witness(f)):
             return 1
         rep.add("kernel", format_subset(a, kernel(f)))
         return 0
@@ -328,10 +305,11 @@ def _cmd_find(args, rep: Report) -> int:
         count += 1
         rep.add("model", model.name)
         if args.emit:
-            os.makedirs(args.emit, exist_ok=True)
-            path = os.path.join(args.emit, canonical_hash(model) + ".alg")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(serialize_algebra(model))
+            out = pathlib.Path(args.emit)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"{canonical_hash(model)}.alg").write_text(
+                serialize_algebra(model), encoding="utf-8"
+            )
     rep.add("count", count)
     return 0
 
@@ -374,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ds", help="enumerate deductive systems")
     sp.add_argument("algebra")
-    for flag in ("normal", "fantastic", "involutive", "prime", "maximal"):
-        sp.add_argument(f"--{flag}", action="store_true")
+    for kind in DS_KINDS:
+        sp.add_argument(f"--{kind}", action="store_true")
     sp.set_defaults(func=_cmd_ds)
 
     sp = sub.add_parser("quotient", help="quotient by a deductive system")
@@ -442,6 +420,9 @@ def run(argv=None) -> int:
     except CounterexampleError as exc:
         print(f"counterexample: {exc}", file=sys.stderr)
         return 1
+    except ConsistencyAlarmError as exc:
+        print(f"alarm: {exc}", file=sys.stderr)
+        return 2
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from .algebra import (
     classify,
     serialize_algebra,
 )
-from .dsystems import enumerate_ds, format_subset, is_fantastic, is_involutive_ds, is_normal
+from .dsystems import enumerate_ds, format_subset, is_involutive_ds
 from .homs import Map, SizeGuardError, scan_maps, search_maps
 from .parallel import pmap
 from .operators import enumerate_internal_states, is_smo
@@ -132,16 +132,6 @@ def _passes_flags(a: FiniteAlgebra, flags: tuple[str, ...]) -> Optional[FiniteAl
     if not flags:
         return a
     rep = classify(a)
-    mapping = {
-        "pseudo-BE": rep.pseudo_be,
-        "pseudo-BCK": rep.pseudo_bck,
-        "BE": rep.be,
-        "proper": rep.proper,
-        "condition-A": rep.condition_a,
-        "distributive": rep.distributive,
-        "commutative": rep.commutative,
-        "linear": rep.linear,
-    }
     out = a
     for flag in flags:
         if flag == "bounded":
@@ -149,7 +139,7 @@ def _passes_flags(a: FiniteAlgebra, flags: tuple[str, ...]) -> Optional[FiniteAl
             if bounded is None:
                 return None
             out = bounded
-        elif not mapping[flag]:
+        elif not getattr(rep, flag.lower().replace("-", "_")):
             return None
     return out
 
@@ -347,7 +337,7 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     results["bounded-state-kernels-involutive"] = None
     for vertex in space.vertices:
         ker = state_kernel(a, vertex)
-        if not is_fantastic(a, ker):
+        if ker not in family.fantastic:
             results["state-kernels-fantastic"] = fail(
                 f"state kernel {format_subset(a, ker)} not fantastic"
             )
@@ -360,7 +350,7 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     results["measure-kernels-normal-fantastic"] = None
     for ray in measure_cone(a):
         ker = measure_kernel(a, ray)
-        if not (is_normal(a, ker) and is_fantastic(a, ker)):
+        if not (ker in family.normal and ker in family.fantastic):
             results["measure-kernels-normal-fantastic"] = fail(
                 f"measure kernel {format_subset(a, ker)} not normal+fantastic"
             )

@@ -57,6 +57,17 @@ def _frac_vec(values: Sequence) -> Vector:
     return tuple(Fraction(v) for v in values)
 
 
+def _coefficient_row(n: int, plus: Iterable[int], minus: Iterable[int] = ()) -> Vector:
+    """Coefficients of ``sum(x[i] for i in plus) - sum(x[i] for i in minus)``
+    over n variables; an index may repeat."""
+    row = [Fraction(0)] * n
+    for i in plus:
+        row[i] += 1
+    for i in minus:
+        row[i] -= 1
+    return tuple(row)
+
+
 @dataclass(frozen=True)
 class LinearEquation:
     """coeffs . x = rhs"""

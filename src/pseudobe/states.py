@@ -17,6 +17,7 @@ from .linalg import (
     AffineSolutionSpace,
     LinearEquation,
     Vector,
+    _coefficient_row,
     box_vertices,
     cone_rays,
     format_fraction,
@@ -118,19 +119,12 @@ def state_equations(a: FiniteAlgebra) -> list[LinearEquation]:
     negated, so only x < y is generated.
     """
     n = a.size
-    eqs = []
-    unit_row = [ZERO] * n
-    unit_row[a.unit] = ONE
-    eqs.append(LinearEquation(tuple(unit_row), ONE))
+    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), ONE)]
     for x in range(n):
         for y in range(x + 1, n):
             for table in (a.arrow, a.squig):
-                row = [ZERO] * n
-                row[x] += ONE
-                row[table[x][y]] += ONE
-                row[y] -= ONE
-                row[table[y][x]] -= ONE
-                eqs.append(LinearEquation(tuple(row), ZERO))
+                row = _coefficient_row(n, (x, table[x][y]), (y, table[y][x]))
+                eqs.append(LinearEquation(row, ZERO))
     return eqs
 
 
@@ -250,30 +244,20 @@ def is_state_measure_morphism(a: FiniteAlgebra, m: Assignment) -> bool:
 def measure_equations(a: FiniteAlgebra) -> list[LinearEquation]:
     """m(1)=0 plus m(x->y)=m(y)-m(x) (both tables) for each y <= x."""
     n = a.size
-    eqs = []
-    unit_row = [ZERO] * n
-    unit_row[a.unit] = ONE
-    eqs.append(LinearEquation(tuple(unit_row), ZERO))
+    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), ZERO)]
     for x in range(n):
         for y in range(n):
             if leq(a, y, x):
                 for table in (a.arrow, a.squig):
-                    row = [ZERO] * n
-                    row[table[x][y]] += ONE
-                    row[y] -= ONE
-                    row[x] += ONE
-                    eqs.append(LinearEquation(tuple(row), ZERO))
+                    row = _coefficient_row(n, (table[x][y], x), (y,))
+                    eqs.append(LinearEquation(row, ZERO))
     return eqs
 
 
 def measure_cone(a: FiniteAlgebra) -> tuple[Vector, ...]:
     """Extreme rays of the cone of measures."""
     n = a.size
-    nonneg = []
-    for i in range(n):
-        row = [ZERO] * n
-        row[i] = ONE
-        nonneg.append(tuple(row))
+    nonneg = [_coefficient_row(n, (i,)) for i in range(n)]
     return cone_rays(measure_equations(a), nonneg, n)
 
 

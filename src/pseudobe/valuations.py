@@ -14,7 +14,7 @@ from typing import Optional
 from .algebra import FiniteAlgebra
 from .dsystems import Subset, is_deductive_system, is_fantastic
 from .homs import Homomorphism, NotBijectiveError, hom_witness, NotAHomomorphismError
-from .linalg import ConsistencyAlarmError, LinearEquation, Vector, cone_rays
+from .linalg import ConsistencyAlarmError, LinearEquation, Vector, _coefficient_row, cone_rays
 from .states import Assignment, Witness
 
 ZERO = Fraction(0)
@@ -171,19 +171,13 @@ def valuation_equations(a: FiniteAlgebra) -> tuple[list[LinearEquation], list[Ve
     for all pairs.  Nonnegativity is implied (take y := 1).
     """
     n = a.size
-    unit_row = [ZERO] * n
-    unit_row[a.unit] = Fraction(1)
-    eqs = [LinearEquation(tuple(unit_row), ZERO)]
+    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), ZERO)]
     ineqs = []
     for x in range(n):
         for y in range(n):
             for table in (a.arrow, a.squig):
                 # phi(x->y) - phi(y) + phi(x) >= 0
-                row = [ZERO] * n
-                row[table[x][y]] += 1
-                row[y] -= 1
-                row[x] += 1
-                ineqs.append(tuple(Fraction(v) for v in row))
+                ineqs.append(_coefficient_row(n, (table[x][y], x), (y,)))
     return eqs, ineqs
 
 

@@ -2,11 +2,15 @@ import pathlib
 
 import pytest
 
-from pseudobe import catalog
 from pseudobe.algebra import parse_algebra
 from pseudobe.finder import SearchConstraints, enumerate_models
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def load_fixture(name):
+    """Parse ``tests/fixtures/<name>.alg``."""
+    return parse_algebra((FIXTURES / f"{name}.alg").read_text(encoding="utf-8"))
 
 
 @pytest.fixture
@@ -16,38 +20,33 @@ def fixtures_dir():
 
 @pytest.fixture
 def bck4():
-    return catalog.four_element_bck()
+    return load_fixture("bck4")
 
 
 @pytest.fixture
 def proper6():
-    return catalog.six_element_proper()
+    return load_fixture("proper6")
 
 
 @pytest.fixture
 def bounded6():
-    return catalog.six_element_bounded()
+    return load_fixture("bounded6")
 
 
 @pytest.fixture
 def conda5():
-    return catalog.five_element_condition_a()
+    return load_fixture("conda5")
 
 
 @pytest.fixture
 def constant2():
     """Two elements, every product a: a table outside pseudo-BE."""
-    return parse_algebra((FIXTURES / "constant2.alg").read_text())
+    return load_fixture("constant2")
 
 
 @pytest.fixture(scope="session")
 def small_inputs():
     """The four fixtures and every model of size <= 4 (87 algebras)."""
-    fixtures = [
-        catalog.four_element_bck(),
-        catalog.five_element_condition_a(),
-        catalog.six_element_proper(),
-        catalog.six_element_bounded(),
-    ]
+    fixtures = [load_fixture(name) for name in ("bck4", "conda5", "proper6", "bounded6")]
     models = [m for n in range(1, 5) for m in enumerate_models(SearchConstraints(size=n))]
     return fixtures + models

@@ -14,7 +14,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from pseudobe import catalog, cli
+from conftest import load_fixture
+from pseudobe import cli
 from pseudobe.algebra import (
     FiniteAlgebra,
     check_axioms,
@@ -55,10 +56,10 @@ from pseudobe.valuations import (
     valuation_cone,
 )
 
-BCK4 = catalog.four_element_bck()
-PROPER6 = catalog.six_element_proper()
-BOUNDED6 = catalog.six_element_bounded()
-CONDA5 = catalog.five_element_condition_a()
+BCK4 = load_fixture("bck4")
+PROPER6 = load_fixture("proper6")
+BOUNDED6 = load_fixture("bounded6")
+CONDA5 = load_fixture("conda5")
 ALL_FIXTURES = (BCK4, PROPER6, BOUNDED6, CONDA5)
 
 CHAIN2 = FiniteAlgebra(

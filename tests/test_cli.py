@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pseudobe
 from pseudobe import cli
@@ -265,6 +268,80 @@ def test_ambiguous_input_is_usage_error(capsys, alg, tmp_path):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
+def test_alarm_exits_two(capsys, alg):
+    # alarm2 is not pseudo-BE: its arrow and squig closures of {1} disagree
+    a2 = alg("alarm2.alg")
+    for argv in (
+        ("ds", a2),
+        ("ds", a2, "--prime"),
+        ("ds", a2, "--involutive"),
+        ("quotient", a2, "--ds", "{1}"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == "alarm: modus ponens closures disagree on {1}\n", argv
+
+
+# every subcommand once per file; hom takes the file twice
+FUZZ_COMMANDS = (
+    ("check",),
+    ("classify",),
+    ("ds",),
+    ("ds", "--prime"),
+    ("ds", "--involutive"),
+    ("quotient", "--ds", "{1}"),
+    ("states",),
+    ("measures",),
+    ("internal", "--kind", "I"),
+    ("internal", "--kind", "II"),
+    ("internal", "--kind", "smo"),
+    ("valuations",),
+    ("hom", "--iso"),
+)
+
+
+@st.composite
+def algebra_texts(draw):
+    """A random table pair on at most 3 elements, sometimes with a bottom,
+    sometimes with one line dropped, duplicated or garbled."""
+    n = draw(st.integers(1, 3))
+    toks = "1ab"[:n]
+
+    def rows():
+        return [" ".join(draw(st.lists(st.sampled_from(toks), min_size=n, max_size=n)))
+                for _ in range(n)]
+
+    lines = ["algebra fuzz", "elements " + " ".join(toks), "unit 1"]
+    if draw(st.booleans()):
+        lines.append("bottom " + draw(st.sampled_from(toks)))
+    lines += ["table arrow", *rows(), "table squig", *rows(), "end"]
+    mutation = draw(st.sampled_from(("none", "drop", "duplicate", "garble")))
+    k = draw(st.integers(0, len(lines) - 1))
+    if mutation == "drop":
+        del lines[k]
+    elif mutation == "duplicate":
+        lines.insert(k, lines[k])
+    elif mutation == "garble":
+        lines[k] = draw(st.text(alphabet="1ab ->{},=/#", max_size=10))
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=algebra_texts())
+def test_fuzz_every_subcommand(tmp_path, text):
+    path = tmp_path / "fuzz.alg"
+    path.write_text(text)
+    for cmd, *rest in FUZZ_COMMANDS:
+        files = [str(path)] * (2 if cmd == "hom" else 1)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.run([cmd, *files, *rest])
+        assert code in (0, 1, 2), (cmd, rest)
 
 
 @pytest.mark.parametrize("module", ["pseudobe", "pseudobe.cli"])

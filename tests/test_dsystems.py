@@ -1,5 +1,5 @@
 """Deductive systems: enumeration against a naive oracle, classification
-on the catalog algebras, and quotients."""
+on the fixture files, and quotients."""
 
 import itertools
 

@@ -1,4 +1,4 @@
-"""Internal states and state-morphism operators on the catalog algebras.
+"""Internal states and state-morphism operators on the fixture files.
 
 The expected operator families below were frozen from an unpruned n^n
 enumeration and hand-checked against the defining axioms.

@@ -1,5 +1,5 @@
 """Bosbach states, state-morphisms, measures, and their exact geometry on
-the catalog algebras."""
+the fixture files."""
 
 from fractions import Fraction as F
 
