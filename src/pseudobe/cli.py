@@ -176,19 +176,15 @@ def _cmd_classify(args, rep: Report) -> int:
 def _cmd_ds(args, rep: Report) -> int:
     a = _load(args.algebra)
     fam = enumerate_ds(a)
-    which = None
-    for kind in DS_KINDS:
-        if getattr(args, kind):
-            which = kind
-    if which == "involutive" and fam.involutive is None:
+    if args.kind == "involutive" and fam.involutive is None:
         raise AlgebraError("involutive classification requires a bounded algebra")
-    if which is None:
+    if args.kind is None:
         for d in fam.subsets:
             tags = [kind for kind in DS_KINDS if d in (getattr(fam, kind) or ())]
             rep.add("ds", " ".join([format_subset(a, d)] + tags))
         rep.add("count", len(fam.subsets))
     else:
-        chosen = getattr(fam, which)
+        chosen = getattr(fam, args.kind)
         for d in chosen:
             rep.add("ds", format_subset(a, d))
         rep.add("count", len(chosen))
@@ -352,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ds", help="enumerate deductive systems")
     sp.add_argument("algebra")
+    kinds = sp.add_mutually_exclusive_group()
     for kind in DS_KINDS:
-        sp.add_argument(f"--{kind}", action="store_true")
+        kinds.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
     sp.set_defaults(func=_cmd_ds)
 
     sp = sub.add_parser("quotient", help="quotient by a deductive system")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .algebra import (
@@ -29,12 +28,7 @@ from .homs import Map, SizeGuardError, scan_maps, search_maps
 from .parallel import pmap
 from .operators import enumerate_internal_states, is_smo
 from .states import measure_cone, measure_kernel, state_kernel, state_space
-from .valuations import (
-    is_commutative_pv,
-    is_pseudo_valuation,
-    is_weak_pseudo_valuation,
-    valuation_cone,
-)
+from .valuations import commutative_pv_witness, valuation_cone, weak_pv_witness
 
 MAX_EXHAUSTIVE_SIZE = 5
 
@@ -266,133 +260,115 @@ class CounterexampleError(AssertionError):
     """
 
 
+def _when(premise: bool, message: str) -> tuple[str, ...]:
+    """The counterexample stream of a claim that one test decides."""
+    return (message,) if premise else ()
+
+
 def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     """Evaluate every swept implication on one model.
 
-    Returns tag -> witness text (None = no counterexample).
+    Each claim is a lazy stream of counterexample messages, empty when it
+    holds; its witness is the first message followed by the serialized
+    model.  Returns tag -> witness text (None = no counterexample).
+
+    The pseudo-valuation, weak and commutative conditions are linear in
+    phi, so the claims about every pseudo-valuation are decided on the
+    extreme rays of the valuation cone, each already verified as a pv.
     """
     rep = classify(a)
     family = enumerate_ds(a)
-    results: dict[str, Optional[str]] = {}
-
-    def fail(msg: str) -> str:
-        return f"{msg}\n{serialize_algebra(a)}"
-
-    results["bck-implies-two-implication-core"] = (
-        None if (not rep.pseudo_bck or rep.pseudo_be) else fail("pseudo-BCK but not pseudo-BE")
-    )
-    results["commutative-implies-bck"] = (
-        None if (not rep.commutative or rep.pseudo_bck) else fail("commutative but not pseudo-BCK")
-    )
-    results["finite-commutative-implies-single-implication"] = (
-        None if (not rep.commutative or rep.be) else fail("commutative but arrow != squig")
-    )
-
+    fantastic = set(family.fantastic)
+    bounded = with_detected_bottom(a)
     p_holds = check_axioms(a, "P-system").holds
     q_holds = check_axioms(a, "Q-system").holds
     comm = rep.pseudo_be and rep.commutative
-    results["p-system-iff-commutative"] = (
-        None if p_holds == comm else fail(f"P-system={p_holds}, commutative={comm}")
-    )
-    results["q-system-iff-commutative"] = (
-        None if q_holds == comm else fail(f"Q-system={q_holds}, commutative={comm}")
-    )
-
-    results["distributive-ds-all-normal"] = None
-    if rep.distributive:
-        for d in family.subsets:
-            if d not in family.normal:
-                results["distributive-ds-all-normal"] = fail(
-                    f"non-normal DS {format_subset(a, d)}"
-                )
-                break
-
-    results["commutative-ds-all-fantastic"] = None
-    if rep.commutative:
-        if set(family.subsets) != set(family.fantastic):
-            results["commutative-ds-all-fantastic"] = fail("DS != fantastic DS")
-
-    results["fantastic-upward-closed"] = None
-    if rep.condition_a:
-        for d in family.fantastic:
-            for e in family.subsets:
-                if d <= e and e not in family.fantastic:
-                    results["fantastic-upward-closed"] = fail(
-                        f"{format_subset(a, d)} fantastic but superset "
-                        f"{format_subset(a, e)} is not"
-                    )
-
-    bounded = with_detected_bottom(a)
-    results["fantastic-implies-involutive"] = None
-    if bounded is not None:
-        for d in family.fantastic:
-            if not is_involutive_ds(bounded, d):
-                results["fantastic-implies-involutive"] = fail(
-                    f"fantastic DS {format_subset(a, d)} not involutive"
-                )
-                break
-
-    space = state_space(a)
-    results["state-kernels-fantastic"] = None
-    results["bounded-state-kernels-involutive"] = None
-    for vertex in space.vertices:
-        ker = state_kernel(a, vertex)
-        if ker not in family.fantastic:
-            results["state-kernels-fantastic"] = fail(
-                f"state kernel {format_subset(a, ker)} not fantastic"
-            )
-        if bounded is not None and vertex[bounded.bottom] == Fraction(0):
-            if not is_involutive_ds(bounded, ker):
-                results["bounded-state-kernels-involutive"] = fail(
-                    f"state kernel {format_subset(a, ker)} not involutive"
-                )
-
-    results["measure-kernels-normal-fantastic"] = None
-    for ray in measure_cone(a):
-        ker = measure_kernel(a, ray)
-        if not (ker in family.normal and ker in family.fantastic):
-            results["measure-kernels-normal-fantastic"] = fail(
-                f"measure kernel {format_subset(a, ker)} not normal+fantastic"
-            )
-            break
-
+    states = [(v, state_kernel(a, v)) for v in state_space(a).vertices]
+    measure_kernels = [measure_kernel(a, r) for r in measure_cone(a)]
     rays = valuation_cone(a)
-    results["pv-implies-weak-pv"] = None
-    results["commutative-pv-all-commutative"] = None
-    # the rays and their pairwise sums; r + r is a multiple of r
-    candidates = list(rays)
-    for r1, r2 in itertools.combinations(rays, 2):
-        candidates.append(tuple(v1 + v2 for v1, v2 in zip(r1, r2)))
-    for phi in candidates:
-        if is_pseudo_valuation(a, phi) and not is_weak_pseudo_valuation(a, phi):
-            results["pv-implies-weak-pv"] = fail("pv that is not a weak pv")
-            break
-    if rep.commutative:
-        for phi in candidates:
-            if is_pseudo_valuation(a, phi) and not is_commutative_pv(a, phi):
-                results["commutative-pv-all-commutative"] = fail(
-                    "non-commutative pv on a commutative algebra"
-                )
-                break
 
-    results["linear-type2-states-are-smo"] = None
-    results["linear-commutative-type1-states-are-smo"] = None
-    if rep.linear:
-        for mu in enumerate_internal_states(a, "II"):
-            if not is_smo(a, mu):
-                results["linear-type2-states-are-smo"] = fail(
-                    f"type-II state {mu} is not an SMO"
-                )
-                break
-        if rep.commutative:
-            for mu in enumerate_internal_states(a, "I"):
-                if not is_smo(a, mu):
-                    results["linear-commutative-type1-states-are-smo"] = fail(
-                        f"type-I state {mu} is not an SMO"
-                    )
-                    break
+    def show(d) -> str:
+        return format_subset(a, d)
 
-    return results
+    claims = {
+        "bck-implies-two-implication-core": _when(
+            rep.pseudo_bck and not rep.pseudo_be, "pseudo-BCK but not pseudo-BE"
+        ),
+        "commutative-implies-bck": _when(
+            rep.commutative and not rep.pseudo_bck, "commutative but not pseudo-BCK"
+        ),
+        "finite-commutative-implies-single-implication": _when(
+            rep.commutative and not rep.be, "commutative but arrow != squig"
+        ),
+        "p-system-iff-commutative": _when(
+            p_holds != comm, f"P-system={p_holds}, commutative={comm}"
+        ),
+        "q-system-iff-commutative": _when(
+            q_holds != comm, f"Q-system={q_holds}, commutative={comm}"
+        ),
+        "distributive-ds-all-normal": (
+            f"non-normal DS {show(d)}"
+            for d in family.subsets
+            if rep.distributive and d not in family.normal
+        ),
+        "commutative-ds-all-fantastic": _when(
+            rep.commutative and set(family.subsets) != fantastic, "DS != fantastic DS"
+        ),
+        "fantastic-upward-closed": (
+            f"{show(d)} fantastic but superset {show(e)} is not"
+            for d in family.fantastic
+            if rep.condition_a
+            for e in family.subsets
+            if d <= e and e not in fantastic
+        ),
+        "fantastic-implies-involutive": (
+            f"fantastic DS {show(d)} not involutive"
+            for d in family.fantastic
+            if bounded is not None and not is_involutive_ds(bounded, d)
+        ),
+        "state-kernels-fantastic": (
+            f"state kernel {show(k)} not fantastic" for _, k in states if k not in fantastic
+        ),
+        "bounded-state-kernels-involutive": (
+            f"state kernel {show(k)} not involutive"
+            for v, k in states
+            if bounded is not None
+            and v[bounded.bottom] == 0
+            and not is_involutive_ds(bounded, k)
+        ),
+        "measure-kernels-normal-fantastic": (
+            f"measure kernel {show(k)} not normal+fantastic"
+            for k in measure_kernels
+            if k not in family.normal or k not in fantastic
+        ),
+        "pv-implies-weak-pv": (
+            "pv that is not a weak pv"
+            for phi in rays
+            if weak_pv_witness(a, phi) is not None
+        ),
+        "commutative-pv-all-commutative": (
+            "non-commutative pv on a commutative algebra"
+            for phi in rays
+            if rep.commutative and commutative_pv_witness(a, phi) is not None
+        ),
+        # the internal-state searches run only where the premise holds
+        "linear-type2-states-are-smo": (
+            f"type-II state {mu} is not an SMO"
+            for mu in (enumerate_internal_states(a, "II") if rep.linear else ())
+            if not is_smo(a, mu)
+        ),
+        "linear-commutative-type1-states-are-smo": (
+            f"type-I state {mu} is not an SMO"
+            for mu in (
+                enumerate_internal_states(a, "I") if rep.linear and rep.commutative else ()
+            )
+            if not is_smo(a, mu)
+        ),
+    }
+    return {
+        tag: next((f"{m}\n{serialize_algebra(a)}" for m in messages), None)
+        for tag, messages in claims.items()
+    }
 
 
 def verify_meta_theorems(

@@ -32,6 +32,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
+# guards only the audit paths: their active-set choices grow combinatorially in d
 MAX_DIMENSION = 6
 
 Vector = tuple[Fraction, ...]
@@ -39,7 +40,7 @@ IntVector = tuple[int, ...]
 
 
 class DimensionTooLargeError(ValueError):
-    """Solution-space dimension exceeds the combinatorial-enumeration guard."""
+    """Solution-space dimension exceeds the guard of an audit enumerator."""
 
 
 class ConsistencyAlarmError(AssertionError):
@@ -74,10 +75,6 @@ class LinearEquation:
 
     coeffs: Vector
     rhs: Fraction
-
-    @staticmethod
-    def make(coeffs: Sequence, rhs) -> "LinearEquation":
-        return LinearEquation(_frac_vec(coeffs), Fraction(rhs))
 
     def residual(self, point: Sequence[Fraction]) -> Fraction:
         return sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0)) - self.rhs
@@ -387,7 +384,7 @@ def box_vertices(
     ``dimension`` active bound constraints.
     """
     d = space.dimension
-    if d > MAX_DIMENSION:
+    if audit and d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
     lo = _frac_vec(lower)
     hi = _frac_vec(upper)
@@ -446,7 +443,7 @@ def cone_rays(
     if space is None or any(v != 0 for v in space.particular):
         raise ConsistencyAlarmError("homogeneous system without the solution 0")
     d = space.dimension
-    if d > MAX_DIMENSION:
+    if audit and d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
     if d == 0:
         return ()

@@ -107,10 +107,6 @@ class StateSpaceResult:
     affine: Optional[AffineSolutionSpace]  # None when the system is inconsistent
     vertices: tuple[Vector, ...]
 
-    @property
-    def empty(self) -> bool:
-        return self.affine is None or not self.vertices
-
 
 def state_equations(a: FiniteAlgebra) -> list[LinearEquation]:
     """s(1)=1 plus the two symmetry equations per unordered pair.

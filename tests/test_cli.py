@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pseudobe
-from pseudobe import cli
+from pseudobe import cli, finder
 from pseudobe.algebra import check_axioms, parse_algebra
 
 
@@ -74,6 +74,15 @@ def test_ds_filtered(capsys, alg):
     code, out, _ = run(capsys, "ds", alg("proper6.alg"), "--fantastic")
     assert code == 0
     assert "count 4" in out
+
+
+def test_ds_two_kind_flags_exit_two(capsys, alg):
+    # the kind flags are mutually exclusive: no flag silently wins
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["ds", alg("conda5.alg"), "--normal", "--fantastic"])
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "not allowed with argument" in cap.err
 
 
 def test_ds_involutive_requires_bounded(capsys, alg):
@@ -384,6 +393,55 @@ def test_meta(capsys):
     assert code == 0
     assert "models 6" in out and "clean true" in out
     assert out.count("theorem ") == 16
+
+
+SWEEP4_TAGS = (
+    "bck-implies-two-implication-core",
+    "bounded-state-kernels-involutive",
+    "commutative-ds-all-fantastic",
+    "commutative-implies-bck",
+    "commutative-pv-all-commutative",
+    "distributive-ds-all-normal",
+    "fantastic-implies-involutive",
+    "fantastic-upward-closed",
+    "finite-commutative-implies-single-implication",
+    "linear-commutative-type1-states-are-smo",
+    "linear-type2-states-are-smo",
+    "measure-kernels-normal-fantastic",
+    "p-system-iff-commutative",
+    "pv-implies-weak-pv",
+    "q-system-iff-commutative",
+    "state-kernels-fantastic",
+)
+
+
+def test_meta_size_four_stdout_frozen(capsys):
+    code, out, err = run(capsys, "meta", "--max-size", "4")
+    assert code == 0 and err == ""
+    theorems = [f"theorem {tag} checked=83 counterexamples=0" for tag in SWEEP4_TAGS]
+    assert out.splitlines() == ["models 83", *theorems, "clean true"]
+
+
+@pytest.fixture
+def weak_pv_fails(monkeypatch):
+    """Make every pseudo-valuation ray fail the weak-pv test in the sweep."""
+    monkeypatch.setattr(finder, "weak_pv_witness", lambda a, phi: ("pv6", (0, 0)))
+
+
+def test_meta_counterexample_exits_one(capsys, weak_pv_fails):
+    code, out, err = run(capsys, "meta", "--max-size", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("counterexample: pv-implies-weak-pv: pv that is not a weak pv\n")
+    assert "algebra n2_5539bae4a742\n" in err
+
+
+def test_meta_allow_counterexamples_reports_them(capsys, weak_pv_fails):
+    code, out, err = run(capsys, "meta", "--max-size", "3", "--allow-counterexamples")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert "theorem pv-implies-weak-pv checked=6 counterexamples=5" in lines
+    assert "theorem commutative-pv-all-commutative checked=6 counterexamples=0" in lines
+    assert lines[-1] == "clean false"
 
 
 def test_json_output(capsys, alg):

@@ -5,8 +5,11 @@ import time
 
 import pytest
 
+from pseudobe import finder
 from pseudobe.algebra import check_axioms, classify, parse_algebra, serialize_algebra
+from pseudobe.dsystems import format_subset
 from pseudobe.finder import (
+    CounterexampleError,
     SearchConstraints,
     canonical_tables,
     detect_bottom,
@@ -15,6 +18,7 @@ from pseudobe.finder import (
     with_detected_bottom,
 )
 from pseudobe.homs import SizeGuardError, enumerate_homomorphisms
+from pseudobe.states import state_kernel, state_space
 
 # frozen regression values from the exhaustive enumeration (audit mode
 # agrees at n <= 3)
@@ -144,3 +148,35 @@ def test_meta_sweep_four():
     rep = verify_meta_theorems(4, workers=8)
     assert rep.clean
     assert rep.models == sum(EXPECTED_COUNTS.values())
+
+
+def test_meta_sweep_counterexample(monkeypatch):
+    monkeypatch.setattr(finder, "weak_pv_witness", lambda a, phi: ("pv6", (0, 0)))
+    with pytest.raises(CounterexampleError) as exc:
+        verify_meta_theorems(3)
+    message = str(exc.value)
+    assert message.startswith("pv-implies-weak-pv: pv that is not a weak pv\n")
+    assert "algebra n2_5539bae4a742\n" in message
+
+    rep = verify_meta_theorems(3, allow_counterexamples=True)
+    assert not rep.clean
+    failed = rep.stats["pv-implies-weak-pv"]
+    # every model but the one-element one has a nonzero pseudo-valuation
+    assert (failed.checked, failed.counterexamples) == (6, 5)
+    assert failed.first_witness == message.split(": ", 1)[1]
+    for tag, stat in rep.stats.items():
+        if tag != "pv-implies-weak-pv":
+            assert (stat.counterexamples, stat.first_witness) == (0, None), tag
+
+
+def test_meta_sweep_reports_first_counterexample(monkeypatch):
+    # on the four-element Boolean algebra two state kernels with s(0) = 0
+    # differ; with every kernel failing, the first vertex's is the witness
+    model = next(m for m in _models(4) if m.name == "n4_93090b9292cf")
+    bottom = detect_bottom(model)
+    kernels = [state_kernel(model, v) for v in state_space(model).vertices if v[bottom] == 0]
+    assert kernels[0] != kernels[-1]
+    monkeypatch.setattr(finder, "is_involutive_ds", lambda a, d: False)
+    witness = finder._check_model(model)["bounded-state-kernels-involutive"]
+    first = format_subset(model, kernels[0])
+    assert witness == f"state kernel {first} not involutive\n{serialize_algebra(model)}"

@@ -1,6 +1,7 @@
 """Exact linear algebra, checked against sympy as an independent oracle
 and against hand-solved systems."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -159,9 +160,28 @@ def test_box_vertices_are_distinct_and_feasible():
 
 
 def test_box_vertices_guard():
+    # the guard bounds the active-set audit only
     space = solve_affine([], 7)
     with pytest.raises(DimensionTooLargeError):
-        box_vertices(space, [F(0)] * 7, [F(1)] * 7)
+        box_vertices(space, [F(0)] * 7, [F(1)] * 7, audit=True)
+
+
+def test_cone_rays_guard():
+    orthant = [tuple(F(int(i == j)) for j in range(7)) for i in range(7)]
+    with pytest.raises(DimensionTooLargeError):
+        cone_rays([], orthant, 7, audit=True)
+
+
+def test_engine_unit_cube_beyond_guard():
+    # independent oracle: the unit 7-cube has the 2^7 0/1 points as vertices
+    verts = box_vertices(solve_affine([], 7), [F(0)] * 7, [F(1)] * 7)
+    assert verts == tuple(itertools.product((F(0), F(1)), repeat=7))
+
+
+def test_engine_orthant_beyond_guard():
+    # the 7-orthant x >= 0 is spanned by its 7 unit vectors
+    orthant = [tuple(F(int(i == j)) for j in range(7)) for i in range(7)]
+    assert cone_rays([], orthant, 7) == tuple(sorted(orthant))
 
 
 def test_cone_trivial():
