@@ -13,17 +13,6 @@ from typing import Callable, Iterator, Optional
 
 from .linalg import ConsistencyAlarmError
 
-AXIOM_SYSTEMS = (
-    "pseudo-BE",
-    "pseudo-BCK",
-    "condition-A",
-    "distributive",
-    "commutative",
-    "P-system",
-    "Q-system",
-)
-
-
 class AlgebraError(ValueError):
     """Malformed algebra input."""
 
@@ -125,6 +114,17 @@ def negations(a: FiniteAlgebra, x: int) -> tuple[int, int]:
     if a.bottom is None:
         raise UnboundedAlgebraError(f"algebra {a.name!r} has no bottom")
     return a.arrow[x][a.bottom], a.squig[x][a.bottom]
+
+
+def _double_negations(a: FiniteAlgebra, x: int) -> tuple[int, int]:
+    """(x^{-~}, x^{~-}) = ((x -> 0) ~> 0, (x ~> 0) -> 0) for a bounded algebra."""
+    neg, sneg = negations(a, x)
+    return a.squig[neg][a.bottom], a.arrow[sneg][a.bottom]
+
+
+def _is_least(a: FiniteAlgebra, b: int) -> bool:
+    """b -> x = b ~> x = 1 for every x."""
+    return all(a.arrow[b][x] == a.unit and a.squig[b][x] == a.unit for x in range(a.size))
 
 
 @dataclass(frozen=True)
@@ -263,6 +263,9 @@ _SYSTEM_AXIOMS: dict[str, list[Axiom]] = {
 }
 
 
+AXIOM_SYSTEMS = tuple(_SYSTEM_AXIOMS)
+
+
 def check_axioms(a: FiniteAlgebra, system: str) -> AxiomReport:
     """Exhaustively evaluate every axiom of ``system`` over all tuples.
 
@@ -337,27 +340,14 @@ def classify(a: FiniteAlgebra) -> ClassificationReport:
     good = involutive = None
     reg = den = None
     if bounded:
-        # verify the declared bottom really is a least element
-        for x in range(a.size):
-            if a.arrow[a.bottom][x] != a.unit or a.squig[a.bottom][x] != a.unit:
-                raise AlgebraError(
-                    f"declared bottom {a.token(a.bottom)!r} is not a least element"
-                )
-        reg_set, den_set = set(), set()
-        for x in range(a.size):
-            neg, sneg = negations(a, x)
-            dneg = a.squig[neg][a.bottom]  # x^{-~}
-            dneg2 = a.arrow[sneg][a.bottom]  # x^{~-}
-            if dneg == x and dneg2 == x:
-                reg_set.add(x)
-            if dneg == a.unit and dneg2 == a.unit:
-                den_set.add(x)
-        reg, den = frozenset(reg_set), frozenset(den_set)
-        good = all(
-            a.squig[a.arrow[x][a.bottom]][a.bottom]
-            == a.arrow[a.squig[x][a.bottom]][a.bottom]
-            for x in range(a.size)
-        )
+        if not _is_least(a, a.bottom):
+            raise AlgebraError(
+                f"declared bottom {a.token(a.bottom)!r} is not a least element"
+            )
+        dneg = [_double_negations(a, x) for x in range(a.size)]
+        reg = frozenset(x for x in range(a.size) if dneg[x] == (x, x))
+        den = frozenset(x for x in range(a.size) if dneg[x] == (a.unit, a.unit))
+        good = all(d1 == d2 for d1, d2 in dneg)
         involutive = len(reg) == a.size
 
     return ClassificationReport(
@@ -379,6 +369,11 @@ def classify(a: FiniteAlgebra) -> ClassificationReport:
 
 # ---------------------------------------------------------------------------
 # file format
+
+
+# subsets, assignment lines and map lines split on these, so no element
+# token may contain one ("|" stays legal: quotient tokens look like 1|a|d)
+_SEPARATORS = (",", "{", "}", "=", "->")
 
 
 def content_lines(text: str) -> list[str]:
@@ -431,6 +426,13 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         raise AlgebraError("missing required section: elements")
     if len(set(elements)) != len(elements):
         raise AlgebraError("duplicate element token")
+    for tok in elements:
+        for sep in _SEPARATORS:
+            if sep in tok:
+                raise AlgebraError(
+                    f"element token {tok!r} contains {sep!r}, a separator of subsets, "
+                    "assignments and maps"
+                )
     n = len(elements)
     index = {tok: i for i, tok in enumerate(elements)}
 

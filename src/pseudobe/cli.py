@@ -29,7 +29,6 @@ from .finder import (
     STRUCTURE_FLAGS,
     CounterexampleError,
     SearchConstraints,
-    canonical_hash,
     enumerate_models,
     verify_meta_theorems,
 )
@@ -196,7 +195,7 @@ def _cmd_quotient(args, rep: Report) -> int:
     h = parse_subset(a, args.ds)
     q = quotient(a, h)
     for cls in q.classes:
-        rep.add("class", "{" + ",".join(a.token(x) for x in cls) + "}")
+        rep.add("class", format_subset(a, cls))
     for line in serialize_algebra(q.quotient).rstrip("\n").split("\n"):
         rep.add("quotient", line)
     return 0
@@ -303,7 +302,8 @@ def _cmd_find(args, rep: Report) -> int:
         if args.emit:
             out = pathlib.Path(args.emit)
             out.mkdir(parents=True, exist_ok=True)
-            (out / f"{canonical_hash(model)}.alg").write_text(
+            # the name is n<size>_<hash of the canonical tables>
+            (out / f"{model.name.split('_', 1)[1]}.alg").write_text(
                 serialize_algebra(model), encoding="utf-8"
             )
     rep.add("count", count)

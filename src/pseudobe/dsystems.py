@@ -15,8 +15,8 @@ from .algebra import (
     AlgebraError,
     FiniteAlgebra,
     UnboundedAlgebraError,
+    _double_negations,
     check_axioms,
-    negations,
     vee1,
     vee2,
 )
@@ -114,9 +114,7 @@ def is_involutive_ds(a: FiniteAlgebra, d: Subset) -> bool:
         raise UnboundedAlgebraError(f"algebra {a.name!r} has no bottom")
     _require_ds(a, d)
     for x in range(a.size):
-        neg, sneg = negations(a, x)
-        dn = a.squig[neg][a.bottom]  # x^{-~}
-        dn2 = a.arrow[sneg][a.bottom]  # x^{~-}
+        dn, dn2 = _double_negations(a, x)
         if a.arrow[dn][x] not in d or a.squig[dn2][x] not in d:
             return False
     return True
@@ -165,22 +163,21 @@ def enumerate_ds(a: FiniteAlgebra) -> DSFamily:
     return DSFamily(a, subsets, normal, fantastic, involutive, prime, maximal)
 
 
+def _meet_above(a: FiniteAlgebra, seed: Subset, family: tuple[Subset, ...]) -> Subset:
+    """Intersection of the carrier (a deductive system of every algebra)
+    and the members of ``family`` containing ``seed``."""
+    return frozenset(range(a.size)).intersection(*(d for d in family if seed <= d))
+
+
 def generated_ds(a: FiniteAlgebra, seed: Subset) -> Subset:
-    """Smallest deductive system containing ``seed`` (modus ponens
-    fixpoint under both implications)."""
-    d = set(seed) | {a.unit}
-    changed = True
-    while changed:
-        changed = False
-        for table in (a.arrow, a.squig):
-            for x in list(d):
-                for y in range(a.size):
-                    if table[x][y] in d and y not in d:
-                        d.add(y)
-                        changed = True
-    out = frozenset(d)
-    if not is_deductive_system(a, out):
-        raise ConsistencyAlarmError("modus ponens fixpoint is not a deductive system")
+    """Smallest deductive system containing ``seed``: the meet of the
+    enumerated deductive systems above it."""
+    family = enumerate_ds(a).subsets
+    out = _meet_above(a, seed, family)
+    if out not in family:
+        raise ConsistencyAlarmError(
+            f"the deductive systems containing {format_subset(a, seed)} have no least member"
+        )
     return out
 
 
@@ -191,8 +188,8 @@ def prime_witness(
 
     Two tests: the intersection condition over all enumerated DS pairs,
     and its principal instances through join terms, where the DS
-    generated by x v1 y lands in D but neither generator does.  A witness
-    is ("pair", D1, D2) or ("join", x, y).
+    generated by x v1 y (the meet of ``family`` above it) lands in D but
+    neither generator does.  A witness is ("pair", D1, D2) or ("join", x, y).
     """
     for d1 in family:
         for d2 in family:
@@ -202,7 +199,7 @@ def prime_witness(
         for y in range(a.size):
             if x in d or y in d:
                 continue
-            if generated_ds(a, frozenset({vee1(a, x, y)})) <= d:
+            if _meet_above(a, frozenset({vee1(a, x, y)}), family) <= d:
                 return ("join", x, y)
     return None
 
@@ -281,29 +278,19 @@ def quotient(a: FiniteAlgebra, h: Subset) -> QuotientResult:
             class_of[y] = len(classes)
         classes.append(members)
 
-    reps = [cls[0] for cls in classes]  # least index per class
-
-    def build(table) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for ci in range(len(classes)):
-            row = []
-            for cj in range(len(classes)):
-                row.append(class_of[table[reps[ci]][reps[cj]]])
-            out.append(tuple(row))
-        return tuple(out)
-
-    q_arrow = build(a.arrow)
-    q_squig = build(a.squig)
-
-    # well-definedness: every member pair must land in the same class
-    for ci, cls_i in enumerate(classes):
-        for cj, cls_j in enumerate(classes):
-            for x in cls_i:
-                for y in cls_j:
-                    if class_of[a.arrow[x][y]] != q_arrow[ci][cj]:
-                        raise ConsistencyAlarmError("arrow not well defined on classes")
-                    if class_of[a.squig[x][y]] != q_squig[ci][cj]:
-                        raise ConsistencyAlarmError("squig not well defined on classes")
+    # one pass per class pair, members in order: the first pair read is the
+    # representatives', which fixes the cell; every later pair must agree
+    cells: dict[tuple[str, int, int], int] = {}
+    for (ci, cls_i), (cj, cls_j) in itertools.product(enumerate(classes), repeat=2):
+        for x, y in itertools.product(cls_i, cls_j):
+            for label, table in (("arrow", a.arrow), ("squig", a.squig)):
+                value = class_of[table[x][y]]
+                if cells.setdefault((label, ci, cj), value) != value:
+                    raise ConsistencyAlarmError(f"{label} not well defined on classes")
+    k = range(len(classes))
+    q_arrow, q_squig = (
+        tuple(tuple(cells[label, ci, cj] for cj in k) for ci in k) for label in ("arrow", "squig")
+    )
 
     if q_arrow != q_squig:
         raise ConsistencyAlarmError("quotient tables differ; expected a BE quotient")

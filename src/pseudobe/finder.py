@@ -19,6 +19,7 @@ from typing import Iterator, Optional
 
 from .algebra import (
     FiniteAlgebra,
+    _is_least,
     check_axioms,
     classify,
     serialize_algebra,
@@ -56,6 +57,8 @@ class SearchConstraints:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("size must be >= 1")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError("limit must be >= 0")
         for flag in self.flags:
             if flag not in STRUCTURE_FLAGS:
                 raise ValueError(f"unknown constraint flag {flag!r}")
@@ -64,11 +67,8 @@ class SearchConstraints:
 def detect_bottom(a: FiniteAlgebra) -> Optional[int]:
     """Index of a least element (0 -> x = 0 ~> x = 1 for all x), if any."""
     for b in range(a.size):
-        if all(
-            a.arrow[b][x] == a.unit and a.squig[b][x] == a.unit for x in range(a.size)
-        ):
-            if b != a.unit or a.size == 1:
-                return b
+        if _is_least(a, b) and (b != a.unit or a.size == 1):
+            return b
     return None
 
 
@@ -108,12 +108,6 @@ def canonical_tables(
         if best is None or cand < best:
             best = cand
     return best
-
-
-def canonical_hash(a: FiniteAlgebra) -> str:
-    ca, cs = canonical_tables(a.arrow, a.squig, a.unit)
-    blob = repr((len(a.elements), ca, cs)).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def _model_name(n: int, arrow, squig) -> str:
@@ -216,18 +210,14 @@ def enumerate_models(
     if c.size > MAX_EXHAUSTIVE_SIZE:
         raise SizeGuardError(f"exhaustive search capped at n = {MAX_EXHAUSTIVE_SIZE}")
     n = c.size
-    emitted = 0
-    for ta, ts in _table_pairs(n, audit):
-        if canonical_tables(ta, ts, 0) != (ta, ts):
-            continue
-        alg = FiniteAlgebra(_model_name(n, ta, ts), tuple(_TOKENS[:n]), ta, ts, 0)
-        filtered = _passes_flags(alg, c.flags)
-        if filtered is None:
-            continue
-        yield filtered
-        emitted += 1
-        if c.limit is not None and emitted >= c.limit:
-            return
+    canonical = (
+        FiniteAlgebra(_model_name(n, ta, ts), tuple(_TOKENS[:n]), ta, ts, 0)
+        for ta, ts in _table_pairs(n, audit)
+        if canonical_tables(ta, ts, 0) == (ta, ts)
+    )
+    models = (m for m in (_passes_flags(alg, c.flags) for alg in canonical) if m is not None)
+    # islice stops before searching past the limit-th model
+    yield from itertools.islice(models, c.limit)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +369,8 @@ def verify_meta_theorems(
     Models are checked independently; results are merged in enumeration
     order, so the report does not depend on the worker count.
     """
+    if n_max < 1:
+        raise ValueError("max size must be >= 1")
     if n_max > 4:
         raise SizeGuardError("full sweep capped at n = 4")
     report = MetaTheoremReport(max_size=n_max)

@@ -15,6 +15,7 @@ from .algebra import FiniteAlgebra, UnboundedAlgebraError, check_axioms, content
 from .dsystems import Subset
 from .linalg import (
     AffineSolutionSpace,
+    ConsistencyAlarmError,
     LinearEquation,
     Vector,
     _coefficient_row,
@@ -274,7 +275,7 @@ def state_measure_bijection(a: FiniteAlgebra, values: Assignment, direction: str
             raise MembershipError("state does not vanish at bottom")
         out = tuple(ONE - v for v in values)
         if not is_state_measure(a, out):
-            raise AssertionError("bijection output failed the state-measure check")
+            raise ConsistencyAlarmError("bijection output failed the state-measure check")
         return out
     if direction == "measure-to-state":
         if not is_state_measure(a, values):
@@ -282,7 +283,7 @@ def state_measure_bijection(a: FiniteAlgebra, values: Assignment, direction: str
         out = tuple(ONE - v for v in values)
         w = bosbach_witness(a, out)
         if w is not None or out[bottom] != ZERO:
-            raise AssertionError("bijection output failed the state check")
+            raise ConsistencyAlarmError("bijection output failed the state check")
         return out
     raise ValueError(f"unknown direction {direction!r}")
 

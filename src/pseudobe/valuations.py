@@ -7,11 +7,12 @@ inequality system.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, vee1, vee2
 from .dsystems import Subset, is_deductive_system, is_fantastic
 from .homs import Homomorphism, NotBijectiveError, hom_witness, NotAHomomorphismError
 from .linalg import ConsistencyAlarmError, LinearEquation, Vector, _coefficient_row, cone_rays
@@ -68,8 +69,6 @@ def _require_pv(a: FiniteAlgebra, phi: Assignment) -> None:
 
 def commutative_pv_witness(a: FiniteAlgebra, phi: Assignment) -> Optional[Witness]:
     """phi(x v1 y -> x) <= phi(y -> x) plus the squig twin."""
-    from .algebra import vee1, vee2
-
     for x in range(a.size):
         for y in range(a.size):
             if phi[a.arrow[vee1(a, x, y)][x]] > phi[a.arrow[y][x]]:
@@ -110,57 +109,43 @@ def characterization_crosscheck(a: FiniteAlgebra, phi: Assignment) -> Characteri
     """
     if phi[a.unit] != ZERO:
         raise NotAPseudoValuationError("phi(1) != 0")
-    from .algebra import vee1, vee2
-
-    pv45 = True
-    pv45_w = None
-    for x in range(a.size):
-        for y in range(a.size):
-            for z in range(a.size):
-                if phi[a.arrow[x][z]] > phi[a.arrow[x][a.squig[y][z]]] + phi[y]:
-                    pv45, pv45_w = False, ("pv4", (x, y, z))
-                    break
-                if phi[a.squig[x][z]] > phi[a.squig[x][a.arrow[y][z]]] + phi[y]:
-                    pv45, pv45_w = False, ("pv5", (x, y, z))
-                    break
-            if not pv45:
-                break
-        if not pv45:
-            break
-
-    cpv34 = True
-    cpv34_w = None
-    for x in range(a.size):
-        for y in range(a.size):
-            for z in range(a.size):
-                if (
-                    phi[a.arrow[vee1(a, x, y)][x]]
-                    > phi[a.arrow[z][a.arrow[y][x]]] + phi[z]
-                ):
-                    cpv34, cpv34_w = False, ("cpv3", (x, y, z))
-                    break
-                if (
-                    phi[a.squig[vee2(a, x, y)][x]]
-                    > phi[a.squig[z][a.squig[y][x]]] + phi[z]
-                ):
-                    cpv34, cpv34_w = False, ("cpv4", (x, y, z))
-                    break
-            if not cpv34:
-                break
-        if not cpv34:
-            break
+    triples = list(itertools.product(range(a.size), repeat=3))
+    pv45_w = next(
+        (
+            (tag, (x, y, z))
+            for x, y, z in triples
+            for tag, fails in (
+                ("pv4", phi[a.arrow[x][z]] > phi[a.arrow[x][a.squig[y][z]]] + phi[y]),
+                ("pv5", phi[a.squig[x][z]] > phi[a.squig[x][a.arrow[y][z]]] + phi[y]),
+            )
+            if fails
+        ),
+        None,
+    )
+    cpv34_w = next(
+        (
+            (tag, (x, y, z))
+            for x, y, z in triples
+            for tag, fails in (
+                ("cpv3", phi[a.arrow[vee1(a, x, y)][x]] > phi[a.arrow[z][a.arrow[y][x]]] + phi[z]),
+                ("cpv4", phi[a.squig[vee2(a, x, y)][x]] > phi[a.squig[z][a.squig[y][x]]] + phi[z]),
+            )
+            if fails
+        ),
+        None,
+    )
 
     is_pv = is_pseudo_valuation(a, phi)
     is_comm = is_commutative_pv(a, phi) if is_pv else None
     return CharacterizationReport(
-        pv4_pv5=pv45,
+        pv4_pv5=pv45_w is None,
         pv4_witness=pv45_w,
-        cpv3_cpv4=cpv34,
+        cpv3_cpv4=cpv34_w is None,
         cpv3_witness=cpv34_w,
         is_pv=is_pv,
         is_commutative=is_comm,
-        pv_equivalence_agrees=(pv45 == is_pv),
-        cpv_equivalence_agrees=(not is_pv) or (cpv34 == is_comm),
+        pv_equivalence_agrees=((pv45_w is None) == is_pv),
+        cpv_equivalence_agrees=(not is_pv) or ((cpv34_w is None) == is_comm),
     )
 
 

@@ -1,5 +1,6 @@
 """Axiom systems, classification, and the algebra file format."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -20,6 +21,7 @@ from pseudobe.algebra import (
     vee1,
     vee2,
 )
+from pseudobe.dsystems import parse_subset, quotient
 from pseudobe.linalg import ConsistencyAlarmError
 
 
@@ -175,6 +177,19 @@ def test_parse_duplicate_element():
             "algebra x\nelements 1 a a\nunit 1\ntable arrow\n"
             "1 a a\n1 1 1\n1 1 1\ntable squig\n1 a a\n1 1 1\n1 1 1\nend\n"
         )
+
+
+@pytest.mark.parametrize("tok", ["x,y", "{x", "x}", "x=y", "x->y"])
+def test_parse_rejects_separator_in_token(conda5, tok):
+    renamed = dataclasses.replace(conda5, elements=("1", tok, "b", "c", "d"))
+    with pytest.raises(AlgebraError, match="separator"):
+        parse_algebra(serialize_algebra(renamed))
+
+
+def test_parse_accepts_quotient_tokens(conda5):
+    q = quotient(conda5, parse_subset(conda5, "{1,a,d}")).quotient
+    assert q.elements == ("1|a|d", "b|c")
+    assert parse_algebra(serialize_algebra(q)) == q
 
 
 def test_parse_missing_section(conda5):

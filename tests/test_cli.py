@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -264,10 +265,25 @@ def test_repeated_lines_are_usage_errors(capsys, alg, tmp_path):
         assert code == 2 and out == "" and err.startswith("error:"), argv
 
 
+def test_separator_in_token_is_usage_error(capsys, tmp_path):
+    # an element x=y could never be named in a state file's "x=y = 1" line
+    bad = tmp_path / "eq.alg"
+    bad.write_text(
+        "algebra eq\nelements 1 x=y\nunit 1\n"
+        "table arrow\n1 x=y\n1 1\ntable squig\n1 x=y\n1 1\nend\n"
+    )
+    code, out, err = run(capsys, "classify", str(bad))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: element token 'x=y' contains '=', a separator of subsets, "
+        "assignments and maps\n"
+    )
+
+
 def test_ambiguous_input_is_usage_error(capsys, alg, tmp_path):
     c5 = alg("conda5.alg")
     trailing = tmp_path / "trailing.alg"
-    trailing.write_text(open(c5).read() + "table arrow\n")
+    trailing.write_text(pathlib.Path(c5).read_text() + "table arrow\n")
     decimal = tmp_path / "decimal.state"
     decimal.write_text("state s\n1 = 1\na = 1\nb = 0.5\nc = 0.5\nd = 1\n")
     for argv in (
@@ -379,6 +395,12 @@ def test_find_and_emit(capsys, tmp_path):
     for path in emitted:
         m = parse_algebra(path.read_text())
         assert check_axioms(m, "pseudo-BE").holds
+    # each file is <hash>.alg for a printed model name n3_<hash>
+    names = [line.split()[1] for line in out.splitlines() if line.startswith("model ")]
+    assert all(name.startswith("n3_") for name in names)
+    assert sorted(f"{name[3:]}.alg" for name in names) == [p.name for p in emitted]
+    for name in names:
+        assert parse_algebra((outdir / f"{name[3:]}.alg").read_text()).name == name
 
 
 def test_find_flags_and_limit(capsys):
@@ -386,6 +408,20 @@ def test_find_flags_and_limit(capsys):
         capsys, "find", "--size", "4", "--flag", "commutative", "--limit", "3"
     )
     assert code == 0 and "count 3" in out
+
+
+def test_find_limit_zero_and_negative(capsys):
+    assert run(capsys, "find", "--size", "3", "--limit", "0") == (0, "count 0\n", "")
+    assert run(capsys, "find", "--size", "3", "--limit", "-1") == (
+        2, "", "error: limit must be >= 0\n"
+    )
+
+
+def test_meta_max_size_below_one(capsys):
+    for n in ("0", "-3"):
+        assert run(capsys, "meta", "--max-size", n) == (
+            2, "", "error: max size must be >= 1\n"
+        )
 
 
 def test_meta(capsys):

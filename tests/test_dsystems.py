@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from pseudobe import dsystems
-from pseudobe.algebra import check_axioms
+from pseudobe.algebra import AxiomReport, check_axioms
 from pseudobe.dsystems import (
     ConsistencyAlarmError,
     NotADeductiveSystemError,
@@ -25,6 +25,7 @@ from pseudobe.dsystems import (
     prime_witness,
     quotient,
 )
+from pseudobe.finder import SearchConstraints, enumerate_models
 
 
 def _subsets(a, text_list):
@@ -159,6 +160,17 @@ def test_generated_ds(bck4):
     assert generated_ds(bck4, frozenset({c_i})) == frozenset(range(bck4.size))
 
 
+def test_generated_ds_is_least_ds_above_seed(small_inputs):
+    for a in small_inputs:
+        family = enumerate_ds(a).subsets
+        for r in range(a.size + 1):
+            for combo in itertools.combinations(range(a.size), r):
+                seed = frozenset(combo)
+                out = generated_ds(a, seed)
+                assert is_deductive_system(a, out) and seed <= out, (a.name, combo)
+                assert all(out <= d for d in family if seed <= d), (a.name, combo)
+
+
 def test_generated_ds_alarm(bck4, monkeypatch):
     monkeypatch.setattr(dsystems, "is_deductive_system", lambda a, d: False)
     with pytest.raises(ConsistencyAlarmError):
@@ -224,3 +236,31 @@ def test_quotient_refused_on_non_distributive(bck4):
 def test_quotient_requires_ds(conda5):
     with pytest.raises(NotADeductiveSystemError):
         quotient(conda5, frozenset({conda5.unit, conda5.index("a")}))
+
+
+def _distributive_bypassed(monkeypatch):
+    """Let ``quotient`` run on a non-distributive algebra, where the
+    relation need not be a congruence, so its alarms can fire."""
+    real = dsystems.check_axioms
+
+    def check(a, system):
+        if system == "distributive":
+            return AxiomReport(system, True, (), 0)
+        return real(a, system)
+
+    monkeypatch.setattr(dsystems, "check_axioms", check)
+
+
+def test_quotient_alarm_squig_not_well_defined(bck4, monkeypatch):
+    _distributive_bypassed(monkeypatch)
+    with pytest.raises(ConsistencyAlarmError, match="^squig not well defined on classes$"):
+        quotient(bck4, parse_subset(bck4, "{1,b}"))
+
+
+def test_quotient_alarm_arrow_not_well_defined(monkeypatch):
+    (m,) = [
+        m for m in enumerate_models(SearchConstraints(size=4)) if m.name == "n4_b14599de2493"
+    ]
+    _distributive_bypassed(monkeypatch)
+    with pytest.raises(ConsistencyAlarmError, match="^arrow not well defined on classes$"):
+        quotient(m, parse_subset(m, "{1,c}"))

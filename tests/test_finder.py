@@ -78,6 +78,15 @@ def test_round_trip():
 
 def test_limit():
     assert len(_models(4, limit=5)) == 5
+    assert _models(3, limit=0) == []
+    with pytest.raises(ValueError, match="limit"):
+        SearchConstraints(size=3, limit=-1)
+
+
+def test_meta_sweep_rejects_size_below_one():
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="max size"):
+            verify_meta_theorems(n_max)
 
 
 def test_size_guard():

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from pseudobe.algebra import vee1
-from pseudobe.linalg import box_vertices, cone_rays, solve_affine
+from pseudobe import states
+from pseudobe.algebra import UnboundedAlgebraError, vee1
+from pseudobe.finder import SearchConstraints, enumerate_models
+from pseudobe.linalg import ConsistencyAlarmError, box_vertices, cone_rays, solve_affine
 from pseudobe.states import (
     ConditionAMissingError,
     MembershipError,
@@ -17,6 +19,7 @@ from pseudobe.states import (
     is_measure,
     is_measure_morphism,
     is_state_measure,
+    is_state_measure_morphism,
     is_state_morphism,
     lukasiewicz,
     measure_cone,
@@ -223,9 +226,57 @@ def test_state_measure_bijection():
         assert back == s
 
 
-def test_bijection_requires_bounded(conda5):
-    from pseudobe.algebra import UnboundedAlgebraError
+@pytest.mark.parametrize(
+    "direction,check,broken,message",
+    [
+        # the broken check reads only the output: the input goes through the other one
+        ("state-to-measure", "is_state_measure", lambda a, v: False, "state-measure check"),
+        ("measure-to-state", "bosbach_witness", lambda a, v: ("bs1", (0,)), "state check"),
+    ],
+    ids=["state-to-measure", "measure-to-state"],
+)
+def test_bijection_output_alarm(monkeypatch, direction, check, broken, message):
+    a = _two_chain()
+    values = (F(1), F(0))
+    if direction == "measure-to-state":
+        values = state_measure_bijection(a, values, "state-to-measure")
+    monkeypatch.setattr(states, check, broken)
+    with pytest.raises(ConsistencyAlarmError, match=f"^bijection output failed the {message}$"):
+        state_measure_bijection(a, values, direction)
 
+
+def test_bijection_preconditions():
+    a = _two_chain()
+    with pytest.raises(MembershipError, match="does not vanish at bottom"):
+        state_measure_bijection(a, (F(1), F(1)), "state-to-measure")
+    with pytest.raises(MembershipError, match="not a Bosbach state"):
+        state_measure_bijection(a, (F(0), F(0)), "state-to-measure")
+    with pytest.raises(MembershipError, match="not a state-measure"):
+        state_measure_bijection(a, (F(0), F(1, 2)), "measure-to-state")
+    with pytest.raises(ValueError, match="unknown direction"):
+        state_measure_bijection(a, (F(1), F(0)), "sideways")
+    (no_a,) = [
+        m
+        for m in enumerate_models(SearchConstraints(size=4, flags=("bounded",)))
+        if m.name == "n4_3a54d71e669b"
+    ]
+    with pytest.raises(ConditionAMissingError):
+        state_measure_bijection(no_a, (F(1),) * 4, "state-to-measure")
+
+
+def test_state_measure_morphism(conda5):
+    a = _two_chain()
+    assert is_state_measure_morphism(a, (F(0), F(1)))
+    # a measure-morphism that is not 1 at the bottom
+    assert is_measure_morphism(a, (F(0), F(1, 2)))
+    assert not is_state_measure_morphism(a, (F(0), F(1, 2)))
+    # 1 at the bottom, but m(1 -> 1) = 1 != max(0, m(1) - m(1))
+    assert not is_state_measure_morphism(a, (F(1), F(1)))
+    with pytest.raises(UnboundedAlgebraError):
+        is_state_measure_morphism(conda5, (F(0),) * 5)
+
+
+def test_bijection_requires_bounded(conda5):
     with pytest.raises(UnboundedAlgebraError):
         state_measure_bijection(conda5, S1_HALF, "state-to-measure")
 

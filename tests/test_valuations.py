@@ -69,6 +69,29 @@ def test_crosscheck_requires_zero_at_unit(conda5):
         characterization_crosscheck(conda5, (F(1),) * 5)
 
 
+# each failing branch of the crosscheck: (algebra, phi in carrier order,
+# expected (pv4)/(pv5) witness, expected (cpv3)/(cpv4) witness)
+CROSSCHECK_FAILURES = (
+    ("bck4", (0, 0, 0, 1), ("pv4", ("1", "a", "c")), ("cpv4", ("a", "b", "a"))),
+    ("bck4", (0, 0, 1, 0), ("pv4", ("1", "a", "b")), ("cpv3", ("a", "c", "a"))),
+    ("conda5", (0, 0, 1, 0, 0), ("pv5", ("1", "a", "b")), ("cpv3", ("b", "1", "a"))),
+)
+
+
+@pytest.mark.parametrize("name,phi,pv_w,cpv_w", CROSSCHECK_FAILURES)
+def test_crosscheck_failing_branches(request, name, phi, pv_w, cpv_w):
+    a = request.getfixturevalue(name)
+    rep = characterization_crosscheck(a, tuple(F(v) for v in phi))
+
+    def witness(tag, toks):
+        return (tag, tuple(a.index(t) for t in toks))
+
+    assert rep.pv4_witness == witness(*pv_w) and not rep.pv4_pv5
+    assert rep.cpv3_witness == witness(*cpv_w) and not rep.cpv3_cpv4
+    assert not rep.is_pv and rep.is_commutative is None
+    assert rep.pv_equivalence_agrees and rep.cpv_equivalence_agrees
+
+
 def test_cone_rays(conda5):
     rays = valuation_cone(conda5)
     assert set(rays) == {RAY_BC, RAY_AD}
