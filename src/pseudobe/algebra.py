@@ -13,6 +13,11 @@ from typing import Callable, Iterator, Optional
 
 from .linalg import ConsistencyAlarmError
 
+# subsets, assignment lines and map lines split on these, so no element
+# token may contain one ("|" stays legal: quotient tokens look like 1|a|d)
+_SEPARATORS = (",", "{", "}", "=", "->")
+
+
 class AlgebraError(ValueError):
     """Malformed algebra input."""
 
@@ -45,6 +50,13 @@ class FiniteAlgebra:
             raise AlgebraError("empty carrier")
         if len(set(self.elements)) != n:
             raise AlgebraError("duplicate element token")
+        for tok in self.elements:
+            for sep in _SEPARATORS:
+                if sep in tok:
+                    raise AlgebraError(
+                        f"element token {tok!r} contains {sep!r}, a separator of subsets, "
+                        "assignments and maps"
+                    )
         for table, label in ((self.arrow, "arrow"), (self.squig, "squig")):
             if len(table) != n:
                 raise AlgebraError(f"{label} table: row count mismatch")
@@ -371,11 +383,6 @@ def classify(a: FiniteAlgebra) -> ClassificationReport:
 # file format
 
 
-# subsets, assignment lines and map lines split on these, so no element
-# token may contain one ("|" stays legal: quotient tokens look like 1|a|d)
-_SEPARATORS = (",", "{", "}", "=", "->")
-
-
 def content_lines(text: str) -> list[str]:
     """The non-blank lines of ``text``, stripped, with ``#`` comments removed;
     the line reader of every file format."""
@@ -426,13 +433,6 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         raise AlgebraError("missing required section: elements")
     if len(set(elements)) != len(elements):
         raise AlgebraError("duplicate element token")
-    for tok in elements:
-        for sep in _SEPARATORS:
-            if sep in tok:
-                raise AlgebraError(
-                    f"element token {tok!r} contains {sep!r}, a separator of subsets, "
-                    "assignments and maps"
-                )
     n = len(elements)
     index = {tok: i for i, tok in enumerate(elements)}
 

@@ -1,10 +1,11 @@
 """Exact linear algebra on small systems.
 
-Everything here works over `fractions.Fraction` and Python integers, so
+Everything here works over Python integers and `fractions.Fraction`, so
 results are exact and deterministic.  The three entry points are:
 
 * :func:`solve_affine` -- canonical RREF solution space of a linear
-  equality system,
+  equality system, found by integer Gauss-Jordan elimination over the
+  distinct primitive integer rows of the system,
 * :func:`box_vertices` -- vertices of an affine space intersected with a
   coordinate box,
 * :func:`cone_rays` -- extreme rays of ``{x : Ax = 0, Cx >= 0}``.
@@ -18,8 +19,9 @@ by fraction-free Bareiss elimination.  A polytope is handled as the cone over
 its homogenised box: a vertex is a ray with t > 0, scaled to t = 1.
 
 ``audit=True`` replaces the engine by the active-set enumerators, which
-try every choice of active constraints and solve each with Fractions; they
-are kept as oracles.  Every output ray or vertex, from either path, is
+try every choice of active constraints and solve each with Fractions, and
+the integer elimination by a Fraction RREF over every input row; they are
+kept as oracles.  Every output ray or vertex, from either path, is
 re-checked against every input equality and inequality in integers.
 """
 
@@ -58,10 +60,10 @@ def _frac_vec(values: Sequence) -> Vector:
     return tuple(Fraction(v) for v in values)
 
 
-def _coefficient_row(n: int, plus: Iterable[int], minus: Iterable[int] = ()) -> Vector:
+def _coefficient_row(n: int, plus: Iterable[int], minus: Iterable[int] = ()) -> IntVector:
     """Coefficients of ``sum(x[i] for i in plus) - sum(x[i] for i in minus)``
     over n variables; an index may repeat."""
-    row = [Fraction(0)] * n
+    row = [0] * n
     for i in plus:
         row[i] += 1
     for i in minus:
@@ -73,7 +75,7 @@ def _coefficient_row(n: int, plus: Iterable[int], minus: Iterable[int] = ()) -> 
 class LinearEquation:
     """coeffs . x = rhs"""
 
-    coeffs: Vector
+    coeffs: IntVector | Vector
     rhs: Fraction
 
     def residual(self, point: Sequence[Fraction]) -> Fraction:
@@ -84,8 +86,8 @@ class LinearEquation:
 class AffineSolutionSpace:
     """Solution set written as particular + span(basis).
 
-    ``equalities`` is the canonical reduced (RREF) equality set; identical
-    input systems always produce identical fields.
+    ``equalities`` is the canonical reduced (RREF) equality set; systems
+    with the same row space always produce identical fields.
     """
 
     num_vars: int
@@ -139,26 +141,60 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows[:r] + [row for row in rows[r:] if any(v != 0 for v in row)], pivots
 
 
+def _integer_rref(rows: list[IntVector]) -> tuple[list[list[Fraction]], list[int]]:
+    """:func:`_rref` of integer rows, eliminating in integers: each updated
+    row is divided by its gcd, each pivot row by its pivot only at the end."""
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r]
+        t = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                new = [t * a - f * b for a, b in zip(row, top)]
+                g = gcd(*new)
+                rows[i] = [v // g for v in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    return [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)], pivots
+
+
 def solve_affine(
-    equalities: Sequence[LinearEquation], num_vars: int
+    equalities: Sequence[LinearEquation], num_vars: int, audit: bool = False
 ) -> Optional[AffineSolutionSpace]:
     """Solve an equality system exactly; ``None`` means inconsistent.
 
     The particular solution sets every free variable to 0; the basis has
-    one direction per free variable (that variable set to 1).
+    one direction per free variable (that variable set to 1).  Each
+    augmented row is scaled to a primitive integer row whose first nonzero
+    entry is positive, zero rows and repeats are dropped, and the rest is
+    reduced by :func:`_integer_rref`.  A system's RREF depends only on its
+    row space, so ``audit=True``, which runs the Fraction :func:`_rref` over
+    every input row, returns the same space.
     """
-    aug = [list(eq.coeffs) + [eq.rhs] for eq in equalities]
     for eq in equalities:
         if len(eq.coeffs) != num_vars:
             raise ValueError("equation arity mismatch")
-    rows, pivots = _rref(aug)
-    # a row 0 = nonzero means the system has no solution
-    for row in rows:
-        if all(v == 0 for v in row[:num_vars]) and row[num_vars] != 0:
-            return None
-    rows = [row for row in rows if any(v != 0 for v in row[:num_vars])]
-    pivot_set = set(pivots)
-    free = [c for c in range(num_vars) if c not in pivot_set]
+    if audit:
+        rows, pivots = _rref([[Fraction(v) for v in (*eq.coeffs, eq.rhs)] for eq in equalities])
+    else:
+        distinct = _distinct_rows((*eq.coeffs, eq.rhs) for eq in equalities)
+        # of a row and its negation, the larger one leads with a positive entry
+        signed = {max(p, tuple(-v for v in p)): None for p in distinct}
+        rows, pivots = _integer_rref(list(signed))
+    # a pivot in the right-hand side column is a row 0 = nonzero
+    if pivots and pivots[-1] == num_vars:
+        return None
+    rows = rows[: len(pivots)]
+    free = [c for c in range(num_vars) if c not in pivots]
 
     particular = [Fraction(0)] * num_vars
     for row, pc in zip(rows, pivots):
@@ -383,12 +419,14 @@ def box_vertices(
     t > 0 are the vertices.  ``audit=True`` instead solves every choice of
     ``dimension`` active bound constraints.
     """
+    n = space.num_vars
+    if len(lower) != n or len(upper) != n:
+        raise ValueError("bound arity mismatch")
     d = space.dimension
     if audit and d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
     lo = _frac_vec(lower)
     hi = _frac_vec(upper)
-    n = space.num_vars
     unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
     # constraint rows on the homogeneous point (x, t)
     bounds = [_primitive(e + (-lo[i],)) for i, e in enumerate(unit)]
@@ -423,7 +461,7 @@ def box_vertices(
 
 def cone_rays(
     equalities: Sequence[LinearEquation],
-    inequalities: Sequence[Vector],
+    inequalities: Sequence[IntVector | Vector],
     num_vars: int,
     audit: bool = False,
 ) -> tuple[Vector, ...]:
@@ -439,6 +477,8 @@ def cone_rays(
     for eq in equalities:
         if eq.rhs != 0:
             raise ValueError("cone equalities must be homogeneous")
+    if any(len(row) != num_vars for row in inequalities):
+        raise ValueError("inequality arity mismatch")
     space = solve_affine(equalities, num_vars)
     if space is None or any(v != 0 for v in space.particular):
         raise ConsistencyAlarmError("homogeneous system without the solution 0")

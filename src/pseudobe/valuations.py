@@ -15,7 +15,14 @@ from typing import Optional
 from .algebra import FiniteAlgebra, vee1, vee2
 from .dsystems import Subset, is_deductive_system, is_fantastic
 from .homs import Homomorphism, NotBijectiveError, hom_witness, NotAHomomorphismError
-from .linalg import ConsistencyAlarmError, LinearEquation, Vector, _coefficient_row, cone_rays
+from .linalg import (
+    ConsistencyAlarmError,
+    IntVector,
+    LinearEquation,
+    Vector,
+    _coefficient_row,
+    cone_rays,
+)
 from .states import Assignment, Witness
 
 ZERO = Fraction(0)
@@ -149,7 +156,7 @@ def characterization_crosscheck(a: FiniteAlgebra, phi: Assignment) -> Characteri
     )
 
 
-def valuation_equations(a: FiniteAlgebra) -> tuple[list[LinearEquation], list[Vector]]:
+def valuation_equations(a: FiniteAlgebra) -> tuple[list[LinearEquation], list[IntVector]]:
     """Equalities and inequalities cutting out the pseudo-valuation cone.
 
     phi(1)=0; phi(y)-phi(x) <= phi(x->y) and phi(y)-phi(x) <= phi(x~>y)

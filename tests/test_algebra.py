@@ -181,9 +181,19 @@ def test_parse_duplicate_element():
 
 @pytest.mark.parametrize("tok", ["x,y", "{x", "x}", "x=y", "x->y"])
 def test_parse_rejects_separator_in_token(conda5, tok):
-    renamed = dataclasses.replace(conda5, elements=("1", tok, "b", "c", "d"))
+    text = "\n".join(
+        " ".join(tok if t == "a" else t for t in line.split())
+        for line in serialize_algebra(conda5).splitlines()
+    )
     with pytest.raises(AlgebraError, match="separator"):
-        parse_algebra(serialize_algebra(renamed))
+        parse_algebra(text)
+
+
+@pytest.mark.parametrize("tok", ["x,y", "{x", "x}", "x=y", "x->y"])
+def test_constructor_rejects_separator_in_token(conda5, tok):
+    # a library-built algebra must serialize to a file the parser accepts
+    with pytest.raises(AlgebraError, match="separator"):
+        dataclasses.replace(conda5, elements=("1", tok, "b", "c", "d"))
 
 
 def test_parse_accepts_quotient_tokens(conda5):

@@ -73,7 +73,36 @@ def test_solve_single_variable():
 
 
 def test_solve_inconsistent():
-    assert solve_affine([_eq([1, 1], 1), _eq([1, 1], 2)], 2) is None
+    eqs = [_eq([1, 1], 1), _eq([1, 1], 2)]
+    assert solve_affine(eqs, 2) is None
+    assert solve_affine(eqs, 2, audit=True) is None
+
+
+@st.composite
+def rational_systems(draw):
+    """Random rational systems padded with repeated, scaled and negated
+    copies of their rows, zero rows and 0 = c rows; possibly no rows."""
+    n = draw(st.integers(0, 4))
+    row = st.tuples(st.lists(rationals, min_size=n, max_size=n), rationals)
+    rows = draw(st.lists(row, max_size=4))
+    scales = st.sampled_from([F(1), F(-1), F(2), F(-3, 2)])
+    if rows:
+        copies = draw(st.lists(st.tuples(st.sampled_from(rows), scales), max_size=4))
+        rows += [([k * c for c in cs], k * b) for (cs, b), k in copies]
+    rows += [([F(0)] * n, draw(st.sampled_from([F(0), F(1), F(-2, 3)])))] * draw(st.integers(0, 2))
+    return n, [_eq(cs, b) for cs, b in draw(st.permutations(rows))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_solve_affine_integer_path_matches_fraction_audit(system):
+    # the RREF depends only on the row space, so both eliminations agree
+    # field for field; repr makes the types count as well
+    n, eqs = system
+    space = solve_affine(eqs, n)
+    assert repr(space) == repr(solve_affine(eqs, n, audit=True))
+    if space is not None:
+        assert all(eq.residual(space.particular) == 0 for eq in eqs)
 
 
 def test_solve_underdetermined():
@@ -219,6 +248,19 @@ def test_cone_not_pointed():
     # a half-plane contains the line x = 0
     with pytest.raises(ValueError):
         cone_rays([], [(F(1), F(0))], 2)
+
+
+@pytest.mark.parametrize("row", [(1, 0, 5), (1,)])
+def test_cone_rejects_inequality_arity(row):
+    # a row of the wrong length must not be zipped short against the rays
+    with pytest.raises(ValueError, match="arity"):
+        cone_rays([], [row, (0, 1)], 2)
+
+
+@pytest.mark.parametrize("lower, upper", [([0, 0, 5], [1, 1]), ([0, 0], [1]), ([0], [1, 1])])
+def test_box_rejects_bound_arity(lower, upper):
+    with pytest.raises(ValueError, match="arity"):
+        box_vertices(solve_affine([], 2), lower, upper)
 
 
 def test_point_arity():

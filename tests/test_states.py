@@ -1,6 +1,7 @@
 """Bosbach states, state-morphisms, measures, and their exact geometry on
 the fixture files."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -306,10 +307,14 @@ def test_assignment_duplicate_key(conda5):
 def test_engine_matches_audit_on_small_models(small_inputs):
     """The double description engine and the active-set audit return the
     same tuples for the valuation cone, the measure cone and the state
-    polytope on the four fixtures and every model of size <= 4."""
+    polytope, and the integer and Fraction eliminations the same state and
+    measure solution spaces (compared by repr, so types count), on the four
+    fixtures and every model of size <= 4."""
     assert len(small_inputs) == 87
     for a in small_inputs:
         n = a.size
+        for eqs in (state_equations(a), measure_equations(a)):
+            assert repr(solve_affine(eqs, n)) == repr(solve_affine(eqs, n, audit=True)), a.name
         nonneg = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
         cones = [valuation_equations(a), (measure_equations(a), nonneg)]
         for eqs, ineqs in cones:
@@ -320,3 +325,20 @@ def test_engine_matches_audit_on_small_models(small_inputs):
             lower, upper = [F(0)] * n, [F(1)] * n
             verts = box_vertices(space, lower, upper)
             assert verts == box_vertices(space, lower, upper, audit=True), a.name
+
+
+def test_equation_rows_are_integer(small_inputs):
+    """The state, measure and valuation builders give integer coefficient
+    rows; the digest of their values was recorded when the rows were built
+    from Fractions, whose str() is the same."""
+    lines = []
+    for a in small_inputs:
+        v_eqs, v_ineqs = valuation_equations(a)
+        eqs = state_equations(a) + measure_equations(a) + v_eqs
+        rows = [eq.coeffs for eq in eqs] + v_ineqs
+        assert all(type(v) is int for row in rows for v in row), a.name
+        lines += [" ".join(map(str, (*eq.coeffs, "=", eq.rhs))) for eq in eqs]
+        lines += [" ".join(map(str, row)) for row in v_ineqs]
+    assert len(lines) == 5827
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "107811939796b800ac7976e0ee50c332e060b257e9e6481286b2054d24ceff2a"
