@@ -51,6 +51,11 @@ class FiniteAlgebra:
         if len(set(self.elements)) != n:
             raise AlgebraError("duplicate element token")
         for tok in self.elements:
+            # the file format splits lines on whitespace and cuts them at "#"
+            if "#" in tok or tok.split() != [tok]:
+                raise AlgebraError(
+                    f"element token {tok!r} is empty or contains whitespace or '#'"
+                )
             for sep in _SEPARATORS:
                 if sep in tok:
                     raise AlgebraError(

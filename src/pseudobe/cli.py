@@ -136,6 +136,15 @@ def _verdict(rep: Report, a: FiniteAlgebra, key: str, witness) -> bool:
     return witness is None
 
 
+def _check_verify_flags(args, listing: str, modifier: str | None = None) -> None:
+    """Reject a flag that would be silently ignored: ``--<listing>`` with
+    ``--verify``, or ``--<modifier>`` without it."""
+    if args.verify and getattr(args, listing):
+        raise ValueError(f"--{listing} cannot be combined with --verify")
+    if modifier and getattr(args, modifier) and not args.verify:
+        raise ValueError(f"--{modifier} needs --verify")
+
+
 def _ray_report(rep: Report, a: FiniteAlgebra, rays, show: bool) -> None:
     rep.add("ray-count", len(rays))
     if show:
@@ -202,6 +211,7 @@ def _cmd_quotient(args, rep: Report) -> int:
 
 
 def _cmd_states(args, rep: Report) -> int:
+    _check_verify_flags(args, "vertices", "morphism")
     a = _load(args.algebra)
     if args.verify:
         values = _assignment(rep, a, args.verify, "state")
@@ -222,6 +232,7 @@ def _cmd_states(args, rep: Report) -> int:
 
 
 def _cmd_measures(args, rep: Report) -> int:
+    _check_verify_flags(args, "rays")
     a = _load(args.algebra)
     if args.verify:
         values = _assignment(rep, a, args.verify, "measure")
@@ -254,6 +265,7 @@ def _cmd_internal(args, rep: Report) -> int:
 
 
 def _cmd_valuations(args, rep: Report) -> int:
+    _check_verify_flags(args, "rays", "commutative")
     a = _load(args.algebra)
     if args.verify:
         values = _assignment(rep, a, args.verify, "valuation")

@@ -14,15 +14,17 @@ Vertices and rays come from one exact engine.  The inequalities are
 restricted to an integer basis of the equality space and scaled to
 primitive integer rows, dropping zero rows and positive multiples.  An
 incremental double description pass (Motzkin et al. 1953; Fukuda & Prodon
-1996) then runs in integer arithmetic, starting from independent rows found
-by fraction-free Bareiss elimination.  A polytope is handled as the cone over
-its homogenised box: a vertex is a ray with t > 0, scaled to t = 1.
+1996) then runs in integer arithmetic; the integer Gauss-Jordan
+:func:`_integer_rref` of :func:`solve_affine` picks its first independent
+rows and inverts them into its start rays.  A polytope is handled as the
+cone over its homogenised box: a vertex is a ray with t > 0, scaled to t = 1.
 
 ``audit=True`` replaces the engine by the active-set enumerators, which
-try every choice of active constraints and solve each with Fractions, and
-the integer elimination by a Fraction RREF over every input row; they are
-kept as oracles.  Every output ray or vertex, from either path, is
-re-checked against every input equality and inequality in integers.
+try every choice of active constraints and solve each with
+``solve_affine(audit=True)``, the one caller of the Fraction RREF
+:func:`_rref`; they are kept as oracles.  Every output ray or vertex, from
+either path, is re-checked against every input equality and inequality in
+integers.
 """
 
 from __future__ import annotations
@@ -214,17 +216,6 @@ def solve_affine(
     return AffineSolutionSpace(num_vars, tuple(particular), tuple(basis), canonical)
 
 
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Unique solution of a d x d system, or None if singular."""
-    d = len(matrix)
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = _rref(aug)
-    # a singular system may put a pivot in the right-hand side column
-    if pivots != list(range(d)):
-        return None
-    return [rows[i][d] for i in range(d)]
-
-
 # ---------------------------------------------------------------------------
 # integer helpers
 
@@ -258,43 +249,6 @@ def _distinct_rows(rows: Iterable[Sequence]) -> list[IntVector]:
     return list(seen)
 
 
-def _bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """Fraction-free Gaussian elimination (Bareiss 1968) of integer rows.
-
-    Returns the indices of a maximal independent set of rows and the signed
-    last pivot, which for a square nonsingular matrix is its determinant.
-    """
-    m = [list(row) for row in matrix]
-    order = list(range(len(m)))
-    ncols = len(m[0]) if m else 0
-    k, prev, sign = 0, 1, 1
-    for c in range(ncols):
-        if k == len(m):
-            break
-        p = next((i for i in range(k, len(m)) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            order[k], order[p] = order[p], order[k]
-            sign = -sign
-        top = m[k]
-        for row in m[k + 1 :]:
-            f = row[c]
-            for j in range(c + 1, ncols):
-                # exact: every entry stays a minor of the input
-                row[j] = (row[j] * top[c] - f * top[j]) // prev
-            row[c] = 0
-        prev = top[c]
-        k += 1
-    return order[:k], sign * prev
-
-
-def _det(matrix: Sequence[Sequence[int]]) -> int:
-    pivots, last = _bareiss(matrix)
-    return last if len(pivots) == len(matrix) else 0
-
-
 def _check(
     points: Iterable[IntVector],
     equalities: Sequence[IntVector],
@@ -323,17 +277,13 @@ def _dd_rays(rows: list[IntVector], start: list[int]) -> list[IntVector]:
     done = 0
     for i in start:
         done |= 1 << i
-    base = [rows[i] for i in start]
-    rays: list[IntVector] = []
-    zeros: list[int] = []
-    for i, row_index in enumerate(start):
-        # generalized cross product of the other d - 1 start rows
-        others = base[:i] + base[i + 1 :]
-        ray = [(-1) ** j * _det([r[:j] + r[j + 1 :] for r in others]) for j in range(d)]
-        if _dot(rows[row_index], ray) < 0:
-            ray = [-v for v in ray]
-        rays.append(_primitive(ray))
-        zeros.append(done & ~(1 << row_index))
+    # the RREF of [B | I] is [I | B^-1]; column j of B^-1 is 1 on start row j
+    # and 0 on the others
+    inverse, _ = _integer_rref(
+        [rows[i] + tuple(int(j == k) for k in range(d)) for j, i in enumerate(start)]
+    )
+    rays = [_primitive([row[d + j] for row in inverse]) for j in range(d)]
+    zeros = [done & ~(1 << i) for i in start]
 
     for k, row in enumerate(rows):
         bit = 1 << k
@@ -368,19 +318,16 @@ def _dd_rays(rows: list[IntVector], start: list[int]) -> list[IntVector]:
 
 
 def _active_set_rays(rows: list[IntVector], d: int) -> list[list[Fraction]]:
-    """Audit path: an extreme ray lies on d - 1 independent active rows, so
-    try every such choice, solve it with Fractions and keep feasible signs."""
+    """Audit path: an extreme ray spans the null space of d - 1 independent
+    active rows, so solve every choice of d - 1 rows with
+    ``solve_affine(audit=True)``, skip those whose null space is not a line,
+    and keep each sign of the spanning vector that satisfies every row."""
     found = []
     for combo in itertools.combinations(rows, d - 1):
-        rref_rows, pivots = _rref([[Fraction(v) for v in r] for r in combo])
-        if len(pivots) != d - 1:
+        space = solve_affine([LinearEquation(r, Fraction(0)) for r in combo], d, audit=True)
+        if space.dimension != 1:
             continue
-        # 1-dimensional null space: free coordinate set to 1
-        free = next(c for c in range(d) if c not in pivots)
-        lam = [Fraction(0)] * d
-        lam[free] = Fraction(1)
-        for row, pc in zip(rref_rows, pivots):
-            lam[pc] = -row[free]
+        lam = space.basis[0]
         for sign in (1, -1):
             cand = [sign * v for v in lam]
             if all(_dot(r, cand) >= 0 for r in rows):
@@ -395,7 +342,8 @@ def _rays(
     integer vectors, for linearly independent integer generators g_j."""
     d = len(generators)
     reduced = _distinct_rows([_dot(r, g) for g in generators] for r in rows)
-    start, _ = _bareiss(reduced)
+    # the pivot columns of the transpose are the first independent rows
+    _, start = _integer_rref(list(zip(*reduced)))
     if len(start) < d:
         raise ValueError("cone is not pointed: it contains a line")
     lams = _active_set_rays(reduced, d) if audit else _dd_rays(reduced, start)
@@ -442,11 +390,12 @@ def box_vertices(
         )
         found = set()
         for combo in itertools.combinations(planes, d):
-            matrix = [[Fraction(v) for v in r[:d]] for r in combo]
-            lam = _solve_square(matrix, [Fraction(-r[d]) for r in combo])
-            if lam is None:
+            choice = [LinearEquation(r[:d], Fraction(-r[d])) for r in combo]
+            solution = solve_affine(choice, d, audit=True)
+            # skip inconsistent and singular choices
+            if solution is None or solution.dimension > 0:
                 continue
-            p = space.point(lam)
+            p = space.point(solution.particular)
             if all(lo[i] <= p[i] <= hi[i] for i in range(n)):
                 found.add(_primitive(p + (1,)))
     else:

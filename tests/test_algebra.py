@@ -196,6 +196,18 @@ def test_constructor_rejects_separator_in_token(conda5, tok):
         dataclasses.replace(conda5, elements=("1", tok, "b", "c", "d"))
 
 
+@pytest.mark.parametrize("tok", ["", "a b", " a", "a\t", "a#b", "#"])
+def test_constructor_rejects_token_the_format_cannot_carry(conda5, tok):
+    with pytest.raises(AlgebraError, match="empty or contains whitespace"):
+        dataclasses.replace(conda5, elements=("1", tok, "b", "c", "d"))
+
+
+@pytest.mark.parametrize("tok", ["x", "a'", "1|a|d", "a-b", "end", "-1/2"])
+def test_accepted_token_round_trips(conda5, tok):
+    renamed = dataclasses.replace(conda5, elements=("1", tok, "b", "c", "d"))
+    assert parse_algebra(serialize_algebra(renamed)) == renamed
+
+
 def test_parse_accepts_quotient_tokens(conda5):
     q = quotient(conda5, parse_subset(conda5, "{1,a,d}")).quotient
     assert q.elements == ("1|a|d", "b|c")

@@ -149,6 +149,39 @@ def test_states_verify_morphism_failure(capsys, alg):
     assert "state-morphism false" in out and "violation sm" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["states", "conda5.alg", "--morphism"], "--morphism needs --verify"),
+        (["valuations", "conda5.alg", "--commutative"], "--commutative needs --verify"),
+        (
+            ["states", "conda5.alg", "--vertices", "--verify", "s1_half.state"],
+            "--vertices cannot be combined with --verify",
+        ),
+        (
+            ["measures", "conda5.alg", "--rays", "--verify", "m1_1.measure"],
+            "--rays cannot be combined with --verify",
+        ),
+        (
+            ["valuations", "conda5.alg", "--rays", "--verify", "phi_1_3.valuation"],
+            "--rays cannot be combined with --verify",
+        ),
+    ],
+    ids=[
+        "states-morphism",
+        "valuations-commutative",
+        "states-vertices",
+        "measures-rays",
+        "valuations-rays",
+    ],
+)
+def test_ignored_flag_exits_two(capsys, alg, argv, message):
+    # each of these flags used to be accepted and silently do nothing
+    code, out, err = run(capsys, *(alg(t) if "." in t else t for t in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_measures(capsys, alg):
     code, out, _ = run(capsys, "measures", alg("conda5.alg"), "--rays")
     assert code == 0

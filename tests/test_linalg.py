@@ -309,6 +309,26 @@ def test_box_vertices_degenerate_box():
         assert box_vertices(space, [F(0)] * 2, [F(0), F(2)], audit=audit) == expected
 
 
+def test_box_audit_skips_singular_consistent_choice():
+    # on the plane x + y = 1 the bounds x = 0 and y = 1 are one hyperplane: a
+    # consistent but singular choice of two active bounds, whose particular
+    # solution (0, 1, 0) lies in the box without being a vertex
+    space = solve_affine([_eq([1, 1, 0], 1)], 3)
+    expected = tuple((F(x), F(1 - x), F(z)) for x in (0, 1) for z in (-1, 1))
+    for audit in (False, True):
+        assert box_vertices(space, [0, 0, -1], [1, 1, 1], audit=audit) == expected
+
+
+def test_cone_audit_skips_rank_deficient_choice():
+    # x >= 0 and -x >= 0 are d - 1 = 2 rows of rank 1; the first vector of
+    # their 2-dimensional null space, (0, 1, 0), satisfies every row but lies
+    # between the two extreme rays
+    rows = [(1, 0, 0), (-1, 0, 0), (0, 1, -1), (0, 1, 1)]
+    expected = ((F(0), F(1), F(-1)), (F(0), F(1), F(1)))
+    for audit in (False, True):
+        assert cone_rays([], rows, 3, audit=audit) == expected
+
+
 def _sympy_rank(rows):
     return sympy.Matrix([[*r] for r in rows]).rank() if rows else 0
 
