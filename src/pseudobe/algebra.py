@@ -1,15 +1,21 @@
 """Finite two-implication algebras: representation, parsing, axiom checks.
 
 An algebra is a finite carrier with two binary operation tables (``arrow``
-and ``squig``), a unit constant, and an optional bottom constant.  All
-axiom systems are decided by exhaustive evaluation over element tuples;
-witnesses are reported in lexicographic order so output is deterministic.
+and ``squig``), a unit constant, and an optional bottom constant.  Each
+axiom is declared once, as an identity in the paper's notation, and
+compiled on first use into a scan over element tuples; every axiom system
+is decided by that exhaustive scan, and witnesses are reported in
+lexicographic order so output is deterministic.  The model finder derives
+its fixed cells and search propagator from the same declarations.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .linalg import ConsistencyAlarmError
 
@@ -110,12 +116,6 @@ def leq(a: FiniteAlgebra, x: int, y: int) -> bool:
     return by_arrow
 
 
-def _le_arrow(a: FiniteAlgebra, x: int, y: int) -> bool:
-    # internal preorder test used inside axiom checks, where tables may
-    # not yet be known to be consistent
-    return a.arrow[x][y] == a.unit
-
-
 def vee1(a: FiniteAlgebra, x: int, y: int) -> int:
     """x v1 y = (x -> y) ~> y"""
     return a.squig[a.arrow[x][y]][y]
@@ -162,125 +162,115 @@ class AxiomReport:
             raise ConsistencyAlarmError("AxiomReport: holds disagrees with violations")
 
 
-# Each axiom: (tag, arity, predicate(algebra, *tuple) -> bool).  An identity
-# that several systems share is one function, listed under each tag.
-Axiom = tuple[str, int, Callable]
+# ---------------------------------------------------------------------------
+# axioms, each declared once in the paper's notation: an identity over x, y,
+# z and the unit 1, whose terms join two atoms or parenthesized terms by ->,
+# ~>, v1 or v2, and whose formula is a conjunction (&) of equations t = s,
+# optionally followed by => or <=> and a second conjunction.  An identity
+# that several systems share is declared once.  ``_identity`` compiles each
+# once per process, on first use, for ``check_axioms`` and for the model
+# finder's fixed cells and propagator.
 
+_UNIT_RIGHT = "x -> 1 = 1 & x ~> 1 = 1"
+_UNIT_LEFT = "1 -> x = x & 1 ~> x = x"
+_EXCHANGE = "x -> (y ~> z) = y ~> (x -> z)"
+_SAME_ORDER = "x -> y = 1 <=> x ~> y = 1"
+_SWAP_LAW = (
+    "(x -> z) ~> (y -> z) = (z -> x) ~> (y -> x) & (x ~> z) -> (y ~> z) = (z ~> x) -> (y ~> x)"
+)
 
-def _unit_right(A: FiniteAlgebra, x: int) -> bool:
-    """x -> 1 = 1 and x ~> 1 = 1"""
-    u = A.unit
-    return A.arrow[x][u] == u and A.squig[x][u] == u
-
-
-def _unit_left(A: FiniteAlgebra, x: int) -> bool:
-    """1 -> x = x and 1 ~> x = x"""
-    u = A.unit
-    return A.arrow[u][x] == x and A.squig[u][x] == x
-
-
-def _exchange(A: FiniteAlgebra, x: int, y: int, z: int) -> bool:
-    """x -> (y ~> z) = y ~> (x -> z)"""
-    return A.arrow[x][A.squig[y][z]] == A.squig[y][A.arrow[x][z]]
-
-
-def _same_order(A: FiniteAlgebra, x: int, y: int) -> bool:
-    """x -> y = 1 iff x ~> y = 1"""
-    u = A.unit
-    return (A.arrow[x][y] == u) == (A.squig[x][y] == u)
-
-
-def _swap_law(A: FiniteAlgebra, x: int, y: int, z: int) -> bool:
-    """(x -> z) ~> (y -> z) = (z -> x) ~> (y -> x), and dually"""
-    return (
-        A.squig[A.arrow[x][z]][A.arrow[y][z]] == A.squig[A.arrow[z][x]][A.arrow[y][x]]
-        and A.arrow[A.squig[x][z]][A.squig[y][z]]
-        == A.arrow[A.squig[z][x]][A.squig[y][x]]
-    )
-
-
-def _antitone(A: FiniteAlgebra, x: int, y: int, z: int) -> bool:
-    """x <= y implies y -> z <= x -> z and y ~> z <= x ~> z"""
-    if not _le_arrow(A, x, y):
-        return True
-    u = A.unit
-    return (
-        A.arrow[A.arrow[y][z]][A.arrow[x][z]] == u
-        and A.arrow[A.squig[y][z]][A.squig[x][z]] == u
-    )
-
-
-_SYSTEM_AXIOMS: dict[str, list[Axiom]] = {
-    "pseudo-BE": [
-        ("psBE1", 1, lambda A, x: A.arrow[x][x] == A.unit and A.squig[x][x] == A.unit),
-        ("psBE2", 1, _unit_right),
-        ("psBE3", 1, _unit_left),
-        ("psBE4", 3, _exchange),
-        ("psBE5", 2, _same_order),
-    ],
-    "pseudo-BCK": [
-        (
-            "psBCK1",
-            3,
-            lambda A, x, y, z: A.squig[A.arrow[x][y]][
-                A.squig[A.arrow[y][z]][A.arrow[x][z]]
-            ]
-            == A.unit,
-        ),
-        (
-            "psBCK2",
-            3,
-            lambda A, x, y, z: A.arrow[A.squig[x][y]][
-                A.arrow[A.squig[y][z]][A.squig[x][z]]
-            ]
-            == A.unit,
-        ),
-        ("psBCK3", 1, lambda A, x: A.arrow[A.unit][x] == x),
-        ("psBCK4", 1, lambda A, x: A.squig[A.unit][x] == x),
-        ("psBCK5", 1, lambda A, x: A.arrow[x][A.unit] == A.unit),
-        (
-            "psBCK6",
-            2,
-            lambda A, x, y: not (
-                A.arrow[x][y] == A.unit and A.arrow[y][x] == A.unit and x != y
-            ),
-        ),
-    ],
-    "condition-A": [("A", 3, _antitone)],
-    "distributive": [
-        (
-            "dist",
-            3,
-            lambda A, x, y, z: A.arrow[x][A.squig[y][z]]
-            == A.squig[A.arrow[x][y]][A.arrow[x][z]],
-        )
-    ],
-    "commutative": [
-        ("comm1", 2, lambda A, x, y: vee1(A, x, y) == vee1(A, y, x)),
-        ("comm2", 2, lambda A, x, y: vee2(A, x, y) == vee2(A, y, x)),
-    ],
-    "P-system": [
-        ("P1", 1, _unit_left),
-        ("P2", 1, _unit_right),
-        ("P3", 3, _swap_law),
-        ("P4", 3, _exchange),
-        ("P5", 2, _same_order),
-    ],
-    "Q-system": [
-        (
-            "Q1",
-            2,
-            lambda A, x, y: A.squig[A.arrow[x][A.unit]][y] == y
-            and A.arrow[A.squig[x][A.unit]][y] == y,
-        ),
-        ("Q2", 3, _swap_law),
-        ("Q3", 3, _exchange),
-        ("Q4", 2, _same_order),
-    ],
+_SYSTEM_AXIOMS: dict[str, dict[str, str]] = {
+    "pseudo-BE": dict(
+        psBE1="x -> x = 1 & x ~> x = 1",
+        psBE2=_UNIT_RIGHT, psBE3=_UNIT_LEFT, psBE4=_EXCHANGE, psBE5=_SAME_ORDER,
+    ),
+    "pseudo-BCK": dict(
+        psBCK1="(x -> y) ~> ((y -> z) ~> (x -> z)) = 1",
+        psBCK2="(x ~> y) -> ((y ~> z) -> (x ~> z)) = 1",
+        psBCK3="1 -> x = x",
+        psBCK4="1 ~> x = x",
+        psBCK5="x -> 1 = 1",
+        psBCK6="x -> y = 1 & y -> x = 1 => x = y",
+    ),
+    "condition-A": dict(A="x -> y = 1 => (y -> z) -> (x -> z) = 1 & (y ~> z) -> (x ~> z) = 1"),
+    "distributive": dict(dist="x -> (y ~> z) = (x -> y) ~> (x -> z)"),
+    "commutative": dict(comm1="x v1 y = y v1 x", comm2="x v2 y = y v2 x"),
+    "P-system": dict(P1=_UNIT_LEFT, P2=_UNIT_RIGHT, P3=_SWAP_LAW, P4=_EXCHANGE, P5=_SAME_ORDER),
+    "Q-system": dict(
+        Q1="(x -> 1) ~> y = y & (x ~> 1) -> y = y", Q2=_SWAP_LAW, Q3=_EXCHANGE, Q4=_SAME_ORDER
+    ),
 }
 
-
 AXIOM_SYSTEMS = tuple(_SYSTEM_AXIOMS)
+
+_ATOMS = {"x": "x", "y": "y", "z": "z", "1": "u"}
+# the tables A (->) and S (~>) an operator reads, innermost first:
+# x v1 y = (x -> y) ~> y and x v2 y = (x ~> y) -> y
+_OPERATORS = {"->": "A", "~>": "S", "v1": "AS", "v2": "SA"}
+
+
+def _violation(premise, kind, conclusion) -> str:
+    """The condition under which one tuple violates the formula (a plain
+    conjunction has an empty premise).  An entry n is unassigned: only a
+    violation that the assigned entries decide counts."""
+
+    def side(equations, form: str, join: str) -> str:
+        return "(" + (join.join(form.format(*e) for e in equations) or "True") + ")"
+
+    eq, ne = "{} == {} != n", "n != {} != {} != n"
+    broken = f"{side(premise, eq, ' and ')} and {side(conclusion, ne, ' or ')}"
+    if kind == "<=>":
+        broken += f" or {side(premise, ne, ' or ')} and {side(conclusion, eq, ' and ')}"
+    return broken
+
+
+@functools.cache
+def _identity(text: str) -> tuple[str, list, Callable]:
+    """Compile a declaration to (variables, indices, violations).
+    ``violations(A, S, u, n, ts)`` lists, in order, the tuples of ``ts``
+    that violate it for certain on tables whose unassigned entries, padding
+    row and padding column hold n.  ``indices`` holds the (row, column) of
+    every entry the formula reads: a variable, "u", or None for a computed
+    index."""
+    indices: list[tuple[Optional[str], Optional[str]]] = []
+
+    def operand(tokens: list[str]) -> str:
+        tok = tokens.pop() if tokens else None
+        if tok == "(":
+            inner = term(tokens)
+            if tokens and tokens.pop() == ")":
+                return inner
+        elif tok in _ATOMS:
+            return _ATOMS[tok]
+        raise ValueError(f"declaration {text!r}: malformed term")
+
+    def term(tokens: list[str]) -> str:
+        left = operand(tokens)
+        if tokens and tokens[-1] in _OPERATORS:
+            op, right = tokens.pop(), operand(tokens)
+            for table in _OPERATORS[op]:
+                indices.append(tuple(a if a in _ATOMS.values() else None for a in (left, right)))
+                left = f"{table}[{left}][{right}]"
+        return left
+
+    def equations(conjunction: str) -> list[tuple[str, ...]]:
+        found = []
+        for equation in filter(None, conjunction.split(" & ")):
+            sides = [re.findall(r"->|~>|v[12]|\S", s)[::-1] for s in equation.split(" = ")]
+            found.append(tuple(term(tokens) for tokens in sides))
+            if len(sides) != 2 or any(sides):
+                raise ValueError(f"declaration {text!r}: malformed equation {equation!r}")
+        return found
+
+    parts = re.split(r" (<=>|=>) ", text)
+    premise, kind, conclusion = parts if len(parts) > 1 else ("", None, text)
+    premise, conclusion = equations(premise), equations(conclusion)
+    variables = "".join(sorted(set(re.findall("[xyz]", text))))
+    names = ", ".join(variables) + ","
+    comprehension = f"[({names}) for {names} in ts if {_violation(premise, kind, conclusion)}]"
+    code: dict[str, Callable] = {}
+    exec(f"def violations(A, S, u, n, ts):\n    return {comprehension}", code)
+    return variables, indices, code["violations"]
 
 
 def check_axioms(a: FiniteAlgebra, system: str) -> AxiomReport:
@@ -291,26 +281,13 @@ def check_axioms(a: FiniteAlgebra, system: str) -> AxiomReport:
     """
     if system not in _SYSTEM_AXIOMS:
         raise ValueError(f"unknown axiom system {system!r}")
-    axioms = _SYSTEM_AXIOMS[system]
-    first: dict[str, tuple[int, ...]] = {}
-    total = 0
-    rng = range(a.size)
-    for tag, arity, pred in axioms:
-        for tup in _tuples(rng, arity):
-            if not pred(a, *tup):
-                total += 1
-                if tag not in first:
-                    first[tag] = tup
-    violations = tuple(sorted(first.items()))
-    return AxiomReport(system, not violations, violations, total)
-
-
-def _tuples(rng: range, arity: int) -> Iterator[tuple[int, ...]]:
-    if arity == 1:
-        return ((x,) for x in rng)
-    if arity == 2:
-        return ((x, y) for x in rng for y in rng)
-    return ((x, y, z) for x in rng for y in rng for z in rng)
+    found = []
+    for tag, d in _SYSTEM_AXIOMS[system].items():
+        variables, _, scan = _identity(d)
+        tuples = itertools.product(range(a.size), repeat=len(variables))
+        found.append((tag, scan(a.arrow, a.squig, a.unit, a.size, tuples)))
+    violations = tuple(sorted((tag, bad[0]) for tag, bad in found if bad))
+    return AxiomReport(system, not violations, violations, sum(len(bad) for _, bad in found))
 
 
 @dataclass(frozen=True)
@@ -342,16 +319,11 @@ def classify(a: FiniteAlgebra) -> ClassificationReport:
     be = a.is_be()
     proper = pseudo_be and not be
 
-    # linear: the derived preorder is total and antisymmetric
-    linear = True
-    for x in range(a.size):
-        for y in range(a.size):
-            lx = _le_arrow(a, x, y)
-            ly = _le_arrow(a, y, x)
-            if not (lx or ly):
-                linear = False
-            if lx and ly and x != y:
-                linear = False
+    # linear: the derived preorder is total and antisymmetric, so exactly
+    # one of x <= y and y <= x holds for x != y
+    le = [[v == a.unit for v in row] for row in a.arrow]
+    rng = range(a.size)
+    linear = all(le[x][y] != le[y][x] or x == y and le[x][x] for x in rng for y in rng)
 
     bounded = a.bottom is not None
     good = involutive = None

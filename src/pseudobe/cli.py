@@ -286,6 +286,7 @@ def _cmd_valuations(args, rep: Report) -> int:
 
 
 def _cmd_hom(args, rep: Report) -> int:
+    _check_verify_flags(args, "iso")
     a = _load(args.algebra_a)
     b = _load(args.algebra_b)
     if args.verify:

@@ -1,24 +1,28 @@
 """Exhaustive enumeration of small two-implication algebras up to
 isomorphism, plus the meta-theorem verification sweep.
 
-A table pair is searched as a map from its free cells (unit rows and
-columns and the diagonal are forced by the axioms) to (arrow, squig) value
-pairs on ``homs.search_maps``, so the "arrow = 1 iff squig = 1" coupling
-and the exchange identity prune as soon as a cell is assigned;
-``homs.scan_maps`` is the audit.  Isomorphic duplicates are rejected by a
+A table pair is searched as a map from its free cells to (arrow, squig)
+value pairs on ``homs.search_maps``; ``homs.scan_maps`` is the audit.  The
+search is derived from the declared identities of ``algebra``: psBE1-3 fix
+the unit rows and columns and the diagonal, and psBE5, the exchange
+identity and the identities of the flagged axiom systems prune as soon as
+a cell they read is assigned.  Isomorphic duplicates are rejected by a
 canonical form: the lexicographically minimal table pair over all carrier
 permutations fixing the unit.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .algebra import (
+    _SYSTEM_AXIOMS,
     FiniteAlgebra,
+    _identity,
     _is_least,
     check_axioms,
     classify,
@@ -28,7 +32,7 @@ from .dsystems import enumerate_ds, format_subset, is_involutive_ds
 from .homs import Map, SizeGuardError, scan_maps, search_maps
 from .parallel import pmap
 from .operators import enumerate_internal_states, is_smo
-from .states import measure_cone, measure_kernel, state_kernel, state_space
+from .states import measure_cone, state_space
 from .valuations import commutative_pv_witness, valuation_cone, weak_pv_witness
 
 MAX_EXHAUSTIVE_SIZE = 5
@@ -132,62 +136,76 @@ def _passes_flags(a: FiniteAlgebra, flags: tuple[str, ...]) -> Optional[FiniteAl
     return out
 
 
-def _table_pairs(n: int, audit: bool) -> Iterator[tuple[tuple, tuple]]:
-    """Stream the pseudo-BE table pairs on n elements with unit index 0.
+def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tuple]]:
+    """Stream the pseudo-BE table pairs on ``c.size`` elements with unit 0.
 
-    A table pair is a map from the free cells, (x, y) with x, y != unit and
-    x != y in row-major order, to value pairs ``arrow * n + squig``; the
-    other cells are forced by psBE1-3.  The pruned search on
-    ``homs.search_maps`` checks at each cell the coupled unit (arrow = 1
-    iff squig = 1) and the exchange identity on the triples that read the
-    cell; ``audit=True`` scans every map with ``homs.scan_maps``.  Both
-    confirm each complete pair with ``check_axioms``.
+    The search comes from the declarations of pseudo-BE and of the axiom
+    systems among ``c.flags``.  The instances that read one cell leave it its
+    value pairs ``arrow * n + squig``: one fixes it (psBE1-3), more make it
+    free (psBE5).  A table pair is a map from the free cells, in row-major
+    order, to value pairs on ``homs.search_maps``; any other instance is
+    tested at the last cell it reads at atomic indices and at each later
+    cell in the row of an entry it reads at a computed index (psBE4).
+    ``audit=True`` scans every map with ``homs.scan_maps``.  Both confirm
+    each complete pair with ``check_axioms``; flags are filtered after that.
     """
-    u = 0
+    n, u = c.size, 0
     rng = range(n)
-    tokens = tuple(_TOKENS[:n])
-    free = [(x, y) for x in rng for y in rng if u not in (x, y) and x != y]
-    base: list[list[Optional[int]]] = [[None] * n for _ in rng]
-    for x in rng:
-        base[x][x] = base[x][u] = u
-        base[u][x] = x
+    # an unassigned entry holds n, and so does every read through one: the
+    # tables have a padding row and column of n
+    base = {t: [[n] * (n + 1) for _ in range(n + 1)] for t in "AS"}
 
-    def tables(f: Map) -> tuple[list, list]:
-        arrow = [row[:] for row in base]
-        squig = [row[:] for row in base]
-        for (x, y), p in zip(free, f):
+    def tables(cells, f: Map) -> tuple[list, list]:
+        arrow = [row[:] for row in base["A"]]
+        squig = [row[:] for row in base["S"]]
+        for (x, y), p in zip(cells, f):
             arrow[x][y], squig[x][y] = divmod(p, n)
         return arrow, squig
 
+    declared = (d for s in ("pseudo-BE", *c.flags) for d in _SYSTEM_AXIOMS.get(s, {}).values())
+    pairs = {cell: set(range(n * n)) for cell in itertools.product(rng, rng)}
+    instances = []
+    for variables, indices, violations in map(_identity, dict.fromkeys(declared)):
+        for t in itertools.product(rng, repeat=len(variables)):
+            env = {None: None, "u": u, **dict(zip(variables, t))}
+            reads = [(env[row], env[col]) for row, col in indices]
+            cell = reads[0]
+            if set(reads) != {cell} or None in cell:
+                instances.append((violations, t, reads))
+                continue
+            pairs[cell] -= {p for p in pairs[cell] if violations(*tables([cell], [p]), u, n, [t])}
+    for (x, y), ps in pairs.items():
+        if len(ps) == 1:
+            base["A"][x][y], base["S"][x][y] = divmod(*ps, n)
+    free = [cell for cell, ps in pairs.items() if len(ps) != 1]
+    order = {cell: k for k, cell in enumerate(free)}
+    tests = [collections.defaultdict(list) for _ in free]
+    for violations, t, reads in instances:
+        last = max((order.get(cell, -1) for cell in reads if None not in cell), default=-1)
+        rows = {row for row, col in reads if None in (row, col)}
+        for k in range(max(last, 0), len(free)):
+            if k == last or free[k][0] in rows or None in rows:
+                tests[k][violations].append(t)
+
     def frozen(f: Map) -> tuple[tuple, tuple]:
-        arrow, squig = tables(f)
-        return tuple(map(tuple, arrow)), tuple(map(tuple, squig))
+        return tuple(tuple(tuple(row[:n]) for row in t[:n]) for t in tables(free, f))
 
     def accept(f: Map) -> bool:
         ta, ts = frozen(f)
-        return check_axioms(FiniteAlgebra("tmp", tokens, ta, ts, u), "pseudo-BE").holds
+        return check_axioms(FiniteAlgebra("tmp", tuple(_TOKENS[:n]), ta, ts, u), "pseudo-BE").holds
 
-    # Exchange x -> (y ~> z) = y ~> (x -> z) reads arrow row x and squig
-    # row y.  Cell k = (row, .) is read by the triples with x or y = row;
-    # one is kept once its x -> z and y ~> z cells are assigned and tested
-    # once the cells those values point to are assigned, too.
-    order = {cell: k for k, cell in enumerate(free)}
-    exchange = [
-        [(x, y, z) for x in rng for y in rng for z in rng
-         if row in (x, y) and max(order.get((x, z), -1), order.get((y, z), -1)) <= k]
-        for k, (row, _) in enumerate(free)
-    ]
+    # the siblings checked in a row share their tables up to cell k
+    built: list = [None, None, None]
 
     def check(f: Map, k: int) -> bool:
-        va, vs = divmod(f[k], n)
-        if (va == u) != (vs == u):
+        if f[k] not in pairs[free[k]]:
             return False
-        arrow, squig = tables(f)
-        for x, y, z in exchange[k]:
-            lhs, rhs = arrow[x][squig[y][z]], squig[y][arrow[x][z]]
-            if lhs is not None and rhs is not None and lhs != rhs:
-                return False
-        return True
+        if built[0] != f[:k]:
+            built[:] = f[:k], *tables(free, f)
+        _, arrow, squig = built
+        x, y = free[k]
+        arrow[x][y], squig[x][y] = divmod(f[k], n)
+        return not any(violations(arrow, squig, u, n, ts) for violations, ts in tests[k].items())
 
     if audit:
         maps = scan_maps(len(free), n * n, accept)
@@ -212,7 +230,7 @@ def enumerate_models(
     n = c.size
     canonical = (
         FiniteAlgebra(_model_name(n, ta, ts), tuple(_TOKENS[:n]), ta, ts, 0)
-        for ta, ts in _table_pairs(n, audit)
+        for ta, ts in _table_pairs(c, audit)
         if canonical_tables(ta, ts, 0) == (ta, ts)
     )
     models = (m for m in (_passes_flags(alg, c.flags) for alg in canonical) if m is not None)
@@ -273,8 +291,11 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     p_holds = check_axioms(a, "P-system").holds
     q_holds = check_axioms(a, "Q-system").holds
     comm = rep.pseudo_be and rep.commutative
-    states = [(v, state_kernel(a, v)) for v in state_space(a).vertices]
-    measure_kernels = [measure_kernel(a, r) for r in measure_cone(a)]
+    # box_vertices and cone_rays verify every vertex and ray in integers, so
+    # the kernels s^-1(1) and m^-1(0) are read straight off them
+    carrier = range(a.size)
+    states = [(v, frozenset(x for x in carrier if v[x] == 1)) for v in state_space(a).vertices]
+    measure_kernels = [frozenset(x for x in carrier if r[x] == 0) for r in measure_cone(a)]
     rays = valuation_cone(a)
 
     def show(d) -> str:

@@ -166,6 +166,10 @@ def test_states_verify_morphism_failure(capsys, alg):
             ["valuations", "conda5.alg", "--rays", "--verify", "phi_1_3.valuation"],
             "--rays cannot be combined with --verify",
         ),
+        (
+            ["hom", "conda5.alg", "conda5.alg", "--verify", "id_conda5.hom", "--iso"],
+            "--iso cannot be combined with --verify",
+        ),
     ],
     ids=[
         "states-morphism",
@@ -173,6 +177,7 @@ def test_states_verify_morphism_failure(capsys, alg):
         "states-vertices",
         "measures-rays",
         "valuations-rays",
+        "hom-iso",
     ],
 )
 def test_ignored_flag_exits_two(capsys, alg, argv, message):

@@ -6,7 +6,13 @@ import time
 import pytest
 
 from pseudobe import finder
-from pseudobe.algebra import check_axioms, classify, parse_algebra, serialize_algebra
+from pseudobe.algebra import (
+    FiniteAlgebra,
+    check_axioms,
+    classify,
+    parse_algebra,
+    serialize_algebra,
+)
 from pseudobe.dsystems import format_subset
 from pseudobe.finder import (
     CounterexampleError,
@@ -52,6 +58,26 @@ def test_audit_agrees_up_to_three():
         assert [(m.arrow, m.squig) for m in pruned] == [
             (m.arrow, m.squig) for m in audited
         ]
+
+
+def test_flagged_search_equals_filtered_search():
+    """The declarations of an axiom-system flag prune inside the search;
+    the models and their order, and the labelled table pairs, are those of
+    the unflagged search filtered by the flag."""
+
+    def labelled(n, flags=()):
+        return list(finder._table_pairs(SearchConstraints(size=n, flags=flags), False))
+
+    assert [len(labelled(n)) for n in (1, 2, 3, 4)] == [1, 1, 6, 388]
+    for n in (1, 2, 3, 4):
+        unflagged = _models(n)
+        pairs = labelled(n)
+        for flag in ("pseudo-BE", "pseudo-BCK", "condition-A", "distributive", "commutative"):
+            want = [m.name for m in unflagged if check_axioms(m, flag).holds]
+            assert [m.name for m in _models(n, flags=(flag,))] == want, (n, flag)
+            algebras = [FiniteAlgebra("p", tuple("1abc"[:n]), *p, 0) for p in pairs]
+            holds = [p for p, a in zip(pairs, algebras) if check_axioms(a, flag).holds]
+            assert labelled(n, (flag,)) == holds, (n, flag)
 
 
 def test_all_models_are_pseudo_be():

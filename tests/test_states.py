@@ -327,6 +327,16 @@ def test_engine_matches_audit_on_small_models(small_inputs):
             assert verts == box_vertices(space, lower, upper, audit=True), a.name
 
 
+def test_vertices_and_rays_pass_the_witness_scans(small_inputs):
+    """The meta sweep reads state and measure kernels straight off the
+    vertices and rays; the Fraction witness scans accept every one."""
+    for a in small_inputs:
+        for v in state_space(a).vertices:
+            assert bosbach_witness(a, v) is None, a.name
+        for r in measure_cone(a):
+            assert measure_witness(a, r) is None, a.name
+
+
 def test_equation_rows_are_integer(small_inputs):
     """The state, measure and valuation builders give integer coefficient
     rows; the digest of their values was recorded when the rows were built
