@@ -426,6 +426,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     rep = Report()
     try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         code = args.func(args, rep)
     except CounterexampleError as exc:
         print(f"counterexample: {exc}", file=sys.stderr)

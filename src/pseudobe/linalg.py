@@ -1,11 +1,15 @@
 """Exact linear algebra on small systems.
 
 Everything here works over Python integers and `fractions.Fraction`, so
-results are exact and deterministic.  The three entry points are:
+results are exact and deterministic.  Each value keeps the cheapest exact
+type: rays are primitive integer vectors (``int`` tuples), while vertices
+and the :class:`AffineSolutionSpace` hold Fractions, since their values
+really are rational.  The three entry points are:
 
 * :func:`solve_affine` -- canonical RREF solution space of a linear
   equality system, found by integer Gauss-Jordan elimination over the
-  distinct primitive integer rows of the system,
+  distinct primitive integer rows of the system, divided by the pivots
+  only at the end,
 * :func:`box_vertices` -- vertices of an affine space intersected with a
   coordinate box,
 * :func:`cone_rays` -- extreme rays of ``{x : Ax = 0, Cx >= 0}``.
@@ -16,8 +20,9 @@ primitive integer rows, dropping zero rows and positive multiples.  An
 incremental double description pass (Motzkin et al. 1953; Fukuda & Prodon
 1996) then runs in integer arithmetic; the integer Gauss-Jordan
 :func:`_integer_rref` of :func:`solve_affine` picks its first independent
-rows and inverts them into its start rays.  A polytope is handled as the
-cone over its homogenised box: a vertex is a ray with t > 0, scaled to t = 1.
+rows and inverts them into its start rays, without leaving the integers.
+A polytope is handled as the cone over its homogenised box: a vertex is a
+ray with t > 0, scaled to t = 1.
 
 ``audit=True`` replaces the engine by the active-set enumerators, which
 try every choice of active constraints and solve each with
@@ -33,7 +38,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 # guards only the audit paths: their active-set choices grow combinatorially in d
@@ -58,10 +64,6 @@ class ConsistencyAlarmError(AssertionError):
     """
 
 
-def _frac_vec(values: Sequence) -> Vector:
-    return tuple(Fraction(v) for v in values)
-
-
 def _coefficient_row(n: int, plus: Iterable[int], minus: Iterable[int] = ()) -> IntVector:
     """Coefficients of ``sum(x[i] for i in plus) - sum(x[i] for i in minus)``
     over n variables; an index may repeat."""
@@ -78,7 +80,7 @@ class LinearEquation:
     """coeffs . x = rhs"""
 
     coeffs: IntVector | Vector
-    rhs: Fraction
+    rhs: int | Fraction
 
     def residual(self, point: Sequence[Fraction]) -> Fraction:
         return sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0)) - self.rhs
@@ -143,9 +145,14 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows[:r] + [row for row in rows[r:] if any(v != 0 for v in row)], pivots
 
 
-def _integer_rref(rows: list[IntVector]) -> tuple[list[list[Fraction]], list[int]]:
-    """:func:`_rref` of integer rows, eliminating in integers: each updated
-    row is divided by its gcd, each pivot row by its pivot only at the end."""
+def _integer_rref(rows: list[IntVector]) -> tuple[list[IntVector], list[int]]:
+    """:func:`_rref` of integer rows, eliminating in integers; returns
+    (integer rows, pivot columns).
+
+    Each updated row is divided by its gcd.  Returned row i is row i of
+    the RREF times its pivot entry ``row[pivots[i]]``, which may be
+    negative; dividing by it is left to the caller.
+    """
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
@@ -166,7 +173,7 @@ def _integer_rref(rows: list[IntVector]) -> tuple[list[list[Fraction]], list[int
                 rows[i] = [v // g for v in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    return [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)], pivots
+    return rows[:r], pivots
 
 
 def solve_affine(
@@ -192,6 +199,7 @@ def solve_affine(
         # of a row and its negation, the larger one leads with a positive entry
         signed = {max(p, tuple(-v for v in p)): None for p in distinct}
         rows, pivots = _integer_rref(list(signed))
+        rows = [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
     # a pivot in the right-hand side column is a row 0 = nonzero
     if pivots and pivots[-1] == num_vars:
         return None
@@ -221,21 +229,19 @@ def solve_affine(
 
 
 def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _primitive(values: Sequence) -> IntVector:
     """The smallest integer vector that is a positive multiple of ``values``."""
-    lcm = 1
-    for v in values:
-        q = v.denominator
-        if q != 1:
-            lcm = lcm * q // gcd(lcm, q)
-    ints = [v.numerator * (lcm // v.denominator) for v in values]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    try:
+        g = gcd(*values)
+    except TypeError:
+        # a Fraction entry: clear the denominators first
+        scale = lcm(*(v.denominator for v in values))
+        values = [v.numerator * (scale // v.denominator) for v in values]
+        g = gcd(*values)
+    return tuple(v // g for v in values) if g > 1 else tuple(values)
 
 
 def _distinct_rows(rows: Iterable[Sequence]) -> list[IntVector]:
@@ -278,11 +284,17 @@ def _dd_rays(rows: list[IntVector], start: list[int]) -> list[IntVector]:
     for i in start:
         done |= 1 << i
     # the RREF of [B | I] is [I | B^-1]; column j of B^-1 is 1 on start row j
-    # and 0 on the others
+    # and 0 on the others.  Integer row i is that RREF row times its pivot
+    # row[i], of either sign; the lcm is positive, so scale // row[i] clears
+    # the pivots and keeps each column's sign
     inverse, _ = _integer_rref(
         [rows[i] + tuple(int(j == k) for k in range(d)) for j, i in enumerate(start)]
     )
-    rays = [_primitive([row[d + j] for row in inverse]) for j in range(d)]
+    scale = lcm(*(row[i] for i, row in enumerate(inverse)))
+    rays = [
+        _primitive([row[d + j] * (scale // row[i]) for i, row in enumerate(inverse)])
+        for j in range(d)
+    ]
     zeros = [done & ~(1 << i) for i in start]
 
     for k, row in enumerate(rows):
@@ -373,12 +385,10 @@ def box_vertices(
     d = space.dimension
     if audit and d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
-    lo = _frac_vec(lower)
-    hi = _frac_vec(upper)
     unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
     # constraint rows on the homogeneous point (x, t)
-    bounds = [_primitive(e + (-lo[i],)) for i, e in enumerate(unit)]
-    bounds += [_primitive(tuple(-v for v in e) + (hi[i],)) for i, e in enumerate(unit)]
+    bounds = [_primitive(e + (-lower[i],)) for i, e in enumerate(unit)]
+    bounds += [_primitive(tuple(-v for v in e) + (upper[i],)) for i, e in enumerate(unit)]
     equalities = [_primitive(eq.coeffs + (-eq.rhs,)) for eq in space.equalities]
 
     if audit:
@@ -386,7 +396,7 @@ def box_vertices(
         planes = _distinct_rows(
             tuple(b[i] for b in space.basis) + (space.particular[i] - bound,)
             for i in range(n)
-            for bound in (lo[i], hi[i])
+            for bound in (lower[i], upper[i])
         )
         found = set()
         for combo in itertools.combinations(planes, d):
@@ -396,7 +406,7 @@ def box_vertices(
             if solution is None or solution.dimension > 0:
                 continue
             p = space.point(solution.particular)
-            if all(lo[i] <= p[i] <= hi[i] for i in range(n)):
+            if all(lower[i] <= p[i] <= upper[i] for i in range(n)):
                 found.add(_primitive(p + (1,)))
     else:
         generators = [_primitive(b) + (0,) for b in space.basis]
@@ -413,13 +423,14 @@ def cone_rays(
     inequalities: Sequence[IntVector | Vector],
     num_vars: int,
     audit: bool = False,
-) -> tuple[Vector, ...]:
+) -> tuple[IntVector, ...]:
     """Extreme rays of ``{x : equalities(x)=0, ineq . x >= 0}``.
 
     The equalities must be homogeneous.  The cone must be pointed (the
     inequalities must not admit a line), which holds for every system built
-    by this package; otherwise ``ValueError``.  Rays are normalized to
-    smallest integer coordinates and sorted lexicographically.
+    by this package; otherwise ``ValueError``.  Rays are primitive integer
+    vectors (``int`` tuples, the smallest integer coordinates on the ray),
+    each checked in integers, sorted lexicographically.
     ``audit=True`` enumerates every choice of d - 1 active inequalities
     instead of running the double description engine.
     """
@@ -439,11 +450,12 @@ def cone_rays(
     rows = _distinct_rows(inequalities)
     found = _rays([_primitive(b) for b in space.basis], rows, audit)
     _check(found, [_primitive(eq.coeffs) for eq in equalities], rows)
-    return tuple(sorted(tuple(Fraction(v) for v in r) for r in found))
+    return tuple(sorted(found))
 
 
-def format_fraction(value: Fraction) -> str:
-    """Serialize as ``p/q`` (or ``p`` when q = 1); never decimals."""
+def format_fraction(value: int | Fraction) -> str:
+    """Serialize as ``p/q`` (or ``p`` when q = 1); never decimals.  An
+    ``int`` prints as the equal Fraction does."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -2,7 +2,8 @@
 
 All candidates are rational-valued assignments checked exactly; the state
 space is computed as an affine solution space intersected with the unit
-box, and the measure cone via extreme-ray enumeration.
+box, and the measure cone via extreme-ray enumeration.  Vertices are
+Fraction tuples and rays primitive integer tuples; both are exact.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .dsystems import Subset
 from .linalg import (
     AffineSolutionSpace,
     ConsistencyAlarmError,
+    IntVector,
     LinearEquation,
     Vector,
     _coefficient_row,
@@ -26,7 +28,7 @@ from .linalg import (
     solve_affine,
 )
 
-Assignment = tuple[Fraction, ...]  # one value per carrier element
+Assignment = tuple[int | Fraction, ...]  # one exact value per carrier element
 
 Witness = tuple[str, tuple[int, ...]]
 
@@ -116,12 +118,12 @@ def state_equations(a: FiniteAlgebra) -> list[LinearEquation]:
     negated, so only x < y is generated.
     """
     n = a.size
-    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), ONE)]
+    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), 1)]
     for x in range(n):
         for y in range(x + 1, n):
             for table in (a.arrow, a.squig):
                 row = _coefficient_row(n, (x, table[x][y]), (y, table[y][x]))
-                eqs.append(LinearEquation(row, ZERO))
+                eqs.append(LinearEquation(row, 0))
     return eqs
 
 
@@ -133,7 +135,7 @@ def state_space(a: FiniteAlgebra) -> StateSpaceResult:
     space = solve_affine(state_equations(a), a.size)
     if space is None:
         return StateSpaceResult(None, ())
-    verts = box_vertices(space, [ZERO] * a.size, [ONE] * a.size)
+    verts = box_vertices(space, [0] * a.size, [1] * a.size)
     return StateSpaceResult(space, verts)
 
 
@@ -241,18 +243,18 @@ def is_state_measure_morphism(a: FiniteAlgebra, m: Assignment) -> bool:
 def measure_equations(a: FiniteAlgebra) -> list[LinearEquation]:
     """m(1)=0 plus m(x->y)=m(y)-m(x) (both tables) for each y <= x."""
     n = a.size
-    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), ZERO)]
+    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), 0)]
     for x in range(n):
         for y in range(n):
             if leq(a, y, x):
                 for table in (a.arrow, a.squig):
                     row = _coefficient_row(n, (table[x][y], x), (y,))
-                    eqs.append(LinearEquation(row, ZERO))
+                    eqs.append(LinearEquation(row, 0))
     return eqs
 
 
-def measure_cone(a: FiniteAlgebra) -> tuple[Vector, ...]:
-    """Extreme rays of the cone of measures."""
+def measure_cone(a: FiniteAlgebra) -> tuple[IntVector, ...]:
+    """Extreme rays of the cone of measures, as primitive integer vectors."""
     n = a.size
     nonneg = [_coefficient_row(n, (i,)) for i in range(n)]
     return cone_rays(measure_equations(a), nonneg, n)

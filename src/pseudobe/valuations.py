@@ -2,7 +2,7 @@
 
 Valuation candidates are rational assignments; the full valuation cone
 is computed exactly by extreme-ray enumeration of the defining linear
-inequality system.
+inequality system, and its rays are primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .linalg import (
     ConsistencyAlarmError,
     IntVector,
     LinearEquation,
-    Vector,
     _coefficient_row,
     cone_rays,
 )
@@ -163,7 +162,7 @@ def valuation_equations(a: FiniteAlgebra) -> tuple[list[LinearEquation], list[In
     for all pairs.  Nonnegativity is implied (take y := 1).
     """
     n = a.size
-    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), ZERO)]
+    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), 0)]
     ineqs = []
     for x in range(n):
         for y in range(n):
@@ -173,8 +172,9 @@ def valuation_equations(a: FiniteAlgebra) -> tuple[list[LinearEquation], list[In
     return eqs, ineqs
 
 
-def valuation_cone(a: FiniteAlgebra) -> tuple[Vector, ...]:
-    """Extreme rays of the pseudo-valuation cone, each re-verified."""
+def valuation_cone(a: FiniteAlgebra) -> tuple[IntVector, ...]:
+    """Extreme rays of the pseudo-valuation cone as primitive integer
+    vectors, each re-verified."""
     eqs, ineqs = valuation_equations(a)
     rays = cone_rays(eqs, ineqs, a.size)
     for ray in rays:

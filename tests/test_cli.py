@@ -573,3 +573,11 @@ def test_workers_do_not_change_output(capsys):
     _, out1, _ = run(capsys, "--workers", "1", "meta", "--max-size", "3")
     _, out8, _ = run(capsys, "--workers", "8", "meta", "--max-size", "3")
     assert out1 == out8
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_two(capsys, workers):
+    # these used to run serially and exit 0
+    code, out, err = run(capsys, "--workers", workers, "meta", "--max-size", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: --workers must be at least 1, got {workers}\n"

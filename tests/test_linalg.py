@@ -105,6 +105,43 @@ def test_solve_affine_integer_path_matches_fraction_audit(system):
         assert all(eq.residual(space.particular) == 0 for eq in eqs)
 
 
+@st.composite
+def integer_matrices(draw):
+    """Random integer rows padded with repeated, scaled, negated and zero
+    rows; possibly no rows."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * n), max_size=4))
+    if rows:
+        scales = st.sampled_from([1, -1, 2, -3])
+        copies = draw(st.lists(st.tuples(st.sampled_from(rows), scales), max_size=4))
+        rows += [tuple(k * v for v in r) for r, k in copies]
+    rows += [(0,) * n] * draw(st.integers(0, 2))
+    return n, draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_integer_rref_over_its_pivots_is_the_fraction_rref(matrix):
+    # the integer rows are the RREF rows times their (possibly negative)
+    # pivot entries
+    _, rows = matrix
+    int_rows, pivots = linalg._integer_rref(list(rows))
+    frac_rows, frac_pivots = linalg._rref([[F(v) for v in r] for r in rows])
+    assert pivots == frac_pivots
+    assert all(type(v) is int for row in int_rows for v in row)
+    assert [[F(v, row[c]) for v in row] for row, c in zip(int_rows, pivots)] == frac_rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices())
+def test_solve_affine_same_space_for_int_and_fraction_rhs(matrix):
+    # the last column is the right-hand side; repr makes the types count
+    n, rows = matrix
+    ints = [LinearEquation(r[:-1], r[-1]) for r in rows]
+    fracs = [LinearEquation(r[:-1], F(r[-1])) for r in rows]
+    assert repr(solve_affine(ints, n - 1)) == repr(solve_affine(fracs, n - 1))
+
+
 def test_solve_underdetermined():
     # x + y = 1 over 2 vars: line of dimension 1
     space = solve_affine([_eq([1, 1], 1)], 2)
@@ -346,6 +383,7 @@ def test_cone_engine_matches_audit_and_rank_oracle(n, eq_rows, ineq_rows):
     ineqs = [tuple(F(v) for v in r[:n]) for r in ineq_rows] + nonneg
     rays = cone_rays(eqs, ineqs, n)
     assert rays == cone_rays(eqs, ineqs, n, audit=True)
+    assert all(type(v) is int for ray in rays for v in ray)
     for ray in rays:
         assert all(eq.residual(ray) == 0 for eq in eqs)
         tight = [row for row in ineqs if sum(c * x for c, x in zip(row, ray)) == 0]

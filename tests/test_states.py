@@ -10,7 +10,13 @@ from hypothesis import given, strategies as st
 from pseudobe import states
 from pseudobe.algebra import UnboundedAlgebraError, vee1
 from pseudobe.finder import SearchConstraints, enumerate_models
-from pseudobe.linalg import ConsistencyAlarmError, box_vertices, cone_rays, solve_affine
+from pseudobe.linalg import (
+    ConsistencyAlarmError,
+    LinearEquation,
+    box_vertices,
+    cone_rays,
+    solve_affine,
+)
 from pseudobe.states import (
     ConditionAMissingError,
     MembershipError,
@@ -35,7 +41,7 @@ from pseudobe.states import (
     state_space,
     state_measure_bijection,
 )
-from pseudobe.valuations import valuation_equations
+from pseudobe.valuations import valuation_cone, valuation_equations
 
 # the four named state families of the 5-element algebra, at the
 # parameter values used throughout the suite (carrier order 1 a b c d)
@@ -309,22 +315,39 @@ def test_engine_matches_audit_on_small_models(small_inputs):
     same tuples for the valuation cone, the measure cone and the state
     polytope, and the integer and Fraction eliminations the same state and
     measure solution spaces (compared by repr, so types count), on the four
-    fixtures and every model of size <= 4."""
+    fixtures and every model of size <= 4.  Every ray coordinate, from
+    ``cone_rays``, its audit, ``measure_cone`` and ``valuation_cone``, is an
+    ``int``."""
     assert len(small_inputs) == 87
     for a in small_inputs:
         n = a.size
         for eqs in (state_equations(a), measure_equations(a)):
             assert repr(solve_affine(eqs, n)) == repr(solve_affine(eqs, n, audit=True)), a.name
         nonneg = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
-        cones = [valuation_equations(a), (measure_equations(a), nonneg)]
-        for eqs, ineqs in cones:
+        cones = [
+            (valuation_equations(a), valuation_cone(a)),
+            ((measure_equations(a), nonneg), measure_cone(a)),
+        ]
+        for (eqs, ineqs), public in cones:
             rays = cone_rays(eqs, ineqs, n)
-            assert rays == cone_rays(eqs, ineqs, n, audit=True), a.name
+            audit = cone_rays(eqs, ineqs, n, audit=True)
+            assert rays == public == audit, a.name
+            assert all(type(v) is int for r in rays + public + audit for v in r), a.name
         space = solve_affine(state_equations(a), n)
         if space is not None:
             lower, upper = [F(0)] * n, [F(1)] * n
             verts = box_vertices(space, lower, upper)
             assert verts == box_vertices(space, lower, upper, audit=True), a.name
+
+
+def test_equations_have_int_rhs_and_solve_alike_with_fractions(small_inputs):
+    # solve_affine returns the same space (by repr, so types count) when the
+    # right-hand sides are Fractions
+    for a in small_inputs:
+        for eqs in (state_equations(a), measure_equations(a), valuation_equations(a)[0]):
+            assert all(type(eq.rhs) is int for eq in eqs), a.name
+            fracs = [LinearEquation(eq.coeffs, F(eq.rhs)) for eq in eqs]
+            assert repr(solve_affine(eqs, a.size)) == repr(solve_affine(fracs, a.size)), a.name
 
 
 def test_vertices_and_rays_pass_the_witness_scans(small_inputs):
