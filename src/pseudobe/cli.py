@@ -327,7 +327,6 @@ def _cmd_meta(args, rep: Report) -> int:
     result = verify_meta_theorems(
         args.max_size,
         allow_counterexamples=args.allow_counterexamples,
-        workers=args.workers,
     )
     rep.add("models", result.models)
     for tag in sorted(result.stats):
@@ -347,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         "two-implication algebras",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--workers", type=int, default=1)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("check", help="check an axiom system")
@@ -426,8 +424,6 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     rep = Report()
     try:
-        if args.workers < 1:
-            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         code = args.func(args, rep)
     except CounterexampleError as exc:
         print(f"counterexample: {exc}", file=sys.stderr)

@@ -83,7 +83,7 @@ def is_deductive_system(a: FiniteAlgebra, d: Subset) -> bool:
 
 def _require_ds(a: FiniteAlgebra, d: Subset) -> None:
     if not is_deductive_system(a, d):
-        raise NotADeductiveSystemError(format_subset(a, d))
+        raise NotADeductiveSystemError(f"{format_subset(a, d)} is not a deductive system")
 
 
 def is_normal(a: FiniteAlgebra, d: Subset) -> bool:
@@ -219,7 +219,7 @@ def is_prime(a: FiniteAlgebra, d: Subset, family: Optional[DSFamily] = None) -> 
     """Prime: D1 n D2 <= P forces D1 <= P or D2 <= P, over all DS pairs."""
     _require_ds(a, d)
     if len(d) == a.size:
-        raise NotProperError(format_subset(a, d))
+        raise NotProperError(f"{format_subset(a, d)} is not a proper deductive system")
     if family is None:
         family = enumerate_ds(a)
     return _is_prime(a, d, family.subsets)
@@ -229,7 +229,7 @@ def is_maximal(a: FiniteAlgebra, d: Subset, family: Optional[DSFamily] = None) -
     """Maximal: proper and contained in no other proper DS."""
     _require_ds(a, d)
     if len(d) == a.size:
-        raise NotProperError(format_subset(a, d))
+        raise NotProperError(f"{format_subset(a, d)} is not a proper deductive system")
     if family is None:
         family = enumerate_ds(a)
     return _is_maximal(a, d, family.subsets)
@@ -250,7 +250,10 @@ def quotient(a: FiniteAlgebra, h: Subset) -> QuotientResult:
     a well-definedness failure raises an alarm.
     """
     if not check_axioms(a, "distributive").holds:
-        raise NotDistributiveError(a.name)
+        raise NotDistributiveError(
+            f"{a.name} is not distributive; quotients are defined on "
+            "distributive algebras only"
+        )
     _require_ds(a, h)
 
     related = [

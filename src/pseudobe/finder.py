@@ -383,12 +383,12 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
 
 
 def verify_meta_theorems(
-    n_max: int, allow_counterexamples: bool = False, workers: int = 1
+    n_max: int, allow_counterexamples: bool = False
 ) -> MetaTheoremReport:
     """Check every swept implication on every model of size <= n_max.
 
     Models are checked independently; results are merged in enumeration
-    order, so the report does not depend on the worker count.
+    order.
     """
     if n_max < 1:
         raise ValueError("max size must be >= 1")
@@ -397,7 +397,7 @@ def verify_meta_theorems(
     report = MetaTheoremReport(max_size=n_max)
     for n in range(1, n_max + 1):
         models = list(enumerate_models(SearchConstraints(size=n)))
-        for outcome in pmap(_check_model, models, workers):
+        for outcome in pmap(_check_model, models):
             report.models += 1
             for tag, witness in outcome.items():
                 stat = report.stats.setdefault(tag, TheoremStat())

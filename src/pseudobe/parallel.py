@@ -1,21 +1,16 @@
-"""Deterministic parallel map.
+"""In-order map for the meta sweep.
 
-Results come back in input order regardless of worker count, so callers
-produce byte-identical output with 1 or N workers.
+The benchmark's tracer times the sweep through `parallel.pmap`; this module
+stays only until ROADMAP item 1 drops it from the benchmark.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def pmap(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+def pmap(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    return [fn(x) for x in items]

@@ -172,7 +172,7 @@ def sm_characterization_check(a: FiniteAlgebra, s: Assignment) -> bool:
     with the direct state-morphism check.
     """
     if not check_axioms(a, "condition-A").holds:
-        raise ConditionAMissingError(a.name)
+        raise ConditionAMissingError(f"{a.name} does not satisfy condition (A)")
     w = bosbach_witness(a, s)
     if w is not None:
         raise MembershipError(f"not a Bosbach state: {w}")
@@ -268,7 +268,7 @@ def state_measure_bijection(a: FiniteAlgebra, values: Assignment, direction: str
     """
     bottom = _require_bounded(a)
     if not check_axioms(a, "condition-A").holds:
-        raise ConditionAMissingError(a.name)
+        raise ConditionAMissingError(f"{a.name} does not satisfy condition (A)")
     if direction == "state-to-measure":
         w = bosbach_witness(a, values)
         if w is not None:

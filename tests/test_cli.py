@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import argparse
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -109,10 +111,20 @@ def test_quotient(capsys, alg):
 
 
 def test_quotient_rejects_non_ds(capsys, alg):
-    code, _, err = run(
+    code, out, err = run(
         capsys, "quotient", alg("conda5.alg"), "--ds", "{1,a}"
     )
-    assert code == 2 and "error:" in err
+    assert code == 2 and out == ""
+    assert err == "error: {1,a} is not a deductive system\n"
+
+
+def test_quotient_rejects_non_distributive(capsys, alg):
+    code, out, err = run(capsys, "quotient", alg("bck4.alg"), "--ds", "{1}")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: bck4 is not distributive; quotients are defined on "
+        "distributive algebras only\n"
+    )
 
 
 def test_states_summary_and_vertices(capsys, alg):
@@ -569,15 +581,35 @@ def test_determinism_three_runs(capsys, alg, tmp_path):
         assert len(outs) == 1, argv
 
 
-def test_workers_do_not_change_output(capsys):
-    _, out1, _ = run(capsys, "--workers", "1", "meta", "--max-size", "3")
-    _, out8, _ = run(capsys, "--workers", "8", "meta", "--max-size", "3")
-    assert out1 == out8
+def test_workers_option_is_a_usage_error(capsys):
+    # the sweep runs in one loop; no option sets a worker count
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["--workers", "1", "meta", "--max-size", "2"])
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "pseudobe: error:" in cap.err
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_workers_below_one_exit_two(capsys, workers):
-    # these used to run serially and exit 0
-    code, out, err = run(capsys, "--workers", workers, "meta", "--max-size", "2")
-    assert code == 2 and out == ""
-    assert err == f"error: --workers must be at least 1, got {workers}\n"
+def test_readme_command_line_matches_parser():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    usage = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = cli.build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    parsers = [parser, *subparsers.choices.values()]
+    options = {
+        opt
+        for p in parsers
+        for action in p._actions
+        for opt in action.option_strings
+    } - {"-h", "--help"}
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert documented - options == set()
+    assert options - documented == set()
+    missing = [
+        name for name in subparsers.choices if f"pseudobe {name} " not in usage
+    ]
+    assert missing == []

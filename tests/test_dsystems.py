@@ -148,9 +148,10 @@ def test_predicates_reject_non_ds(conda5):
 
 def test_prime_maximal_require_proper(conda5):
     full = frozenset(range(conda5.size))
-    with pytest.raises(NotProperError):
+    message = r"^\{1,a,b,c,d\} is not a proper deductive system$"
+    with pytest.raises(NotProperError, match=message):
         is_prime(conda5, full)
-    with pytest.raises(NotProperError):
+    with pytest.raises(NotProperError, match=message):
         is_maximal(conda5, full)
 
 

@@ -145,7 +145,9 @@ def test_characterization_requires_condition_a(bounded6):
             found = m
             break
     assert found is not None
-    with pytest.raises(ConditionAMissingError):
+    with pytest.raises(
+        ConditionAMissingError, match=rf"^{found.name} does not satisfy condition \(A\)$"
+    ):
         sm_characterization_check(found, (F(1),) * found.size)
 
 
@@ -267,7 +269,9 @@ def test_bijection_preconditions():
         for m in enumerate_models(SearchConstraints(size=4, flags=("bounded",)))
         if m.name == "n4_3a54d71e669b"
     ]
-    with pytest.raises(ConditionAMissingError):
+    with pytest.raises(
+        ConditionAMissingError, match=r"^n4_3a54d71e669b does not satisfy condition \(A\)$"
+    ):
         state_measure_bijection(no_a, (F(1),) * 4, "state-to-measure")
 
 
