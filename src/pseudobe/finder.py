@@ -8,7 +8,10 @@ the unit rows and columns and the diagonal, and psBE5, the exchange
 identity and the identities of the flagged axiom systems prune as soon as
 a cell they read is assigned.  Isomorphic duplicates are rejected by a
 canonical form: the lexicographically minimal table pair over all carrier
-permutations fixing the unit.
+permutations fixing the unit.  The search keeps a labelled pair only if no
+relabelling beats it, which the first differing cell decides
+(``_is_canonical``); ``canonical_tables`` builds the minimal pair whole and
+is the audit's filter.  Equal rows of the emitted tables are one tuple.
 """
 
 from __future__ import annotations
@@ -90,7 +93,11 @@ def canonical_tables(
     unit: int,
 ) -> tuple:
     """Lexicographically minimal relabeled (arrow, squig) pair over all
-    carrier permutations fixing the unit."""
+    carrier permutations fixing the unit.
+
+    The audit oracle for ``_is_canonical``: ``enumerate_models(audit=True)``
+    filters with it, and so does the benchmark's check of the search.
+    """
     n = len(arrow)
     others = [i for i in range(n) if i != unit]
     best = None
@@ -112,6 +119,41 @@ def canonical_tables(
         if best is None or cand < best:
             best = cand
     return best
+
+
+def _relabellings(n: int, unit: int) -> list[tuple[list[int], list]]:
+    """The carrier permutations p fixing the unit, except the identity, each
+    with its cells (i, j, p^-1(i), p^-1(j)) in row-major order."""
+    identity = list(range(n))
+    others = [i for i in identity if i != unit]
+    out = []
+    for perm_rest in itertools.permutations(others):
+        p, inv = identity[:], identity[:]
+        for src, dst in zip(others, perm_rest):
+            p[src], inv[dst] = dst, src
+        if p != identity:
+            out.append((p, [(i, j, inv[i], inv[j]) for i in identity for j in identity]))
+    return out
+
+
+def _first_difference(table, p: list[int], cells) -> int:
+    """Sign-carrying difference of ``table`` relabelled by ``p`` and ``table``
+    at their first differing cell in ``cells``; 0 if they agree."""
+    for i, j, pi, pj in cells:
+        d = p[table[pi][pj]] - table[i][j]
+        if d:
+            return d
+    return 0
+
+
+def _is_canonical(arrow, squig, relabellings) -> bool:
+    """``canonical_tables(arrow, squig, unit) == (arrow, squig)``, with the
+    unit's ``_relabellings``: no relabelled pair is smaller in tuple order,
+    arrow table first, and each comparison stops at the first differing cell."""
+    return all(
+        (_first_difference(arrow, p, cells) or _first_difference(squig, p, cells)) >= 0
+        for p, cells in relabellings
+    )
 
 
 def _model_name(n: int, arrow, squig) -> str:
@@ -148,6 +190,7 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
     cell in the row of an entry it reads at a computed index (psBE4).
     ``audit=True`` scans every map with ``homs.scan_maps``.  Both confirm
     each complete pair with ``check_axioms``; flags are filtered after that.
+    Equal rows of the streamed tables are one tuple object.
     """
     n, u = c.size, 0
     rng = range(n)
@@ -187,8 +230,18 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
             if k == last or free[k][0] in rows or None in rows:
                 tests[k][violations].append(t)
 
+    # equal rows are handed out as one tuple; accept freezes each leaf once
+    interned: dict[tuple, tuple] = {}
+    last: list = [None, None]
+
+    def shared(row: list) -> tuple:
+        r = tuple(row[:n])
+        return interned.setdefault(r, r)
+
     def frozen(f: Map) -> tuple[tuple, tuple]:
-        return tuple(tuple(tuple(row[:n]) for row in t[:n]) for t in tables(free, f))
+        if last[0] != f:
+            last[:] = f, tuple(tuple(map(shared, t[:n])) for t in tables(free, f))
+        return last[1]
 
     def accept(f: Map) -> bool:
         ta, ts = frozen(f)
@@ -228,10 +281,14 @@ def enumerate_models(
     if c.size > MAX_EXHAUSTIVE_SIZE:
         raise SizeGuardError(f"exhaustive search capped at n = {MAX_EXHAUSTIVE_SIZE}")
     n = c.size
+    elements = tuple(_TOKENS[:n])
+    if audit:
+        pairs = (p for p in _table_pairs(c, audit) if canonical_tables(*p, 0) == p)
+    else:
+        relabellings = _relabellings(n, 0)
+        pairs = (p for p in _table_pairs(c, audit) if _is_canonical(*p, relabellings))
     canonical = (
-        FiniteAlgebra(_model_name(n, ta, ts), tuple(_TOKENS[:n]), ta, ts, 0)
-        for ta, ts in _table_pairs(c, audit)
-        if canonical_tables(ta, ts, 0) == (ta, ts)
+        FiniteAlgebra(_model_name(n, ta, ts), elements, ta, ts, 0) for ta, ts in pairs
     )
     models = (m for m in (_passes_flags(alg, c.flags) for alg in canonical) if m is not None)
     # islice stops before searching past the limit-th model

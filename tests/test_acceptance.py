@@ -263,9 +263,9 @@ def test_criterion_11():
     assert elapsed < 60
 
 
-@criterion(11, "meta-theorem sweep at size 4 (nightly)")
+@criterion(11, "meta-theorem sweep at size 4 (slow)")
 @pytest.mark.slow
-def test_criterion_11_nightly():
+def test_criterion_11_size_four():
     start = time.monotonic()
     rep = verify_meta_theorems(4)
     elapsed = time.monotonic() - start

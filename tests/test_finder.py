@@ -1,11 +1,16 @@
 """Model enumeration: frozen counts, audit mode, canonicity, and the
 meta-theorem sweep."""
 
+import hashlib
+import io
+import math
 import time
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pseudobe import finder
+from pseudobe import cli, finder
 from pseudobe.algebra import (
     FiniteAlgebra,
     check_axioms,
@@ -88,6 +93,96 @@ def test_all_models_are_pseudo_be():
 def test_emitted_models_are_canonical():
     for m in _models(3):
         assert canonical_tables(m.arrow, m.squig, m.unit) == (m.arrow, m.squig)
+
+
+def _labelled(n):
+    return finder._table_pairs(SearchConstraints(size=n), False)
+
+
+def test_early_exit_canonicity_equals_canonical_tables():
+    """On every labelled pair for n <= 4, and on those up to the 300th
+    size-5 model, the early-exit test answers as the full canonical form."""
+    for n in (1, 2, 3, 4):
+        relabellings = finder._relabellings(n, 0)
+        for a, s in _labelled(n):
+            want = canonical_tables(a, s, 0) == (a, s)
+            assert finder._is_canonical(a, s, relabellings) == want
+    relabellings = finder._relabellings(5, 0)
+    models = 0
+    for a, s in _labelled(5):
+        want = canonical_tables(a, s, 0) == (a, s)
+        assert finder._is_canonical(a, s, relabellings) == want
+        models += want
+        if models == 300:
+            break
+    assert models == 300
+
+
+@st.composite
+def table_pairs(draw):
+    n = draw(st.integers(1, 5))
+    table = st.tuples(*[st.tuples(*[st.integers(0, n - 1)] * n)] * n)
+    return draw(table), draw(table), draw(st.integers(0, n - 1))
+
+
+@settings(deadline=None)
+@given(table_pairs())
+def test_early_exit_canonicity_on_random_tables(pair):
+    """Any table pair and any unit, pseudo-BE or not: the early exit follows
+    tuple order, arrow table first, and accepts every canonical image."""
+    a, s, u = pair
+    relabellings = finder._relabellings(len(a), u)
+    best = canonical_tables(a, s, u)
+    assert finder._is_canonical(a, s, relabellings) == (best == (a, s))
+    assert finder._is_canonical(*best, relabellings)
+
+
+def test_orbit_counting():
+    """Each model of size n stands for (n-1)!/|Aut(A)| labelled pairs with
+    unit 0, so the emitted models account for every labelled pair."""
+    for n, labelled in zip((1, 2, 3, 4), (1, 1, 6, 388)):
+        orbits = sum(
+            math.factorial(n - 1) // len(enumerate_homomorphisms(m, m, iso_only=True))
+            for m in _models(n)
+        )
+        assert orbits == labelled, n
+
+
+def test_find_size_four_output_pinned():
+    """The names and the order of the 77 size-4 models."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.run(["find", "--size", "4"]) == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "cc9a809bfaab4db82a920b2225edaafee0f8080fad39a85daeb9686b6497c1b9"
+
+
+def test_models_share_rows_and_elements():
+    """Equal rows of the emitted tables are one tuple object, and all
+    models share one carrier tuple."""
+    models = _models(4)
+    rows = [r for m in models for t in (m.arrow, m.squig) for r in t]
+    assert len({id(r) for r in rows}) == len(set(rows))
+    assert len({id(m.elements) for m in models}) == 1
+
+
+def test_every_labelled_pair_is_confirmed(monkeypatch):
+    """The search confirms each labelled pair with check_axioms before it
+    streams it."""
+    confirmed = set()
+
+    def recording(a, system):
+        rep = check_axioms(a, system)
+        if rep.holds:
+            confirmed.add((a.arrow, a.squig))
+        return rep
+
+    monkeypatch.setattr(finder, "check_axioms", recording)
+    pairs = 0
+    for pair in _labelled(4):
+        assert pair in confirmed
+        pairs += 1
+    assert pairs == 388
 
 
 def test_no_two_models_isomorphic():
