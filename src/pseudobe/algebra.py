@@ -126,11 +126,17 @@ def vee2(a: FiniteAlgebra, x: int, y: int) -> int:
     return a.arrow[a.squig[x][y]][y]
 
 
-def negations(a: FiniteAlgebra, x: int) -> tuple[int, int]:
-    """(x -> 0, x ~> 0) for a bounded algebra."""
+def _require_bottom(a: FiniteAlgebra) -> int:
+    """The bottom of ``a``; raises if it declares none."""
     if a.bottom is None:
         raise UnboundedAlgebraError(f"algebra {a.name!r} has no bottom")
-    return a.arrow[x][a.bottom], a.squig[x][a.bottom]
+    return a.bottom
+
+
+def negations(a: FiniteAlgebra, x: int) -> tuple[int, int]:
+    """(x -> 0, x ~> 0) for a bounded algebra."""
+    bottom = _require_bottom(a)
+    return a.arrow[x][bottom], a.squig[x][bottom]
 
 
 def _double_negations(a: FiniteAlgebra, x: int) -> tuple[int, int]:
@@ -408,26 +414,22 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     elements = expect("elements")
     if not elements:
         raise AlgebraError("missing required section: elements")
-    if len(set(elements)) != len(elements):
-        raise AlgebraError("duplicate element token")
+    # the carrier and table shape are FiniteAlgebra's checks
     n = len(elements)
     index = {tok: i for i, tok in enumerate(elements)}
 
-    unit_parts = expect("unit")
-    if len(unit_parts) != 1:
-        raise AlgebraError("unit line needs exactly one token")
-    if unit_parts[0] not in index:
-        raise AlgebraError(f"unknown token in unit: {unit_parts[0]!r}")
-    unit = index[unit_parts[0]]
+    def constant(keyword: str) -> int:
+        parts = expect(keyword)
+        if len(parts) != 1:
+            raise AlgebraError(f"{keyword} line needs exactly one token")
+        if parts[0] not in index:
+            raise AlgebraError(f"unknown token in {keyword}: {parts[0]!r}")
+        return index[parts[0]]
 
+    unit = constant("unit")
     bottom = None
     if pos < len(lines) and lines[pos].split()[0] == "bottom":
-        bottom_parts = expect("bottom")
-        if len(bottom_parts) != 1:
-            raise AlgebraError("bottom line needs exactly one token")
-        if bottom_parts[0] not in index:
-            raise AlgebraError(f"unknown token in bottom: {bottom_parts[0]!r}")
-        bottom = index[bottom_parts[0]]
+        bottom = constant("bottom")
 
     tables = {}
     for expected in ("arrow", "squig"):
@@ -436,11 +438,8 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             raise AlgebraError(f"missing required section: table {expected}")
         rows = []
         for _ in range(n):
-            toks = next_line().split()
-            if len(toks) != n:
-                raise AlgebraError("row length mismatch")
             row = []
-            for t in toks:
+            for t in next_line().split():
                 if t not in index:
                     raise AlgebraError(f"unknown token in table: {t!r}")
                 row.append(index[t])

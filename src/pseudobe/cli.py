@@ -13,7 +13,6 @@ import argparse
 import json
 import pathlib
 import sys
-from fractions import Fraction
 
 from .algebra import (
     AXIOM_SYSTEMS,
@@ -67,16 +66,16 @@ class Report:
     """Collects ordered key/value pairs; renders as text or JSON."""
 
     def __init__(self) -> None:
-        self.items: list[tuple[str, object]] = []
+        self.items: list[tuple[str, str | int | bool]] = []
 
-    def add(self, key: str, value: object) -> None:
+    def add(self, key: str, value: str | int | bool) -> None:
         self.items.append((key, value))
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
             obj: dict = {}
             for key, value in self.items:
-                obj.setdefault(key, []).append(_jsonable(value))
+                obj.setdefault(key, []).append(value)
             flat = {k: (v[0] if len(v) == 1 else v) for k, v in obj.items()}
             return json.dumps(flat, sort_keys=True, indent=2) + "\n"
         lines = []
@@ -85,16 +84,6 @@ class Report:
                 value = "true" if value else "false"
             lines.append(f"{key} {value}" if value != "" else key)
         return "\n".join(lines) + "\n"
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return format_fraction(value)
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
-        return value
-    return str(value)
 
 
 def _read(path: str) -> str:
@@ -108,7 +97,7 @@ def _load(path: str) -> FiniteAlgebra:
 
 def _assignment(rep: Report, a: FiniteAlgebra, path: str, kind: str):
     """Parse a ``kind`` file, report its name and return its values."""
-    _, name, values = parse_assignment(a, _read(path), (kind,))
+    name, values = parse_assignment(a, _read(path), kind)
     rep.add(kind, name)
     return values
 

@@ -14,8 +14,8 @@ from typing import Optional
 from .algebra import (
     AlgebraError,
     FiniteAlgebra,
-    UnboundedAlgebraError,
     _double_negations,
+    _require_bottom,
     check_axioms,
     vee1,
     vee2,
@@ -110,8 +110,7 @@ def is_fantastic(a: FiniteAlgebra, d: Subset) -> bool:
 
 def is_involutive_ds(a: FiniteAlgebra, d: Subset) -> bool:
     """Contains x^{-~} -> x and x^{~-} ~> x for every x (bounded only)."""
-    if a.bottom is None:
-        raise UnboundedAlgebraError(f"algebra {a.name!r} has no bottom")
+    _require_bottom(a)
     _require_ds(a, d)
     for x in range(a.size):
         dn, dn2 = _double_negations(a, x)
@@ -215,24 +214,23 @@ def _is_maximal(a: FiniteAlgebra, d: Subset, family: tuple[Subset, ...]) -> bool
     return True
 
 
-def is_prime(a: FiniteAlgebra, d: Subset, family: Optional[DSFamily] = None) -> bool:
-    """Prime: D1 n D2 <= P forces D1 <= P or D2 <= P, over all DS pairs."""
+def _proper_family(a: FiniteAlgebra, d: Subset, family: Optional[DSFamily]) -> tuple[Subset, ...]:
+    """The deductive systems of ``family`` (enumerated when None), once D
+    is checked to be a proper deductive system."""
     _require_ds(a, d)
     if len(d) == a.size:
         raise NotProperError(f"{format_subset(a, d)} is not a proper deductive system")
-    if family is None:
-        family = enumerate_ds(a)
-    return _is_prime(a, d, family.subsets)
+    return (enumerate_ds(a) if family is None else family).subsets
+
+
+def is_prime(a: FiniteAlgebra, d: Subset, family: Optional[DSFamily] = None) -> bool:
+    """Prime: D1 n D2 <= P forces D1 <= P or D2 <= P, over all DS pairs."""
+    return _is_prime(a, d, _proper_family(a, d, family))
 
 
 def is_maximal(a: FiniteAlgebra, d: Subset, family: Optional[DSFamily] = None) -> bool:
     """Maximal: proper and contained in no other proper DS."""
-    _require_ds(a, d)
-    if len(d) == a.size:
-        raise NotProperError(f"{format_subset(a, d)} is not a proper deductive system")
-    if family is None:
-        family = enumerate_ds(a)
-    return _is_maximal(a, d, family.subsets)
+    return _is_maximal(a, d, _proper_family(a, d, family))
 
 
 @dataclass(frozen=True)

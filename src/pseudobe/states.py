@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import FiniteAlgebra, UnboundedAlgebraError, check_axioms, content_lines, leq
+from .algebra import FiniteAlgebra, _require_bottom, check_axioms, content_lines, leq, vee1
 from .dsystems import Subset
 from .linalg import (
     AffineSolutionSpace,
@@ -45,20 +45,17 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-def parse_assignment(
-    a: FiniteAlgebra, text: str, expected_kinds: tuple[str, ...]
-) -> tuple[str, str, Assignment]:
-    """Parse ``<kind> <name>`` followed by ``<element> = <rational>`` lines."""
+def parse_assignment(a: FiniteAlgebra, text: str, kind: str) -> tuple[str, Assignment]:
+    """Parse ``<kind> <name>`` followed by ``<element> = <rational>`` lines
+    into the name and the values."""
     values: dict[int, Fraction] = {}
-    kind = name = None
+    name = None
     for line in content_lines(text):
-        if kind is None:
+        if name is None:
             parts = line.split()
-            if len(parts) != 2 or parts[0] not in expected_kinds:
-                raise ValueError(
-                    f"expected header '<{('|'.join(expected_kinds))}> <name>', got {line!r}"
-                )
-            kind, name = parts
+            if len(parts) != 2 or parts[0] != kind:
+                raise ValueError(f"expected header '<{kind}> <name>', got {line!r}")
+            name = parts[1]
             continue
         if "=" not in line:
             raise ValueError(f"bad assignment line: {line!r}")
@@ -67,12 +64,12 @@ def parse_assignment(
         if x in values:
             raise ValueError(f"element {tok!r} assigned twice")
         values[x] = parse_fraction(val)
-    if kind is None:
+    if name is None:
         raise ValueError("empty assignment file")
     missing = [a.token(i) for i in range(a.size) if i not in values]
     if missing:
         raise ValueError(f"assignment missing elements: {', '.join(missing)}")
-    return kind, name, tuple(values[i] for i in range(a.size))
+    return name, tuple(values[i] for i in range(a.size))
 
 
 def format_assignment(a: FiniteAlgebra, kind: str, name: str, values: Assignment) -> str:
@@ -85,13 +82,20 @@ def format_assignment(a: FiniteAlgebra, kind: str, name: str, values: Assignment
 # Bosbach states
 
 
-def bosbach_witness(a: FiniteAlgebra, s: Assignment) -> Optional[Witness]:
-    """First violated state axiom, or None if s is a Bosbach state."""
+def _unit_interval_witness(a: FiniteAlgebra, s: Assignment) -> Optional[Witness]:
+    """s(1) = 1 (bs1) and every value in [0, 1]: the prefix of both state checks."""
     if s[a.unit] != ONE:
         return ("bs1", (a.unit,))
     for x in range(a.size):
         if not ZERO <= s[x] <= ONE:
             return ("range", (x,))
+    return None
+
+
+def bosbach_witness(a: FiniteAlgebra, s: Assignment) -> Optional[Witness]:
+    """First violated state axiom, or None if s is a Bosbach state."""
+    if (w := _unit_interval_witness(a, s)) is not None:
+        return w
     for x in range(a.size):
         for y in range(a.size):
             if s[x] + s[a.arrow[x][y]] != s[y] + s[a.arrow[y][x]]:
@@ -103,6 +107,17 @@ def bosbach_witness(a: FiniteAlgebra, s: Assignment) -> Optional[Witness]:
 
 def is_bosbach_state(a: FiniteAlgebra, s: Assignment) -> bool:
     return bosbach_witness(a, s) is None
+
+
+def _require_state(a: FiniteAlgebra, s: Assignment) -> None:
+    w = bosbach_witness(a, s)
+    if w is not None:
+        raise MembershipError(f"not a Bosbach state: {w}")
+
+
+def _require_condition_a(a: FiniteAlgebra) -> None:
+    if not check_axioms(a, "condition-A").holds:
+        raise ConditionAMissingError(f"{a.name} does not satisfy condition (A)")
 
 
 @dataclass(frozen=True)
@@ -148,11 +163,8 @@ def lukasiewicz(x: Fraction, y: Fraction) -> Fraction:
 
 
 def state_morphism_witness(a: FiniteAlgebra, s: Assignment) -> Optional[Witness]:
-    if s[a.unit] != ONE:
-        return ("bs1", (a.unit,))
-    for x in range(a.size):
-        if not ZERO <= s[x] <= ONE:
-            return ("range", (x,))
+    if (w := _unit_interval_witness(a, s)) is not None:
+        return w
     for x in range(a.size):
         for y in range(a.size):
             expected = lukasiewicz(s[x], s[y])
@@ -171,13 +183,8 @@ def sm_characterization_check(a: FiniteAlgebra, s: Assignment) -> bool:
     Requires condition (A) and a verified state; the result must agree
     with the direct state-morphism check.
     """
-    if not check_axioms(a, "condition-A").holds:
-        raise ConditionAMissingError(f"{a.name} does not satisfy condition (A)")
-    w = bosbach_witness(a, s)
-    if w is not None:
-        raise MembershipError(f"not a Bosbach state: {w}")
-    from .algebra import vee1
-
+    _require_condition_a(a)
+    _require_state(a, s)
     return all(
         s[vee1(a, x, y)] == max(s[x], s[y])
         for x in range(a.size)
@@ -189,11 +196,18 @@ def sm_characterization_check(a: FiniteAlgebra, s: Assignment) -> bool:
 # measures
 
 
-def measure_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
-    """Difference property over comparable pairs; nonnegative values."""
+def _nonnegative_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
+    """Every value at least 0: the prefix of both measure checks."""
     for x in range(a.size):
         if m[x] < ZERO:
             return ("range", (x,))
+    return None
+
+
+def measure_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
+    """Difference property over comparable pairs; nonnegative values."""
+    if (w := _nonnegative_witness(a, m)) is not None:
+        return w
     for x in range(a.size):
         for y in range(a.size):
             if leq(a, y, x):
@@ -209,9 +223,8 @@ def is_measure(a: FiniteAlgebra, m: Assignment) -> bool:
 
 def measure_morphism_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
     """max{0, m(y)-m(x)} property over all pairs; nonnegative values."""
-    for x in range(a.size):
-        if m[x] < ZERO:
-            return ("range", (x,))
+    if (w := _nonnegative_witness(a, m)) is not None:
+        return w
     for x in range(a.size):
         for y in range(a.size):
             expected = max(ZERO, m[y] - m[x])
@@ -224,19 +237,13 @@ def is_measure_morphism(a: FiniteAlgebra, m: Assignment) -> bool:
     return measure_morphism_witness(a, m) is None
 
 
-def _require_bounded(a: FiniteAlgebra) -> int:
-    if a.bottom is None:
-        raise UnboundedAlgebraError(f"algebra {a.name!r} has no bottom")
-    return a.bottom
-
-
 def is_state_measure(a: FiniteAlgebra, m: Assignment) -> bool:
-    bottom = _require_bounded(a)
+    bottom = _require_bottom(a)
     return is_measure(a, m) and m[bottom] == ONE
 
 
 def is_state_measure_morphism(a: FiniteAlgebra, m: Assignment) -> bool:
-    bottom = _require_bounded(a)
+    bottom = _require_bottom(a)
     return is_measure_morphism(a, m) and m[bottom] == ONE
 
 
@@ -266,13 +273,10 @@ def state_measure_bijection(a: FiniteAlgebra, values: Assignment, direction: str
     ``direction`` is ``"state-to-measure"`` or ``"measure-to-state"``.
     Both endpoints are verified; round-trip is the identity.
     """
-    bottom = _require_bounded(a)
-    if not check_axioms(a, "condition-A").holds:
-        raise ConditionAMissingError(f"{a.name} does not satisfy condition (A)")
+    bottom = _require_bottom(a)
+    _require_condition_a(a)
     if direction == "state-to-measure":
-        w = bosbach_witness(a, values)
-        if w is not None:
-            raise MembershipError(f"not a Bosbach state: {w}")
+        _require_state(a, values)
         if values[bottom] != ZERO:
             raise MembershipError("state does not vanish at bottom")
         out = tuple(ONE - v for v in values)
@@ -296,9 +300,7 @@ def state_measure_bijection(a: FiniteAlgebra, values: Assignment, direction: str
 
 def state_kernel(a: FiniteAlgebra, s: Assignment) -> Subset:
     """Preimage of 1 under a verified state."""
-    w = bosbach_witness(a, s)
-    if w is not None:
-        raise MembershipError(f"not a Bosbach state: {w}")
+    _require_state(a, s)
     return frozenset(x for x in range(a.size) if s[x] == ONE)
 
 

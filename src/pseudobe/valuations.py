@@ -14,7 +14,7 @@ from typing import Optional
 
 from .algebra import FiniteAlgebra, vee1, vee2
 from .dsystems import Subset, is_deductive_system, is_fantastic
-from .homs import Homomorphism, NotBijectiveError, hom_witness, NotAHomomorphismError
+from .homs import Homomorphism, NotBijectiveError, _require_hom
 from .linalg import (
     ConsistencyAlarmError,
     IntVector,
@@ -196,9 +196,7 @@ def valuation_kernel(a: FiniteAlgebra, phi: Assignment) -> Subset:
 
 def pullback(f: Homomorphism, phi: Assignment) -> Assignment:
     """phi o f; a pseudo-valuation on the source with the kernel pulled back."""
-    w = hom_witness(f)
-    if w is not None:
-        raise NotAHomomorphismError(str(w))
+    _require_hom(f)
     _require_pv(f.target, phi)
     psi = tuple(phi[f.map[x]] for x in range(f.source.size))
     target_kernel = valuation_kernel(f.target, phi)
@@ -209,9 +207,7 @@ def pullback(f: Homomorphism, phi: Assignment) -> Assignment:
 
 def pushforward(f: Homomorphism, phi: Assignment) -> Assignment:
     """The unique psi with psi o f = phi, along an isomorphism."""
-    w = hom_witness(f)
-    if w is not None:
-        raise NotAHomomorphismError(str(w))
+    _require_hom(f)
     if not f.is_bijective():
         raise NotBijectiveError("pushforward requires an isomorphism")
     _require_pv(f.source, phi)

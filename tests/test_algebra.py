@@ -182,6 +182,32 @@ def test_parse_duplicate_element():
         )
 
 
+@pytest.mark.parametrize(
+    "old, new, count, message",
+    [
+        (" d", " c", -1, "duplicate element token"),  # d renamed c everywhere
+        ("1 1 c c 1\n1 d", "1 1 c c\n1 d", 1, "arrow table: row length mismatch"),
+        ("1 1 b c 1\n1 d", "1 1 b c 1 d\n1 d", 1, "squig table: row length mismatch"),
+    ],
+    ids=["duplicate-token", "short-row", "long-row"],
+)
+def test_parse_shape_errors_come_from_the_constructor(conda5, old, new, count, message):
+    # the parser leaves the carrier and table shape to FiniteAlgebra
+    text = serialize_algebra(conda5).replace(old, new, count)
+    with pytest.raises(AlgebraError, match=f"^{message}$"):
+        parse_algebra(text)
+
+
+@pytest.mark.parametrize("keyword", ["unit", "bottom"])
+def test_parse_constant_lines(bounded6, keyword):
+    text = serialize_algebra(bounded6)
+    line = next(line for line in text.splitlines() if line.startswith(keyword))
+    with pytest.raises(AlgebraError, match=f"^{keyword} line needs exactly one token$"):
+        parse_algebra(text.replace(line, line + " 1"))
+    with pytest.raises(AlgebraError, match=f"^unknown token in {keyword}: 'z'$"):
+        parse_algebra(text.replace(line, f"{keyword} z"))
+
+
 @pytest.mark.parametrize("tok", ["x,y", "{x", "x}", "x=y", "x->y"])
 def test_parse_rejects_separator_in_token(conda5, tok):
     text = "\n".join(

@@ -298,6 +298,42 @@ def test_hom_outside_pseudo_be(capsys, alg):
     assert out == "hom 1 a\nhom a a\ncount 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv, text, expected",
+    [
+        (
+            ["states", "conda5.alg"],
+            "state bad\n1 = 1\na = 2\nb = 1\nc = 1\nd = 1\n",
+            "state bad\nbosbach false\nviolation range (a)\n",
+        ),
+        (
+            ["measures", "conda5.alg"],
+            "measure bad\n1 = 0\na = -1\nb = 0\nc = 0\nd = 0\n",
+            "measure bad\nis-measure false\nviolation range (a)\n",
+        ),
+        (
+            # a ray of the valuation cone, so a pv, but not a commutative one
+            ["valuations", "bck4.alg", "--commutative"],
+            "valuation phi\n1 = 0\na = 1\nb = 0\nc = 1\n",
+            "valuation phi\nis-pseudo-valuation true\nis-weak-pseudo-valuation true\n"
+            "is-commutative false\nviolation cpv2 (c,a)\n",
+        ),
+        (
+            ["hom", "conda5.alg", "conda5.alg"],
+            "hom 1->a\nhom a->a\nhom b->a\nhom c->a\nhom d->a\n",
+            "is-homomorphism false\nviolation arrow (1,1)\n",
+        ),
+    ],
+    ids=["states", "measures", "valuations-commutative", "hom"],
+)
+def test_verify_failure_exits_one(capsys, alg, tmp_path, argv, text, expected):
+    verify = tmp_path / "input"
+    verify.write_text(text)
+    argv = [alg(t) if t.endswith(".alg") else t for t in argv]
+    code, out, err = run(capsys, *argv, "--verify", str(verify))
+    assert (code, out, err) == (1, expected, "")
+
+
 def test_repeated_lines_are_usage_errors(capsys, alg, tmp_path):
     op = tmp_path / "twice.op"
     op.write_text("map 1->1\nmap a->1\nmap b->b\nmap c->b\nmap d->1\nmap d->d\n")

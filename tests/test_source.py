@@ -19,6 +19,34 @@ def test_no_assert_statements():
     assert found == []
 
 
+# each precondition error is raised in one place, which every check calls
+SINGLE_HOME_ERRORS = (
+    "UnboundedAlgebraError",
+    "ConditionAMissingError",
+    "NotAHomomorphismError",
+    "NotProperError",
+)
+
+
+def _raised_name(node: ast.Raise):
+    """The class named by ``raise E``, ``raise E(...)`` or ``raise m.E(...)``."""
+    target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def test_each_precondition_error_has_one_raise():
+    sources = sorted(pathlib.Path(pseudobe.__file__).parent.glob("*.py"))
+    raised = [
+        _raised_name(node)
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    ]
+    assert {name: raised.count(name) for name in SINGLE_HOME_ERRORS} == dict.fromkeys(
+        SINGLE_HOME_ERRORS, 1
+    )
+
+
 # the program is single-threaded: no import may start a thread, process or pool
 CONCURRENCY_MODULES = {
     "threading",

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pseudobe import states
-from pseudobe.algebra import UnboundedAlgebraError, vee1
+from pseudobe.algebra import UnboundedAlgebraError, negations, vee1
+from pseudobe.dsystems import is_involutive_ds
 from pseudobe.finder import SearchConstraints, enumerate_models
 from pseudobe.linalg import (
     ConsistencyAlarmError,
@@ -275,6 +276,37 @@ def test_bijection_preconditions():
         state_measure_bijection(no_a, (F(1),) * 4, "state-to-measure")
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda a: negations(a, a.unit),
+        lambda a: is_involutive_ds(a, frozenset({a.unit})),
+        lambda a: is_state_measure(a, M4),
+        lambda a: is_state_measure_morphism(a, M4),
+        lambda a: state_measure_bijection(a, S1_HALF, "state-to-measure"),
+    ],
+    ids=["negations", "involutive-ds", "state-measure", "state-measure-morphism", "bijection"],
+)
+def test_bottom_required_with_one_message(conda5, check):
+    with pytest.raises(UnboundedAlgebraError, match=r"^algebra 'conda5' has no bottom$"):
+        check(conda5)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        sm_characterization_check,
+        lambda a, s: state_measure_bijection(a, s, "state-to-measure"),
+        state_kernel,
+    ],
+    ids=["sm-characterization", "bijection", "state-kernel"],
+)
+def test_state_required_with_one_message(check):
+    a = _two_chain()
+    with pytest.raises(MembershipError, match=r"^not a Bosbach state: \('bs1', \(0,\)\)$"):
+        check(a, (F(0), F(0)))
+
+
 def test_state_measure_morphism(conda5):
     a = _two_chain()
     assert is_state_measure_morphism(a, (F(0), F(1)))
@@ -294,24 +326,24 @@ def test_bijection_requires_bounded(conda5):
 
 def test_assignment_file_round_trip(conda5):
     text = format_assignment(conda5, "state", "s1_half", S1_HALF)
-    kind, name, values = parse_assignment(conda5, text, ("state",))
-    assert (kind, name, values) == ("state", "s1_half", S1_HALF)
+    name, values = parse_assignment(conda5, text, "state")
+    assert (name, values) == ("s1_half", S1_HALF)
 
 
 def test_assignment_missing_element(conda5):
     with pytest.raises(ValueError, match="missing"):
-        parse_assignment(conda5, "state s\n1 = 1\n", ("state",))
+        parse_assignment(conda5, "state s\n1 = 1\n", "state")
 
 
 def test_assignment_wrong_kind(conda5):
     with pytest.raises(ValueError, match="expected header"):
-        parse_assignment(conda5, "valuation v\n", ("state",))
+        parse_assignment(conda5, "valuation v\n", "state")
 
 
 def test_assignment_duplicate_key(conda5):
     text = "state s\n1 = 1\na = 1\nb = 1/2\nc = 1/2\nd = 1\nb = 1  # b again\n"
     with pytest.raises(ValueError, match="assigned twice"):
-        parse_assignment(conda5, text, ("state",))
+        parse_assignment(conda5, text, "state")
 
 
 def test_engine_matches_audit_on_small_models(small_inputs):

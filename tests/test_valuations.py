@@ -8,7 +8,7 @@ import pytest
 
 from pseudobe import valuations
 from pseudobe.dsystems import ConsistencyAlarmError, parse_subset
-from pseudobe.homs import Homomorphism, NotBijectiveError, identity_hom
+from pseudobe.homs import Homomorphism, NotAHomomorphismError, NotBijectiveError, identity_hom
 from pseudobe.valuations import (
     NotAPseudoValuationError,
     characterization_crosscheck,
@@ -180,6 +180,14 @@ def test_transport_alarms(conda5, monkeypatch, transport):
         transport(f, PHI_1_3)
     monkeypatch.setattr(valuations, "is_pseudo_valuation", lambda a, phi: False)
     with pytest.raises(ConsistencyAlarmError, match="not a pseudo-valuation"):
+        transport(f, PHI_1_3)
+
+
+@pytest.mark.parametrize("transport", [pullback, pushforward])
+def test_transport_requires_homomorphism(conda5, transport):
+    # a bijection swapping a and b, so pushforward fails on the hom check
+    f = Homomorphism(conda5, conda5, (0, 2, 1, 3, 4))
+    with pytest.raises(NotAHomomorphismError, match=r"^arrow not preserved at \(a,b\)$"):
         transport(f, PHI_1_3)
 
 
