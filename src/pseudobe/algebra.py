@@ -15,7 +15,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .linalg import ConsistencyAlarmError
 
@@ -174,8 +174,8 @@ class AxiomReport:
 # ~>, v1 or v2, and whose formula is a conjunction (&) of equations t = s,
 # optionally followed by => or <=> and a second conjunction.  An identity
 # that several systems share is declared once.  ``_identity`` compiles each
-# once per process, on first use, for ``check_axioms`` and for the model
-# finder's fixed cells and propagator.
+# once per process, on first use, for ``check_axioms``, ``_holds`` and the
+# model finder's fixed cells and propagator.
 
 _UNIT_RIGHT = "x -> 1 = 1 & x ~> 1 = 1"
 _UNIT_LEFT = "1 -> x = x & 1 ~> x = x"
@@ -279,19 +279,31 @@ def _identity(text: str) -> tuple[str, list, Callable]:
     return variables, indices, code["violations"]
 
 
+def _scans(arrow, squig, unit: int, system: str) -> Iterator[tuple[str, list]]:
+    """Each axiom tag of ``system`` with its violating tuples, in declaration
+    order; each identity is scanned only when the iteration reaches it."""
+    if system not in _SYSTEM_AXIOMS:
+        raise ValueError(f"unknown axiom system {system!r}")
+    n = len(arrow)
+    for tag, d in _SYSTEM_AXIOMS[system].items():
+        variables, _, scan = _identity(d)
+        yield tag, scan(arrow, squig, unit, n, itertools.product(range(n), repeat=len(variables)))
+
+
+def _holds(arrow, squig, unit: int, system: str) -> bool:
+    """``check_axioms(...).holds`` for the tables, decided at the first
+    identity with a violation: the later identities are not scanned."""
+    return not any(bad for _, bad in _scans(arrow, squig, unit, system))
+
+
 def check_axioms(a: FiniteAlgebra, system: str) -> AxiomReport:
     """Exhaustively evaluate every axiom of ``system`` over all tuples.
 
     Reports the lexicographically first violating tuple per axiom tag,
-    plus the total violation count.
+    plus the total violation count.  A yes/no decision needs no report:
+    it is :func:`_holds`.
     """
-    if system not in _SYSTEM_AXIOMS:
-        raise ValueError(f"unknown axiom system {system!r}")
-    found = []
-    for tag, d in _SYSTEM_AXIOMS[system].items():
-        variables, _, scan = _identity(d)
-        tuples = itertools.product(range(a.size), repeat=len(variables))
-        found.append((tag, scan(a.arrow, a.squig, a.unit, a.size, tuples)))
+    found = list(_scans(a.arrow, a.squig, a.unit, system))
     violations = tuple(sorted((tag, bad[0]) for tag, bad in found if bad))
     return AxiomReport(system, not violations, violations, sum(len(bad) for _, bad in found))
 
@@ -316,12 +328,15 @@ class ClassificationReport:
 
 
 def classify(a: FiniteAlgebra) -> ClassificationReport:
-    """Run every axiom system plus derived structural flags."""
-    pseudo_be = check_axioms(a, "pseudo-BE").holds
-    pseudo_bck = check_axioms(a, "pseudo-BCK").holds
-    condition_a = check_axioms(a, "condition-A").holds
-    distributive = check_axioms(a, "distributive").holds
-    commutative = check_axioms(a, "commutative").holds
+    """Decide every axiom-system flag plus the derived structural flags.
+
+    Each axiom-system flag is :func:`_holds`: it is decided false at the
+    first identity with a violation, without scanning the rest.
+    """
+    pseudo_be, pseudo_bck, condition_a, distributive, commutative = (
+        _holds(a.arrow, a.squig, a.unit, system)
+        for system in ("pseudo-BE", "pseudo-BCK", "condition-A", "distributive", "commutative")
+    )
     be = a.is_be()
     proper = pseudo_be and not be
 

@@ -15,8 +15,8 @@ from .algebra import (
     AlgebraError,
     FiniteAlgebra,
     _double_negations,
+    _holds,
     _require_bottom,
-    check_axioms,
     vee1,
     vee2,
 )
@@ -86,9 +86,11 @@ def _require_ds(a: FiniteAlgebra, d: Subset) -> None:
         raise NotADeductiveSystemError(f"{format_subset(a, d)} is not a deductive system")
 
 
-def is_normal(a: FiniteAlgebra, d: Subset) -> bool:
-    """x -> y in D iff x ~> y in D, for all pairs."""
-    _require_ds(a, d)
+# the predicates on a deductive system D, unchecked: ``enumerate_ds`` runs
+# them on the members it has just verified, the public twins check D first
+
+
+def _normal(a: FiniteAlgebra, d: Subset) -> bool:
     for x in range(a.size):
         for y in range(a.size):
             if (a.arrow[x][y] in d) != (a.squig[x][y] in d):
@@ -96,9 +98,7 @@ def is_normal(a: FiniteAlgebra, d: Subset) -> bool:
     return True
 
 
-def is_fantastic(a: FiniteAlgebra, d: Subset) -> bool:
-    """y -> x in D implies (x v1 y) -> x in D, plus the squig twin."""
-    _require_ds(a, d)
+def _fantastic(a: FiniteAlgebra, d: Subset) -> bool:
     for x in range(a.size):
         for y in range(a.size):
             if a.arrow[y][x] in d and a.arrow[vee1(a, x, y)][x] not in d:
@@ -108,15 +108,31 @@ def is_fantastic(a: FiniteAlgebra, d: Subset) -> bool:
     return True
 
 
-def is_involutive_ds(a: FiniteAlgebra, d: Subset) -> bool:
-    """Contains x^{-~} -> x and x^{~-} ~> x for every x (bounded only)."""
-    _require_bottom(a)
-    _require_ds(a, d)
+def _involutive(a: FiniteAlgebra, d: Subset) -> bool:
     for x in range(a.size):
         dn, dn2 = _double_negations(a, x)
         if a.arrow[dn][x] not in d or a.squig[dn2][x] not in d:
             return False
     return True
+
+
+def is_normal(a: FiniteAlgebra, d: Subset) -> bool:
+    """x -> y in D iff x ~> y in D, for all pairs."""
+    _require_ds(a, d)
+    return _normal(a, d)
+
+
+def is_fantastic(a: FiniteAlgebra, d: Subset) -> bool:
+    """y -> x in D implies (x v1 y) -> x in D, plus the squig twin."""
+    _require_ds(a, d)
+    return _fantastic(a, d)
+
+
+def is_involutive_ds(a: FiniteAlgebra, d: Subset) -> bool:
+    """Contains x^{-~} -> x and x^{~-} ~> x for every x (bounded only)."""
+    _require_bottom(a)
+    _require_ds(a, d)
+    return _involutive(a, d)
 
 
 def _char_vector(a: FiniteAlgebra, d: Subset) -> tuple[int, ...]:
@@ -151,11 +167,12 @@ def enumerate_ds(a: FiniteAlgebra) -> DSFamily:
     found.sort(key=lambda d: _char_vector(a, d))
     subsets = tuple(found)
 
-    normal = tuple(d for d in subsets if is_normal(a, d))
-    fantastic = tuple(d for d in subsets if is_fantastic(a, d))
+    # every member is a verified deductive system: the unchecked predicates
+    normal = tuple(d for d in subsets if _normal(a, d))
+    fantastic = tuple(d for d in subsets if _fantastic(a, d))
     involutive = None
     if a.bottom is not None:
-        involutive = tuple(d for d in subsets if is_involutive_ds(a, d))
+        involutive = tuple(d for d in subsets if _involutive(a, d))
     proper = [d for d in subsets if len(d) < a.size]
     prime = tuple(d for d in proper if _is_prime(a, d, subsets))
     maximal = tuple(d for d in proper if _is_maximal(a, d, subsets))
@@ -247,7 +264,7 @@ def quotient(a: FiniteAlgebra, h: Subset) -> QuotientResult:
     not be a congruence); the construction is verified, not assumed, and
     a well-definedness failure raises an alarm.
     """
-    if not check_axioms(a, "distributive").holds:
+    if not _holds(a.arrow, a.squig, a.unit, "distributive"):
         raise NotDistributiveError(
             f"{a.name} is not distributive; quotients are defined on "
             "distributive algebras only"

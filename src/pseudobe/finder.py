@@ -25,9 +25,9 @@ from typing import Iterator, Optional
 from .algebra import (
     _SYSTEM_AXIOMS,
     FiniteAlgebra,
+    _holds,
     _identity,
     _is_least,
-    check_axioms,
     classify,
     serialize_algebra,
 )
@@ -189,7 +189,8 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
     tested at the last cell it reads at atomic indices and at each later
     cell in the row of an entry it reads at a computed index (psBE4).
     ``audit=True`` scans every map with ``homs.scan_maps``.  Both confirm
-    each complete pair with ``check_axioms``; flags are filtered after that.
+    each complete pair with ``algebra._holds``, the pseudo-BE scans of
+    ``check_axioms``; flags are filtered after that.
     Equal rows of the streamed tables are one tuple object.
     """
     n, u = c.size, 0
@@ -244,8 +245,7 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
         return last[1]
 
     def accept(f: Map) -> bool:
-        ta, ts = frozen(f)
-        return check_axioms(FiniteAlgebra("tmp", tuple(_TOKENS[:n]), ta, ts, u), "pseudo-BE").holds
+        return _holds(*frozen(f), u, "pseudo-BE")
 
     # the siblings checked in a row share their tables up to cell k
     built: list = [None, None, None]
@@ -345,8 +345,8 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     family = enumerate_ds(a)
     fantastic = set(family.fantastic)
     bounded = with_detected_bottom(a)
-    p_holds = check_axioms(a, "P-system").holds
-    q_holds = check_axioms(a, "Q-system").holds
+    p_holds = _holds(a.arrow, a.squig, a.unit, "P-system")
+    q_holds = _holds(a.arrow, a.squig, a.unit, "Q-system")
     comm = rep.pseudo_be and rep.commutative
     # box_vertices and cone_rays verify every vertex and ray in integers, so
     # the kernels s^-1(1) and m^-1(0) are read straight off them

@@ -16,16 +16,21 @@ really are rational.  The three entry points are:
 
 Vertices and rays come from one exact engine.  The inequalities are
 restricted to an integer basis of the equality space and scaled to
-primitive integer rows, dropping zero rows and positive multiples.  An
-incremental double description pass (Motzkin et al. 1953; Fukuda & Prodon
-1996) then runs in integer arithmetic; the integer Gauss-Jordan
-:func:`_integer_rref` of :func:`solve_affine` picks its first independent
-rows and inverts them into its start rays, without leaving the integers.
-A polytope is handled as the cone over its homogenised box: a vertex is a
-ray with t > 0, scaled to t = 1.
+primitive integer rows, dropping exact repeats, zero rows and positive
+multiples.  An incremental double description pass (Motzkin et al. 1953;
+Fukuda & Prodon 1996) then runs in integer arithmetic; the integer
+Gauss-Jordan :func:`_integer_rref` of :func:`solve_affine` picks its first
+independent rows and inverts them into its start rays, without leaving
+the integers.  A cone's basis is read off the same :func:`_integer_rref`
+of its distinct primitive equality rows (:func:`_null_basis`), so a cone
+makes no Fraction at all; a polytope's basis is that of the
+:class:`AffineSolutionSpace` it is given.  A polytope is handled as the
+cone over its homogenised box: a vertex is a ray with t > 0, scaled to
+t = 1.
 
-``audit=True`` replaces the engine by the active-set enumerators, which
-try every choice of active constraints and solve each with
+``audit=True`` takes a cone's basis from ``solve_affine(audit=True)``
+instead, and replaces the engine by the active-set enumerators, which try
+every choice of active constraints and solve each with
 ``solve_affine(audit=True)``, the one caller of the Fraction RREF
 :func:`_rref`; they are kept as oracles.  Every output ray or vertex, from
 either path, is re-checked against every input equality and inequality in
@@ -113,6 +118,11 @@ class AffineSolutionSpace:
         return tuple(vals)
 
 
+def _require_arity(rows: Iterable[Sequence], num_vars: int, kind: str) -> None:
+    if any(len(row) != num_vars for row in rows):
+        raise ValueError(f"{kind} arity mismatch")
+
+
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns).
 
@@ -189,16 +199,11 @@ def solve_affine(
     row space, so ``audit=True``, which runs the Fraction :func:`_rref` over
     every input row, returns the same space.
     """
-    for eq in equalities:
-        if len(eq.coeffs) != num_vars:
-            raise ValueError("equation arity mismatch")
+    _require_arity((eq.coeffs for eq in equalities), num_vars, "equation")
     if audit:
         rows, pivots = _rref([[Fraction(v) for v in (*eq.coeffs, eq.rhs)] for eq in equalities])
     else:
-        distinct = _distinct_rows((*eq.coeffs, eq.rhs) for eq in equalities)
-        # of a row and its negation, the larger one leads with a positive entry
-        signed = {max(p, tuple(-v for v in p)): None for p in distinct}
-        rows, pivots = _integer_rref(list(signed))
+        rows, pivots = _integer_rref(_equality_rows((*eq.coeffs, eq.rhs) for eq in equalities))
         rows = [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
     # a pivot in the right-hand side column is a row 0 = nonzero
     if pivots and pivots[-1] == num_vars:
@@ -246,13 +251,39 @@ def _primitive(values: Sequence) -> IntVector:
 
 def _distinct_rows(rows: Iterable[Sequence]) -> list[IntVector]:
     """Primitive forms of ``rows`` without zero rows and positive multiples,
-    in order of first occurrence."""
+    in order of first occurrence.  Exact repeats are dropped before any gcd
+    is taken."""
     seen: dict[IntVector, None] = {}
-    for row in rows:
+    for row in dict.fromkeys(map(tuple, rows)):
         p = _primitive(row)
         if any(p):
             seen.setdefault(p)
     return list(seen)
+
+
+def _equality_rows(rows: Iterable[Sequence]) -> list[IntVector]:
+    """:func:`_distinct_rows` of an equality system up to sign: of a row and
+    its negation, the larger one, which leads with a positive entry."""
+    return list({max(p, tuple(-v for v in p)): None for p in _distinct_rows(rows)})
+
+
+def _null_basis(rows: Sequence[IntVector], num_vars: int) -> list[IntVector]:
+    """Primitive integer basis of ``{x : r . x = 0 for r in rows}``, read off
+    :func:`_integer_rref`: one vector per free column, positive there and 0
+    on the other free columns, so each is the primitive positive multiple of
+    the matching basis vector of :func:`solve_affine`."""
+    reduced, pivots = _integer_rref(list(rows))
+    # integer row i is RREF row i times its pivot entry, of either sign; the
+    # lcm is positive, so scale // row[c] clears the pivots and keeps signs
+    scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
+    basis = []
+    for free in (c for c in range(num_vars) if c not in pivots):
+        x = [0] * num_vars
+        x[free] = scale
+        for row, c in zip(reduced, pivots):
+            x[c] = -row[free] * (scale // row[c])
+        basis.append(_primitive(x))
+    return basis
 
 
 def _check(
@@ -380,8 +411,7 @@ def box_vertices(
     ``dimension`` active bound constraints.
     """
     n = space.num_vars
-    if len(lower) != n or len(upper) != n:
-        raise ValueError("bound arity mismatch")
+    _require_arity((lower, upper), n, "bound")
     d = space.dimension
     if audit and d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
@@ -430,26 +460,36 @@ def cone_rays(
     inequalities must not admit a line), which holds for every system built
     by this package; otherwise ``ValueError``.  Rays are primitive integer
     vectors (``int`` tuples, the smallest integer coordinates on the ray),
-    each checked in integers, sorted lexicographically.
-    ``audit=True`` enumerates every choice of d - 1 active inequalities
-    instead of running the double description engine.
+    each checked in integers against the distinct primitive equality and
+    inequality rows, sorted lexicographically.
+
+    The basis of the equality space is :func:`_null_basis` of the distinct
+    primitive equality rows, so no Fraction is made.  ``audit=True`` takes
+    it from ``solve_affine(audit=True)`` instead, with an alarm on a nonzero
+    particular solution, and enumerates every choice of d - 1 active
+    inequalities instead of running the double description engine.
     """
     for eq in equalities:
         if eq.rhs != 0:
             raise ValueError("cone equalities must be homogeneous")
-    if any(len(row) != num_vars for row in inequalities):
-        raise ValueError("inequality arity mismatch")
-    space = solve_affine(equalities, num_vars)
-    if space is None or any(v != 0 for v in space.particular):
-        raise ConsistencyAlarmError("homogeneous system without the solution 0")
-    d = space.dimension
+    _require_arity(inequalities, num_vars, "inequality")
+    _require_arity((eq.coeffs for eq in equalities), num_vars, "equation")
+    equality_rows = _equality_rows(eq.coeffs for eq in equalities)
+    if audit:
+        space = solve_affine(equalities, num_vars, audit=True)
+        if space is None or any(v != 0 for v in space.particular):
+            raise ConsistencyAlarmError("homogeneous system without the solution 0")
+        basis = [_primitive(b) for b in space.basis]
+    else:
+        basis = _null_basis(equality_rows, num_vars)
+    d = len(basis)
     if audit and d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
     if d == 0:
         return ()
     rows = _distinct_rows(inequalities)
-    found = _rays([_primitive(b) for b in space.basis], rows, audit)
-    _check(found, [_primitive(eq.coeffs) for eq in equalities], rows)
+    found = _rays(basis, rows, audit)
+    _check(found, equality_rows, rows)
     return tuple(sorted(found))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import FiniteAlgebra, check_axioms, format_map, parse_map, vee1, vee2
+from .algebra import FiniteAlgebra, _holds, format_map, parse_map, vee1, vee2
 from .dsystems import ConsistencyAlarmError, Subset, is_deductive_system
 from .homs import Check, Homomorphism, PreconditionError, enumerate_homomorphisms, hom_witness
 from .homs import equation_check, scan_maps, search_maps
@@ -129,7 +129,7 @@ def kernel_image(a: FiniteAlgebra, mu: UnaryOperator) -> tuple[Subset, Subset]:
     Im closed under both implications, and Ker n Im = {1} are re-checked
     and raise ``ConsistencyAlarmError`` if they fail.
     """
-    cond_a = check_axioms(a, "condition-A").holds
+    cond_a = _holds(a.arrow, a.squig, a.unit, "condition-A")
     internal = cond_a and (
         is_internal_state(a, mu, "I") or is_internal_state(a, mu, "II")
     )

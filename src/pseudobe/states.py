@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import FiniteAlgebra, _require_bottom, check_axioms, content_lines, leq, vee1
+from .algebra import FiniteAlgebra, _holds, _require_bottom, content_lines, leq, vee1
 from .dsystems import Subset
 from .linalg import (
     AffineSolutionSpace,
@@ -116,7 +116,7 @@ def _require_state(a: FiniteAlgebra, s: Assignment) -> None:
 
 
 def _require_condition_a(a: FiniteAlgebra) -> None:
-    if not check_axioms(a, "condition-A").holds:
+    if not _holds(a.arrow, a.squig, a.unit, "condition-A"):
         raise ConditionAMissingError(f"{a.name} does not satisfy condition (A)")
 
 
@@ -205,7 +205,12 @@ def _nonnegative_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
 
 
 def measure_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
-    """Difference property over comparable pairs; nonnegative values."""
+    """Difference property over comparable pairs; nonnegative values;
+    m(1) = 0, as in :func:`measure_equations`.
+
+    On a pseudo-BE algebra the pair (1, 1) already forces m(1) = 0, so the
+    ``m1`` witness is reached only on tables outside the theory.
+    """
     if (w := _nonnegative_witness(a, m)) is not None:
         return w
     for x in range(a.size):
@@ -214,6 +219,8 @@ def measure_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
                 diff = m[y] - m[x]
                 if m[a.arrow[x][y]] != diff or m[a.squig[x][y]] != diff:
                     return ("m", (x, y))
+    if m[a.unit] != ZERO:
+        return ("m1", (a.unit,))
     return None
 
 

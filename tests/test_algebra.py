@@ -15,6 +15,7 @@ from pseudobe.algebra import (
     FiniteAlgebra,
     InconsistentOrderError,
     UnboundedAlgebraError,
+    _holds,
     check_axioms,
     classify,
     leq,
@@ -275,19 +276,51 @@ def test_random_tables_never_crash_axiom_checks(n, data):
         assert rep.holds == (rep.total == 0)
 
 
+def _unit_laws(arrow, squig, u):
+    """Overwrite the cells that psBE1-3 fix, so that later axioms are not
+    decided by the first cells alone."""
+    for t in (arrow, squig):
+        for x in range(len(t)):
+            t[x][x] = t[x][u] = u
+            t[u][x] = x
+
+
 def _random_algebra(rng):
     """A table pair of size 1-5 with a random unit; in half of them psBE1-3
-    hold, so that later axioms are not decided by the first cells alone."""
+    hold."""
     n = rng.randint(1, 5)
     u = rng.randrange(n)
     arrow, squig = ([[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in "as")
     if rng.random() < 0.5:
-        for t in (arrow, squig):
-            for x in range(n):
-                t[x][x] = t[x][u] = u
-                t[u][x] = x
+        _unit_laws(arrow, squig, u)
     tables = (tuple(map(tuple, t)) for t in (arrow, squig))
     return FiniteAlgebra("rand", tuple("1abcd"[:n]), *tables, u)
+
+
+def test_holds_agrees_with_check_axioms(small_inputs, fixtures_dir):
+    """``_holds``, which stops at the first failing identity, decides every
+    system as the full report does: on the six fixtures and every model of
+    size <= 4."""
+    extra = [
+        parse_algebra((fixtures_dir / f).read_text()) for f in ("alarm2.alg", "constant2.alg")
+    ]
+    for a in small_inputs + extra:
+        for system in AXIOM_SYSTEMS:
+            holds = _holds(a.arrow, a.squig, a.unit, system)
+            assert holds == check_axioms(a, system).holds, (a.name, system)
+
+
+@given(st.integers(1, 4), st.data())
+def test_holds_agrees_with_check_axioms_on_random_tables(n, data):
+    """The same on random table pairs, most of them not pseudo-BE."""
+    u = data.draw(st.integers(0, n - 1))
+    cell = st.integers(0, n - 1)
+    arrow, squig = ([[data.draw(cell) for _ in range(n)] for _ in range(n)] for _ in "as")
+    if data.draw(st.booleans()):
+        _unit_laws(arrow, squig, u)
+    a = FiniteAlgebra("rand", tuple("1abc"[:n]), *(tuple(map(tuple, t)) for t in (arrow, squig)), u)
+    for system in AXIOM_SYSTEMS:
+        assert _holds(a.arrow, a.squig, a.unit, system) == check_axioms(a, system).holds, system
 
 
 # sha256 of every AxiomReport below, recorded with the per-axiom predicates

@@ -312,6 +312,12 @@ def test_hom_outside_pseudo_be(capsys, alg):
             "measure bad\nis-measure false\nviolation range (a)\n",
         ),
         (
+            # constant2 has no comparable pair, so only m(1) = 0 rejects this
+            ["measures", "constant2.alg"],
+            "measure bad\n1 = 1\na = 0\n",
+            "measure bad\nis-measure false\nviolation m1 (1)\n",
+        ),
+        (
             # a ray of the valuation cone, so a pv, but not a commutative one
             ["valuations", "bck4.alg", "--commutative"],
             "valuation phi\n1 = 0\na = 1\nb = 0\nc = 1\n",
@@ -324,7 +330,7 @@ def test_hom_outside_pseudo_be(capsys, alg):
             "is-homomorphism false\nviolation arrow (1,1)\n",
         ),
     ],
-    ids=["states", "measures", "valuations-commutative", "hom"],
+    ids=["states", "measures", "measures-unit", "valuations-commutative", "hom"],
 )
 def test_verify_failure_exits_one(capsys, alg, tmp_path, argv, text, expected):
     verify = tmp_path / "input"

@@ -167,17 +167,18 @@ def test_models_share_rows_and_elements():
 
 
 def test_every_labelled_pair_is_confirmed(monkeypatch):
-    """The search confirms each labelled pair with check_axioms before it
-    streams it."""
+    """The search confirms each labelled pair with the pseudo-BE scans
+    (``algebra._holds``) before it streams it."""
     confirmed = set()
+    real = finder._holds
 
-    def recording(a, system):
-        rep = check_axioms(a, system)
-        if rep.holds:
-            confirmed.add((a.arrow, a.squig))
-        return rep
+    def recording(arrow, squig, unit, system):
+        holds = real(arrow, squig, unit, system)
+        if holds and system == "pseudo-BE":
+            confirmed.add((arrow, squig))
+        return holds
 
-    monkeypatch.setattr(finder, "check_axioms", recording)
+    monkeypatch.setattr(finder, "_holds", recording)
     pairs = 0
     for pair in _labelled(4):
         assert pair in confirmed

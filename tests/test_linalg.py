@@ -307,10 +307,20 @@ def test_point_arity():
 
 
 def test_cone_alarm_on_nonzero_particular(monkeypatch):
+    # the audit path takes its basis from solve_affine(audit=True)
     bogus = AffineSolutionSpace(2, (F(1), F(0)), ((F(0), F(1)),), ())
-    monkeypatch.setattr(linalg, "solve_affine", lambda eqs, n: bogus)
+    monkeypatch.setattr(linalg, "solve_affine", lambda eqs, n, audit: bogus)
     with pytest.raises(ConsistencyAlarmError):
-        cone_rays([], [(F(1), F(0)), (F(0), F(1))], 2)
+        cone_rays([], [(F(1), F(0)), (F(0), F(1))], 2, audit=True)
+
+
+def test_cone_alarm_on_corrupted_integer_basis(monkeypatch):
+    # the default path reads its basis off the integer RREF; a basis vector
+    # off the equality x = 0 yields a ray that the check against the rows trips
+    assert cone_rays([_eq([1, 0], 0)], [(1, 0), (0, 1)], 2) == ((0, 1),)
+    monkeypatch.setattr(linalg, "_null_basis", lambda rows, n: [(1, 1)])
+    with pytest.raises(ConsistencyAlarmError):
+        cone_rays([_eq([1, 0], 0)], [(1, 0), (0, 1)], 2)
 
 
 @pytest.mark.parametrize("audit", [False, True])
@@ -389,6 +399,29 @@ def test_cone_engine_matches_audit_and_rank_oracle(n, eq_rows, ineq_rows):
         tight = [row for row in ineqs if sum(c * x for c, x in zip(row, ray)) == 0]
         assert all(sum(c * x for c, x in zip(row, ray)) >= 0 for row in ineqs)
         assert _sympy_rank([eq.coeffs for eq in eqs] + tight) == n - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5),
+    small_rows,
+    st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), max_size=6),
+    small_rows,
+)
+def test_integer_cone_basis_matches_fraction_audit(n, base, copies, ineq_rows):
+    """Homogeneous integer systems with repeated, scaled and zero rows: the
+    basis read off the integer RREF is the primitive form of the Fraction
+    audit's basis, and the default and audit cone paths give the same rays."""
+    base = [tuple(r[:n]) for r in base[:3]]
+    scaled = [tuple(k * v for v in base[i % len(base)]) for i, k in copies] if base else []
+    rows = base + scaled + base + [(0,) * n]
+    eqs = [LinearEquation(r, 0) for r in rows]
+    audit_basis = solve_affine(eqs, n, audit=True).basis
+    integer_basis = linalg._null_basis(linalg._equality_rows(rows), n)
+    assert integer_basis == [linalg._primitive(b) for b in audit_basis]
+    nonneg = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    ineqs = [tuple(r[:n]) for r in ineq_rows] * 2 + [(0,) * n] + nonneg
+    assert cone_rays(eqs, ineqs, n) == cone_rays(eqs, ineqs, n, audit=True)
 
 
 @settings(max_examples=60, deadline=None)

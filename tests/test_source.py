@@ -28,16 +28,16 @@ SINGLE_HOME_ERRORS = (
 )
 
 
-def _raised_name(node: ast.Raise):
-    """The class named by ``raise E``, ``raise E(...)`` or ``raise m.E(...)``."""
-    target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+def _name(expr: ast.expr):
+    """The name ``E``, ``E(...)``, ``m.E`` or ``m.E(...)`` refers to."""
+    target = expr.func if isinstance(expr, ast.Call) else expr
     return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
 
 
 def test_each_precondition_error_has_one_raise():
     sources = sorted(pathlib.Path(pseudobe.__file__).parent.glob("*.py"))
     raised = [
-        _raised_name(node)
+        _name(node.exc)
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Raise) and node.exc is not None
@@ -45,6 +45,32 @@ def test_each_precondition_error_has_one_raise():
     assert {name: raised.count(name) for name in SINGLE_HOME_ERRORS} == dict.fromkeys(
         SINGLE_HOME_ERRORS, 1
     )
+
+
+def _reads_of_report_holds(tree: ast.AST) -> list[int]:
+    """Lines of ``check_axioms(...).holds`` in ``tree``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "holds"
+        and isinstance(node.value, ast.Call)
+        and _name(node.value) == "check_axioms"
+    ]
+
+
+def test_yes_no_axiom_decisions_use_holds():
+    # a full AxiomReport is built for the ``check`` command; every yes/no
+    # decision is ``algebra._holds``, which stops at the first failing identity
+    assert _reads_of_report_holds(ast.parse('a.check_axioms(m, "P-system").holds')) == [1]
+    sources = sorted(pathlib.Path(pseudobe.__file__).parent.glob("*.py"))
+    assert "finder.py" in {path.name for path in sources}
+    found = [
+        f"{path.name}:{line}"
+        for path in sources
+        for line in _reads_of_report_holds(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
 
 
 # the program is single-threaded: no import may start a thread, process or pool
