@@ -1,16 +1,22 @@
 """Bosbach states, state-morphisms, measures, and their exact geometry.
 
-All candidates are rational-valued assignments checked exactly; the state
-space is computed as an affine solution space intersected with the unit
-box, and the measure cone via extreme-ray enumeration.  Vertices are
-Fraction tuples and rays primitive integer tuples; both are exact.
+All candidates are rational-valued assignments checked exactly.  Each
+system is generated once as ``(plus, minus)`` index terms, which feed both
+the public equation builders and the polyhedra.  The polyhedra are built
+from the distinct terms with the unit's coordinate dropped, since the
+unit pins it (m(1) = 0, s(1) = t): the state polytope is read off the
+integer cone over its homogenised system, {(x, t) : Ax = bt, 0 <= x <= t},
+whose extreme rays scaled to t = 1 are the vertices, and the measure cone
+is enumerated by the same extreme-ray engine.  Vertices are Fraction
+tuples and rays primitive integer tuples; both are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .algebra import FiniteAlgebra, _holds, _require_bottom, content_lines, leq, vee1
 from .dsystems import Subset
@@ -21,7 +27,6 @@ from .linalg import (
     LinearEquation,
     Vector,
     _coefficient_row,
-    box_vertices,
     cone_rays,
     format_fraction,
     parse_fraction,
@@ -120,38 +125,92 @@ def _require_condition_a(a: FiniteAlgebra) -> None:
         raise ConditionAMissingError(f"{a.name} does not satisfy condition (A)")
 
 
+Term = tuple[tuple[int, ...], tuple[int, ...]]  # (plus, minus) indices of one row
+
+
+def _unit_free_rows(a: FiniteAlgebra, terms: Iterable[Term], width: int) -> list[IntVector]:
+    """Coefficient rows of the distinct ``terms`` with the unit's coordinate
+    moved last: element x is column x below the unit and x - 1 above it,
+    and the unit is column n - 1, kept when ``width`` is n (the state
+    polytope's t) and dropped when it is n - 1 (the cones, where the unit
+    is pinned to 0).  Repeated terms are dropped before any row is built."""
+    n, u = a.size, a.unit
+    column = [x - (x > u) for x in range(n)]
+    column[u] = n - 1
+    rows = []
+    # filled in place: _coefficient_row over mapped copies of each term
+    # takes half as long again
+    for plus, minus in dict.fromkeys(terms):
+        row = [0] * n
+        for i in plus:
+            row[column[i]] += 1
+        for i in minus:
+            row[column[i]] -= 1
+        rows.append(tuple(row[:width]))
+    return rows
+
+
+def _with_unit(a: FiniteAlgebra, values: tuple, value) -> tuple:
+    """``values`` over the coordinates other than the unit, with ``value``
+    put back at the unit."""
+    return values[: a.unit] + (value,) + values[a.unit :]
+
+
 @dataclass(frozen=True)
 class StateSpaceResult:
-    affine: Optional[AffineSolutionSpace]  # None when the system is inconsistent
+    """The state polytope of ``algebra``: its vertices, sorted
+    lexicographically, and ``affine``, the solution space of
+    :func:`state_equations` (None when the system is inconsistent), which is
+    solved when it is first read."""
+
+    algebra: FiniteAlgebra
     vertices: tuple[Vector, ...]
 
+    @cached_property
+    def affine(self) -> Optional[AffineSolutionSpace]:
+        return solve_affine(state_equations(self.algebra), self.algebra.size)
 
-def state_equations(a: FiniteAlgebra) -> list[LinearEquation]:
-    """s(1)=1 plus the two symmetry equations per unordered pair.
+
+def _state_terms(a: FiniteAlgebra) -> Iterable[Term]:
+    """s(x) + s(x->y) - s(y) - s(y->x), and its ~> twin, for each x < y.
 
     The (y,x) instance of each symmetry equation is the (x,y) one
     negated, so only x < y is generated.
     """
     n = a.size
-    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), 1)]
     for x in range(n):
         for y in range(x + 1, n):
             for table in (a.arrow, a.squig):
-                row = _coefficient_row(n, (x, table[x][y]), (y, table[y][x]))
-                eqs.append(LinearEquation(row, 0))
+                yield (x, table[x][y]), (y, table[y][x])
+
+
+def state_equations(a: FiniteAlgebra) -> list[LinearEquation]:
+    """s(1)=1 plus the two symmetry equations per unordered pair."""
+    n = a.size
+    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), 1)]
+    eqs += [LinearEquation(_coefficient_row(n, *term), 0) for term in _state_terms(a)]
     return eqs
 
 
 def state_space(a: FiniteAlgebra) -> StateSpaceResult:
-    """Affine span of all states, intersected with the unit box.
+    """All states: the solutions of :func:`state_equations` in the unit box.
 
-    An empty space is a legal outcome, not an error.
+    The vertices are the extreme rays, scaled to t = 1, of the integer
+    cone {(x, t) : Ax = bt, 0 <= x <= t} over the homogenised system, with
+    s(1) = t taking the unit's coordinate.  An empty polytope is a legal
+    outcome, not an error.
     """
-    space = solve_affine(state_equations(a), a.size)
-    if space is None:
-        return StateSpaceResult(None, ())
-    verts = box_vertices(space, [0] * a.size, [1] * a.size)
-    return StateSpaceResult(space, verts)
+    n = a.size
+    eqs = [LinearEquation(row, 0) for row in _unit_free_rows(a, _state_terms(a), n)]
+    # x >= 0 and x <= t for each coordinate but the unit's, then t >= 0
+    box = [_coefficient_row(n, (i,)) for i in range(n - 1)]
+    box += [_coefficient_row(n, (n - 1,), (i,)) for i in range(n - 1)]
+    box.append(_coefficient_row(n, (n - 1,)))
+    vertices = (
+        tuple(Fraction(v, r[-1]) for v in _with_unit(a, r[:-1], r[-1]))
+        for r in cone_rays(eqs, box, n)
+    )
+    return StateSpaceResult(a, tuple(sorted(vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +313,33 @@ def is_state_measure_morphism(a: FiniteAlgebra, m: Assignment) -> bool:
     return is_measure_morphism(a, m) and m[bottom] == ONE
 
 
-def measure_equations(a: FiniteAlgebra) -> list[LinearEquation]:
-    """m(1)=0 plus m(x->y)=m(y)-m(x) (both tables) for each y <= x."""
+def _measure_terms(a: FiniteAlgebra) -> Iterable[Term]:
+    """m(x->y) + m(x) - m(y), and its ~> twin, for each y <= x."""
     n = a.size
-    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), 0)]
     for x in range(n):
         for y in range(n):
             if leq(a, y, x):
                 for table in (a.arrow, a.squig):
-                    row = _coefficient_row(n, (table[x][y], x), (y,))
-                    eqs.append(LinearEquation(row, 0))
+                    yield (table[x][y], x), (y,)
+
+
+def measure_equations(a: FiniteAlgebra) -> list[LinearEquation]:
+    """m(1)=0 plus m(x->y)=m(y)-m(x) (both tables) for each y <= x."""
+    n = a.size
+    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), 0)]
+    eqs += [LinearEquation(_coefficient_row(n, *term), 0) for term in _measure_terms(a)]
     return eqs
 
 
 def measure_cone(a: FiniteAlgebra) -> tuple[IntVector, ...]:
-    """Extreme rays of the cone of measures, as primitive integer vectors."""
+    """Extreme rays of the cone of measures, as primitive integer vectors.
+
+    m(1) = 0 is kept by dropping the unit's coordinate and putting 0 back
+    at it on every ray."""
     n = a.size
-    nonneg = [_coefficient_row(n, (i,)) for i in range(n)]
-    return cone_rays(measure_equations(a), nonneg, n)
+    eqs = [LinearEquation(row, 0) for row in _unit_free_rows(a, _measure_terms(a), n - 1)]
+    nonneg = [_coefficient_row(n - 1, (i,)) for i in range(n - 1)]
+    return tuple(_with_unit(a, r, 0) for r in cone_rays(eqs, nonneg, n - 1))
 
 
 def state_measure_bijection(a: FiniteAlgebra, values: Assignment, direction: str) -> Assignment:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .algebra import FiniteAlgebra, vee1, vee2
 from .dsystems import Subset, is_deductive_system, is_fantastic
@@ -22,7 +22,7 @@ from .linalg import (
     _coefficient_row,
     cone_rays,
 )
-from .states import Assignment, Witness
+from .states import Assignment, Term, Witness, _unit_free_rows, _with_unit
 
 ZERO = Fraction(0)
 
@@ -155,6 +155,15 @@ def characterization_crosscheck(a: FiniteAlgebra, phi: Assignment) -> Characteri
     )
 
 
+def _valuation_terms(a: FiniteAlgebra) -> Iterable[Term]:
+    """phi(x->y) + phi(x) - phi(y), and its ~> twin, for all pairs."""
+    n = a.size
+    for x in range(n):
+        for y in range(n):
+            for table in (a.arrow, a.squig):
+                yield (table[x][y], x), (y,)
+
+
 def valuation_equations(a: FiniteAlgebra) -> tuple[list[LinearEquation], list[IntVector]]:
     """Equalities and inequalities cutting out the pseudo-valuation cone.
 
@@ -163,20 +172,18 @@ def valuation_equations(a: FiniteAlgebra) -> tuple[list[LinearEquation], list[In
     """
     n = a.size
     eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), 0)]
-    ineqs = []
-    for x in range(n):
-        for y in range(n):
-            for table in (a.arrow, a.squig):
-                # phi(x->y) - phi(y) + phi(x) >= 0
-                ineqs.append(_coefficient_row(n, (table[x][y], x), (y,)))
-    return eqs, ineqs
+    return eqs, [_coefficient_row(n, *term) for term in _valuation_terms(a)]
 
 
 def valuation_cone(a: FiniteAlgebra) -> tuple[IntVector, ...]:
     """Extreme rays of the pseudo-valuation cone as primitive integer
-    vectors, each re-verified."""
-    eqs, ineqs = valuation_equations(a)
-    rays = cone_rays(eqs, ineqs, a.size)
+    vectors, each re-verified.
+
+    phi(1) = 0 is kept by dropping the unit's coordinate and putting 0
+    back at it on every ray."""
+    n = a.size
+    ineqs = _unit_free_rows(a, _valuation_terms(a), n - 1)
+    rays = tuple(_with_unit(a, r, 0) for r in cone_rays([], ineqs, n - 1))
     for ray in rays:
         if not is_pseudo_valuation(a, ray):
             raise ConsistencyAlarmError(f"valuation cone ray {ray} is not a pseudo-valuation")

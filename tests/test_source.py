@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import pseudobe
 
@@ -84,7 +85,8 @@ CONCURRENCY_MODULES = {
 }
 
 
-def test_no_concurrency_imports():
+def _absolute_imports() -> list[tuple[str, str]]:
+    """(``file:line``, module) of every non-relative import in the package."""
     sources = sorted(pathlib.Path(pseudobe.__file__).parent.glob("*.py"))
     assert "finder.py" in {path.name for path in sources}
     found = []
@@ -96,9 +98,25 @@ def test_no_concurrency_imports():
                 names = [node.module]
             else:
                 continue
-            found += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.split(".")[0] in CONCURRENCY_MODULES
-            ]
+            found += [(f"{path.name}:{node.lineno}", name) for name in names]
+    return found
+
+
+def test_no_concurrency_imports():
+    found = [
+        f"{where} {name}"
+        for where, name in _absolute_imports()
+        if name.split(".")[0] in CONCURRENCY_MODULES
+    ]
+    assert found == []
+
+
+def test_stdlib_only_imports():
+    # pyproject.toml declares no dependencies, so every absolute import is
+    # of the standard library
+    found = [
+        f"{where} {name}"
+        for where, name in _absolute_imports()
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
     assert found == []

@@ -5,10 +5,10 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pseudobe import states
-from pseudobe.algebra import UnboundedAlgebraError, negations, vee1
+from pseudobe.algebra import FiniteAlgebra, UnboundedAlgebraError, negations, vee1
 from pseudobe.dsystems import is_involutive_ds
 from pseudobe.finder import SearchConstraints, enumerate_models
 from pseudobe.linalg import (
@@ -374,6 +374,63 @@ def test_engine_matches_audit_on_small_models(small_inputs):
             lower, upper = [F(0)] * n, [F(1)] * n
             verts = box_vertices(space, lower, upper)
             assert verts == box_vertices(space, lower, upper, audit=True), a.name
+
+
+def test_state_space_matches_the_fraction_box_audit(small_inputs):
+    """``state_space`` reads its vertices off the integer cone over the
+    homogenised system, with the unit's coordinate as t; the independent
+    path solves ``state_equations`` in Fractions and runs the active-set
+    audit of ``box_vertices`` on that space.  ``affine`` is that space (by
+    repr, so types count)."""
+    for a in small_inputs:
+        n = a.size
+        space = solve_affine(state_equations(a), n)
+        result = state_space(a)
+        assert repr(result.affine) == repr(space), a.name
+        expected = () if space is None else box_vertices(space, [0] * n, [1] * n, audit=True)
+        assert repr(result.vertices) == repr(expected), a.name
+
+
+def _outcome(build):
+    """repr of ``build()``, or the type of the exception it raises."""
+    try:
+        return repr(build())
+    except Exception as e:  # the comparison is of which exception, if any
+        return type(e)
+
+
+def _state_vertices_by_box(a):
+    space = solve_affine(state_equations(a), a.size)
+    return () if space is None else box_vertices(space, [0] * a.size, [1] * a.size)
+
+
+@st.composite
+def table_pairs(draw):
+    """Any two operation tables on at most 4 elements, with any unit: most
+    are not pseudo-BE algebras."""
+    n = draw(st.integers(1, 4))
+    cell = st.integers(0, n - 1)
+    table = st.tuples(*[st.tuples(*[cell] * n)] * n)
+    return FiniteAlgebra("random", tuple("1abc"[:n]), draw(table), draw(table), draw(cell))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_pairs())
+# the two orders disagree on 1 <= a, so measure_equations raises
+@example(FiniteAlgebra("order", ("1", "a"), ((0, 1), (0, 1)), ((1, 1), (1, 0)), 0))
+def test_polyhedra_match_the_public_builders(a):
+    """The three polyhedra, built from distinct terms without the unit's
+    coordinate, equal the cones and box of the public equation builders,
+    or raise the same exception."""
+    n = a.size
+    nonneg = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    pairs = [
+        (lambda: state_space(a).vertices, lambda: _state_vertices_by_box(a)),
+        (lambda: measure_cone(a), lambda: cone_rays(measure_equations(a), nonneg, n)),
+        (lambda: valuation_cone(a), lambda: cone_rays(*valuation_equations(a), n)),
+    ]
+    for built, public in pairs:
+        assert _outcome(built) == _outcome(public)
 
 
 def test_equations_have_int_rhs_and_solve_alike_with_fractions(small_inputs):
