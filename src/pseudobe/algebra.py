@@ -288,22 +288,35 @@ def _identity(text: str) -> tuple[str, list, Callable, Callable]:
     return variables, indices, code["violations"], code["readers"]
 
 
-def _scans(arrow, squig, unit: int, system: str) -> Iterator[tuple[str, Iterator]]:
-    """Each axiom tag of ``system`` with the stream of its violating tuples,
-    in declaration order; each identity is scanned only as far as its
-    stream is read."""
+def _violations(arrow, squig, unit: int, text: str) -> Iterator[tuple[int, ...]]:
+    """The stream of tuples that violate declaration ``text`` on the tables,
+    in lexicographic order; the one scan of every axiom check."""
+    n = len(arrow)
+    variables, _, scan, _ = _identity(text)
+    return scan(arrow, squig, unit, n, itertools.product(range(n), repeat=len(variables)))
+
+
+def _declarations(system: str) -> dict[str, str]:
     if system not in _SYSTEM_AXIOMS:
         raise ValueError(f"unknown axiom system {system!r}")
-    n = len(arrow)
-    for tag, d in _SYSTEM_AXIOMS[system].items():
-        variables, _, scan, _ = _identity(d)
-        yield tag, scan(arrow, squig, unit, n, itertools.product(range(n), repeat=len(variables)))
+    return _SYSTEM_AXIOMS[system]
 
 
-def _holds(arrow, squig, unit: int, system: str) -> bool:
+def _holds(arrow, squig, unit: int, system: str, verdicts: Optional[dict] = None) -> bool:
     """``check_axioms(...).holds`` for the tables, decided at the first
-    violating tuple: the rest of the scan is skipped."""
-    return not any(any(bad) for _, bad in _scans(arrow, squig, unit, system))
+    violating tuple: the rest of the scan is skipped.
+
+    ``verdicts`` maps declaration texts to their verdicts on these tables.
+    A declaration found there is not scanned, and each one scanned is
+    entered, so systems that share a declaration decide it once.
+    """
+    known = {} if verdicts is None else verdicts
+    for text in _declarations(system).values():
+        if text not in known:
+            known[text] = not any(_violations(arrow, squig, unit, text))
+        if not known[text]:
+            return False
+    return True
 
 
 def check_axioms(a: FiniteAlgebra, system: str) -> AxiomReport:
@@ -313,7 +326,10 @@ def check_axioms(a: FiniteAlgebra, system: str) -> AxiomReport:
     plus the total violation count.  A yes/no decision needs no report:
     it is :func:`_holds`.
     """
-    found = [(tag, list(bad)) for tag, bad in _scans(a.arrow, a.squig, a.unit, system)]
+    found = [
+        (tag, list(_violations(a.arrow, a.squig, a.unit, text)))
+        for tag, text in _declarations(system).items()
+    ]
     violations = tuple(sorted((tag, bad[0]) for tag, bad in found if bad))
     return AxiomReport(system, not violations, violations, sum(len(bad) for _, bad in found))
 
@@ -343,8 +359,15 @@ def classify(a: FiniteAlgebra) -> ClassificationReport:
     Each axiom-system flag is :func:`_holds`: it is decided false at the
     first identity with a violation, without scanning the rest.
     """
+    return _classify(a, {})
+
+
+def _classify(a: FiniteAlgebra, verdicts: dict) -> ClassificationReport:
+    """:func:`classify`, sharing ``verdicts`` with :func:`_holds`: the
+    declarations it holds are not scanned again, and those scanned are
+    entered."""
     pseudo_be, pseudo_bck, condition_a, distributive, commutative = (
-        _holds(a.arrow, a.squig, a.unit, system)
+        _holds(a.arrow, a.squig, a.unit, system, verdicts)
         for system in ("pseudo-BE", "pseudo-BCK", "condition-A", "distributive", "commutative")
     )
     be = a.is_be()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .algebra import (
@@ -143,7 +144,8 @@ def _char_vector(a: FiniteAlgebra, d: Subset) -> tuple[int, ...]:
 class DSFamily:
     """All deductive systems of an algebra, with classification tags.
 
-    ``subsets`` is sorted lexicographically by characteristic vector.
+    ``subsets`` is sorted lexicographically by characteristic vector.  The
+    ``prime`` and ``maximal`` tags are computed when first read.
     """
 
     algebra: FiniteAlgebra
@@ -151,8 +153,19 @@ class DSFamily:
     normal: tuple[Subset, ...]
     fantastic: tuple[Subset, ...]
     involutive: Optional[tuple[Subset, ...]]
-    prime: tuple[Subset, ...]
-    maximal: tuple[Subset, ...]
+
+    @cached_property
+    def prime(self) -> tuple[Subset, ...]:
+        return self._tagged(_is_prime)
+
+    @cached_property
+    def maximal(self) -> tuple[Subset, ...]:
+        return self._tagged(_is_maximal)
+
+    def _tagged(self, test) -> tuple[Subset, ...]:
+        """The proper members that pass ``test(algebra, d, subsets)``."""
+        a = self.algebra
+        return tuple(d for d in self.subsets if len(d) < a.size and test(a, d, self.subsets))
 
 
 def enumerate_ds(a: FiniteAlgebra) -> DSFamily:
@@ -173,10 +186,7 @@ def enumerate_ds(a: FiniteAlgebra) -> DSFamily:
     involutive = None
     if a.bottom is not None:
         involutive = tuple(d for d in subsets if _involutive(a, d))
-    proper = [d for d in subsets if len(d) < a.size]
-    prime = tuple(d for d in proper if _is_prime(a, d, subsets))
-    maximal = tuple(d for d in proper if _is_maximal(a, d, subsets))
-    return DSFamily(a, subsets, normal, fantastic, involutive, prime, maximal)
+    return DSFamily(a, subsets, normal, fantastic, involutive)
 
 
 def _meet_above(a: FiniteAlgebra, seed: Subset, family: tuple[Subset, ...]) -> Subset:

@@ -26,11 +26,12 @@ from typing import Iterator, Optional
 
 from .algebra import (
     _SYSTEM_AXIOMS,
+    ClassificationReport,
     FiniteAlgebra,
+    _classify,
     _holds,
     _identity,
     _is_least,
-    classify,
     serialize_algebra,
 )
 from .dsystems import _involutive, enumerate_ds, format_subset, is_involutive_ds
@@ -163,11 +164,19 @@ def _model_name(n: int, arrow, squig) -> str:
     return f"n{n}_{hashlib.sha256(blob).hexdigest()[:12]}"
 
 
+def _confirmed_verdicts() -> dict[str, bool]:
+    """Declaration verdicts (see ``algebra._holds``) that hold on every table
+    pair the search streams: ``accept`` confirmed it with the pseudo-BE
+    scans."""
+    return dict.fromkeys(_SYSTEM_AXIOMS["pseudo-BE"].values(), True)
+
+
 def _passes_flags(a: FiniteAlgebra, flags: tuple[str, ...]) -> Optional[FiniteAlgebra]:
-    """Apply constraint flags; may return a bounded copy for the 'bounded' flag."""
+    """Apply constraint flags to a model the search confirmed; may return a
+    bounded copy for the 'bounded' flag."""
     if not flags:
         return a
-    rep = classify(a)
+    rep = _classify(a, _confirmed_verdicts())
     out = a
     for flag in flags:
         if flag == "bounded":
@@ -213,7 +222,8 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
         return arrow, squig
 
     declared = (d for s in ("pseudo-BE", *c.flags) for d in _SYSTEM_AXIOMS.get(s, {}).values())
-    pairs = {cell: set(range(n * n)) for cell in itertools.product(rng, rng)}
+    # the instances that read one cell only, by cell and identity
+    single = collections.defaultdict(lambda: collections.defaultdict(list))
     instances = []
     for variables, indices, violations, readers in map(_identity, dict.fromkeys(declared)):
         for t in itertools.product(rng, repeat=len(variables)):
@@ -222,10 +232,17 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
             cell = reads[0]
             if set(reads) != {cell} or None in cell:
                 instances.append((violations, readers, t, reads))
-                continue
-            pairs[cell] -= {
-                p for p in pairs[cell] if any(violations(*tables([cell], [p]), u, n, [t]))
-            }
+            else:
+                single[cell][violations].append(t)
+    pairs = {cell: set(range(n * n)) for cell in itertools.product(rng, rng)}
+    # one probe pair, all unassigned; each cell is set in place and reset
+    arrow, squig = tables((), ())
+    for (x, y), tests in single.items():
+        for p in range(n * n):
+            arrow[x][y], squig[x][y] = divmod(p, n)
+            if any(any(violations(arrow, squig, u, n, ts)) for violations, ts in tests.items()):
+                pairs[x, y].discard(p)
+        arrow[x][y] = squig[x][y] = n
     for (x, y), ps in pairs.items():
         if len(ps) == 1:
             base["A"][x][y], base["S"][x][y] = divmod(*ps, n)
@@ -356,8 +373,22 @@ def _when(premise: bool, message: str) -> tuple[str, ...]:
     return (message,) if premise else ()
 
 
+def _sweep_verdicts(a: FiniteAlgebra) -> tuple[ClassificationReport, bool, bool]:
+    """The classification and the P- and Q-system verdicts of a model the
+    search confirmed, each declaration decided once: psBE1-5 are not scanned
+    again, and the P- and Q-systems scan only the declarations they do not
+    share with pseudo-BE (Q1, and the swap law, which they share with each
+    other)."""
+    verdicts = _confirmed_verdicts()
+    rep = _classify(a, verdicts)
+    p_holds, q_holds = (
+        _holds(a.arrow, a.squig, a.unit, system, verdicts) for system in ("P-system", "Q-system")
+    )
+    return rep, p_holds, q_holds
+
+
 def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
-    """Evaluate every swept implication on one model.
+    """Evaluate every swept implication on one model the search emitted.
 
     Each claim is a lazy stream of counterexample messages, empty when it
     holds; its witness is the first message followed by the serialized
@@ -367,12 +398,10 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     phi, so the claims about every pseudo-valuation are decided on the
     extreme rays of the valuation cone, each already verified as a pv.
     """
-    rep = classify(a)
+    rep, p_holds, q_holds = _sweep_verdicts(a)
     family = enumerate_ds(a)
     fantastic = set(family.fantastic)
     bounded = with_detected_bottom(a)
-    p_holds = _holds(a.arrow, a.squig, a.unit, "P-system")
-    q_holds = _holds(a.arrow, a.squig, a.unit, "Q-system")
     comm = rep.pseudo_be and rep.commutative
     # box_vertices and cone_rays verify every vertex and ray in integers, so
     # the kernels s^-1(1) and m^-1(0) are read straight off them

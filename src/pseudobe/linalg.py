@@ -378,6 +378,16 @@ def _active_set_rays(rows: list[IntVector], d: int) -> list[list[Fraction]]:
     return found
 
 
+def _independent_rows(rows: list[IntVector], d: int) -> list[int]:
+    """Indices of the first d linearly independent ``rows``; ``ValueError``
+    when they span less, as the cone then contains a line."""
+    # the pivot columns of the transpose are the first independent rows
+    _, start = _integer_rref(list(zip(*rows)))
+    if len(start) < d:
+        raise ValueError("cone is not pointed: it contains a line")
+    return start
+
+
 def _rays(
     generators: Sequence[IntVector], rows: Sequence[IntVector], audit: bool
 ) -> set[IntVector]:
@@ -385,10 +395,7 @@ def _rays(
     integer vectors, for linearly independent integer generators g_j."""
     d = len(generators)
     reduced = _distinct_rows([_dot(r, g) for g in generators] for r in rows)
-    # the pivot columns of the transpose are the first independent rows
-    _, start = _integer_rref(list(zip(*reduced)))
-    if len(start) < d:
-        raise ValueError("cone is not pointed: it contains a line")
+    start = _independent_rows(reduced, d)
     lams = _active_set_rays(reduced, d) if audit else _dd_rays(reduced, start)
     return {
         _primitive([_dot(lam, coords) for coords in zip(*generators)]) for lam in lams
@@ -464,10 +471,12 @@ def cone_rays(
     inequality rows, sorted lexicographically.
 
     The basis of the equality space is :func:`_null_basis` of the distinct
-    primitive equality rows, so no Fraction is made.  ``audit=True`` takes
-    it from ``solve_affine(audit=True)`` instead, with an alarm on a nonzero
-    particular solution, and enumerates every choice of d - 1 active
-    inequalities instead of running the double description engine.
+    primitive equality rows, so no Fraction is made; with no equality rows
+    it is the unit vectors, and the engine runs on the inequality rows as
+    they are.  ``audit=True`` takes it from ``solve_affine(audit=True)``
+    instead, with an alarm on a nonzero particular solution, and enumerates
+    every choice of d - 1 active inequalities instead of running the double
+    description engine.
     """
     for eq in equalities:
         if eq.rhs != 0:
@@ -488,7 +497,11 @@ def cone_rays(
     if d == 0:
         return ()
     rows = _distinct_rows(inequalities)
-    found = _rays(basis, rows, audit)
+    if equality_rows or audit:
+        found = _rays(basis, rows, audit)
+    else:
+        # the basis is the unit vectors, so lam is x: no projection, no back-map
+        found = set(_dd_rays(rows, _independent_rows(rows, d)))
     _check(found, equality_rows, rows)
     return tuple(sorted(found))
 

@@ -16,6 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pseudobe
 from pseudobe import cli, finder
 from pseudobe.algebra import check_axioms, parse_algebra
+from pseudobe.dsystems import enumerate_ds, format_subset, is_maximal, is_prime
+from pseudobe.linalg import ConsistencyAlarmError
 
 
 def run(capsys, *argv):
@@ -77,6 +79,28 @@ def test_ds_filtered(capsys, alg):
     code, out, _ = run(capsys, "ds", alg("proper6.alg"), "--fantastic")
     assert code == 0
     assert "count 4" in out
+
+
+@pytest.mark.parametrize("kind", ["prime", "maximal"])
+@pytest.mark.parametrize("name", ["alarm2", "bck4", "bounded6", "conda5", "constant2", "proper6"])
+def test_ds_prime_and_maximal_list_the_public_checks(capsys, alg, name, kind):
+    """``ds --prime`` and ``ds --maximal`` list, in family order, the proper
+    deductive systems that ``is_prime`` / ``is_maximal`` accept, in text and
+    json; on alarm2, whose two modus ponens closures disagree, both exit 2."""
+    a = parse_algebra(pathlib.Path(alg(f"{name}.alg")).read_text())
+    text = run(capsys, "ds", alg(f"{name}.alg"), f"--{kind}")
+    code, out, err = run(capsys, "--format", "json", "ds", alg(f"{name}.alg"), f"--{kind}")
+    try:
+        subsets = enumerate_ds(a).subsets
+    except ConsistencyAlarmError as exc:
+        assert text == (code, out, err) == (2, "", f"alarm: {exc}\n")
+        return
+    test = {"prime": is_prime, "maximal": is_maximal}[kind]
+    chosen = [format_subset(a, d) for d in subsets if len(d) < a.size and test(a, d)]
+    assert text == (0, "".join(f"ds {d}\n" for d in chosen) + f"count {len(chosen)}\n", "")
+    assert (code, err) == (0, "")
+    listed = {} if not chosen else {"ds": chosen[0] if len(chosen) == 1 else chosen}
+    assert json.loads(out) == {"count": len(chosen), **listed}
 
 
 def test_ds_two_kind_flags_exit_two(capsys, alg):

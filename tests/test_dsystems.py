@@ -74,6 +74,18 @@ def test_bck4_family(bck4):
     assert set(fam.maximal) == _subsets(bck4, ["{1,b}"])
 
 
+def test_lazy_tags_match_the_public_checks(small_inputs):
+    """The prime and maximal tags, computed when first read, hold exactly the
+    proper deductive systems that the public ``is_prime`` and ``is_maximal``
+    accept, in family order."""
+    for a in small_inputs:
+        fam = enumerate_ds(a)
+        assert "prime" not in vars(fam) and "maximal" not in vars(fam), a.name
+        proper = [d for d in fam.subsets if len(d) < a.size]
+        assert fam.prime == tuple(d for d in proper if is_prime(a, d)), a.name
+        assert fam.maximal == tuple(d for d in proper if is_maximal(a, d)), a.name
+
+
 def test_bck4_unit_ds_not_prime_with_witness(bck4):
     fam = enumerate_ds(bck4)
     unit_only = frozenset({bck4.unit})

@@ -1,6 +1,7 @@
 """Model enumeration: frozen counts, audit mode, canonicity, and the
 meta-theorem sweep."""
 
+import collections
 import hashlib
 import io
 import math
@@ -11,7 +12,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudobe import cli, finder
+from pseudobe import algebra, cli, finder
 from pseudobe.algebra import (
     _SYSTEM_AXIOMS,
     FiniteAlgebra,
@@ -406,3 +407,44 @@ def test_meta_sweep_reports_first_counterexample(monkeypatch):
     witness = finder._check_model(model)["bounded-state-kernels-involutive"]
     first = format_subset(model, kernels[0])
     assert witness == f"state kernel {first} not involutive\n{serialize_algebra(model)}"
+
+
+def test_sweep_verdicts_match_the_full_scans(small_inputs):
+    """On every pseudo-BE algebra among the small inputs, the sweep's
+    classification and P- and Q-system verdicts, which take psBE1-5 as
+    decided, equal ``classify`` and the full scans of ``check_axioms``."""
+    checked = set()
+    for a in small_inputs:
+        if not check_axioms(a, "pseudo-BE").holds:
+            continue
+        rep, p_holds, q_holds = finder._sweep_verdicts(a)
+        assert rep == classify(a), a.name
+        assert p_holds == check_axioms(a, "P-system").holds, a.name
+        assert q_holds == check_axioms(a, "Q-system").holds, a.name
+        checked.add((p_holds, q_holds))
+    # both verdicts occur, so a sweep that skipped the swap law would fail
+    assert checked == {(True, True), (False, False)}
+
+
+def test_sweep_scans_each_declaration_at_most_once(monkeypatch):
+    """On each size-4 model, one ``_check_model`` call scans none of
+    psBE1-5, which every emitted model has passed, and the swap law, which
+    the P- and Q-systems share, exactly once; no declaration is scanned
+    twice."""
+    scanned = collections.Counter()
+    real = algebra._violations
+
+    def recording(arrow, squig, unit, text):
+        scanned[text] += 1
+        return real(arrow, squig, unit, text)
+
+    monkeypatch.setattr(algebra, "_violations", recording)
+    pseudo_be = set(_SYSTEM_AXIOMS["pseudo-BE"].values())
+    swap = _SYSTEM_AXIOMS["P-system"]["P3"]
+    assert _SYSTEM_AXIOMS["Q-system"]["Q2"] == swap
+    for m in _models(4):
+        scanned.clear()
+        finder._check_model(m)
+        assert not pseudo_be & scanned.keys(), m.name
+        assert scanned[swap] == 1, m.name
+        assert max(scanned.values()) == 1, m.name
