@@ -515,11 +515,6 @@ def serialize_algebra(a: FiniteAlgebra) -> str:
     return "\n".join(out) + "\n"
 
 
-def format_map(a: FiniteAlgebra, b: FiniteAlgebra, m: tuple[int, ...], keyword: str) -> str:
-    """One ``<keyword> x->y`` line per element x of A, in carrier order."""
-    return "\n".join(f"{keyword} {a.token(x)}->{b.token(y)}" for x, y in enumerate(m))
-
-
 def parse_map(a: FiniteAlgebra, b: FiniteAlgebra, text: str, keyword: str) -> tuple[int, ...]:
     """A map A -> B written as one ``<keyword> x->y`` line per element of A."""
     mapping: dict[int, int] = {}

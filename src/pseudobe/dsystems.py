@@ -195,18 +195,6 @@ def _meet_above(a: FiniteAlgebra, seed: Subset, family: tuple[Subset, ...]) -> S
     return frozenset(range(a.size)).intersection(*(d for d in family if seed <= d))
 
 
-def generated_ds(a: FiniteAlgebra, seed: Subset) -> Subset:
-    """Smallest deductive system containing ``seed``: the meet of the
-    enumerated deductive systems above it."""
-    family = enumerate_ds(a).subsets
-    out = _meet_above(a, seed, family)
-    if out not in family:
-        raise ConsistencyAlarmError(
-            f"the deductive systems containing {format_subset(a, seed)} have no least member"
-        )
-    return out
-
-
 def prime_witness(
     a: FiniteAlgebra, d: Subset, family: tuple[Subset, ...]
 ) -> Optional[tuple]:

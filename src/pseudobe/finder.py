@@ -403,8 +403,9 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     fantastic = set(family.fantastic)
     bounded = with_detected_bottom(a)
     comm = rep.pseudo_be and rep.commutative
-    # box_vertices and cone_rays verify every vertex and ray in integers, so
-    # the kernels s^-1(1) and m^-1(0) are read straight off them
+    # cone_rays checks every ray in integers (linalg._check), and the state
+    # vertices are those rays scaled to t = 1, so the kernels s^-1(1) and
+    # m^-1(0) are read straight off them
     carrier = range(a.size)
     states = [(v, frozenset(x for x in carrier if v[x] == 1)) for v in state_space(a).vertices]
     measure_kernels = [frozenset(x for x in carrier if r[x] == 0) for r in measure_cone(a)]

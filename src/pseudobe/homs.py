@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .algebra import FiniteAlgebra, format_map, leq, parse_map
+from .algebra import FiniteAlgebra, leq, parse_map
 from .dsystems import ConsistencyAlarmError, Subset, is_deductive_system
 
 SEARCH_GUARD = 10_000_000
@@ -24,10 +24,6 @@ Check = Callable[[Map, int], bool]
 
 
 class NotAHomomorphismError(ValueError):
-    pass
-
-
-class NotBijectiveError(ValueError):
     pass
 
 
@@ -183,10 +179,6 @@ def enumerate_homomorphisms(
     tables = ((a.arrow, b.arrow), (a.squig, b.squig))
     check = equation_check(a.size, [(p, q, s[p][q], t) for s, t in tables for p, q in pairs])
     return tuple(Homomorphism(a, b, m) for m in search_maps(a.size, b.size, check, accept))
-
-
-def format_hom(f: Homomorphism) -> str:
-    return format_map(f.source, f.target, f.map, "hom")
 
 
 def parse_hom(a: FiniteAlgebra, b: FiniteAlgebra, text: str) -> Homomorphism:

@@ -4,36 +4,34 @@ Everything here works over Python integers and `fractions.Fraction`, so
 results are exact and deterministic.  Each value keeps the cheapest exact
 type: rays are primitive integer vectors (``int`` tuples), while vertices
 and the :class:`AffineSolutionSpace` hold Fractions, since their values
-really are rational.  The three entry points are:
+really are rational.  The two entry points are:
 
 * :func:`solve_affine` -- canonical RREF solution space of a linear
   equality system, found by integer Gauss-Jordan elimination over the
   distinct primitive integer rows of the system, divided by the pivots
   only at the end,
-* :func:`box_vertices` -- vertices of an affine space intersected with a
-  coordinate box,
 * :func:`cone_rays` -- extreme rays of ``{x : Ax = 0, Cx >= 0}``.
 
-Vertices and rays come from one exact engine.  The inequalities are
-restricted to an integer basis of the equality space and scaled to
-primitive integer rows, dropping exact repeats, zero rows and positive
-multiples.  An incremental double description pass (Motzkin et al. 1953;
-Fukuda & Prodon 1996) then runs in integer arithmetic; the integer
-Gauss-Jordan :func:`_integer_rref` of :func:`solve_affine` picks its first
-independent rows and inverts them into its start rays, without leaving
-the integers.  A cone's basis is read off the same :func:`_integer_rref`
-of its distinct primitive equality rows (:func:`_null_basis`), so a cone
-makes no Fraction at all; a polytope's basis is that of the
-:class:`AffineSolutionSpace` it is given.  A polytope is handled as the
-cone over its homogenised box: a vertex is a ray with t > 0, scaled to
-t = 1.
+Rays come from one exact engine.  The inequalities are restricted to an
+integer basis of the equality space and scaled to primitive integer rows,
+dropping exact repeats, zero rows and positive multiples.  An incremental
+double description pass (Motzkin et al. 1953; Fukuda & Prodon 1996) then
+runs in integer arithmetic; the integer Gauss-Jordan :func:`_integer_rref`
+of :func:`solve_affine` picks its first independent rows and inverts them
+into its start rays, without leaving the integers.  A cone's basis is read
+off the same :func:`_integer_rref` of its distinct primitive equality rows
+(:func:`_null_basis`), so a cone makes no Fraction at all.  A polytope is
+handled as the cone over its homogenised system: a vertex is a ray with
+t > 0, scaled to t = 1 (:func:`pseudobe.states.state_space`).
 
 ``audit=True`` takes a cone's basis from ``solve_affine(audit=True)``
-instead, and replaces the engine by the active-set enumerators, which try
-every choice of active constraints and solve each with
+instead, and replaces the engine by the active-set enumerator, which tries
+every choice of active constraints and solves each with
 ``solve_affine(audit=True)``, the one caller of the Fraction RREF
-:func:`_rref`; they are kept as oracles.  Every output ray or vertex, from
-either path, is re-checked against every input equality and inequality in
+:func:`_rref`.  :func:`box_vertices`, the vertices of a Fraction solution
+space inside a coordinate box, is the same kind of enumerator over the
+bound constraints, kept as the state polytope's oracle.  Every output ray
+or vertex is re-checked against every input equality and inequality in
 integers.
 """
 
@@ -47,7 +45,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-# guards only the audit paths: their active-set choices grow combinatorially in d
+# guards the active-set enumerators (the cone audit and box_vertices): their
+# choices grow combinatorially in d
 MAX_DIMENSION = 6
 
 Vector = tuple[Fraction, ...]
@@ -407,50 +406,42 @@ def _rays(
 
 
 def box_vertices(
-    space: AffineSolutionSpace, lower: Sequence, upper: Sequence, audit: bool = False
+    space: AffineSolutionSpace, lower: Sequence, upper: Sequence
 ) -> tuple[Vector, ...]:
     """Vertices of ``space`` intersected with the box [lower, upper], sorted
-    lexicographically.
+    lexicographically: every choice of ``dimension`` active bound
+    constraints is solved with ``solve_affine(audit=True)``.
 
-    The engine homogenises: the point ``(x, 1)`` becomes the ray ``(x, t)``
-    with t >= 0 and lower * t <= x <= upper * t, whose extreme rays with
-    t > 0 are the vertices.  ``audit=True`` instead solves every choice of
-    ``dimension`` active bound constraints.
+    :func:`pseudobe.states.state_space` reads the state polytope off an
+    integer cone instead; this enumerator, which builds no cone, is its
+    test oracle.
     """
     n = space.num_vars
     _require_arity((lower, upper), n, "bound")
     d = space.dimension
-    if audit and d > MAX_DIMENSION:
+    if d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
     unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
     # constraint rows on the homogeneous point (x, t)
     bounds = [_primitive(e + (-lower[i],)) for i, e in enumerate(unit)]
     bounds += [_primitive(tuple(-v for v in e) + (upper[i],)) for i, e in enumerate(unit)]
     equalities = [_primitive(eq.coeffs + (-eq.rhs,)) for eq in space.equalities]
-
-    if audit:
-        # hyperplanes basis . lam + (particular - bound) = 0, one per bound
-        planes = _distinct_rows(
-            tuple(b[i] for b in space.basis) + (space.particular[i] - bound,)
-            for i in range(n)
-            for bound in (lower[i], upper[i])
-        )
-        found = set()
-        for combo in itertools.combinations(planes, d):
-            choice = [LinearEquation(r[:d], Fraction(-r[d])) for r in combo]
-            solution = solve_affine(choice, d, audit=True)
-            # skip inconsistent and singular choices
-            if solution is None or solution.dimension > 0:
-                continue
-            p = space.point(solution.particular)
-            if all(lower[i] <= p[i] <= upper[i] for i in range(n)):
-                found.add(_primitive(p + (1,)))
-    else:
-        generators = [_primitive(b) + (0,) for b in space.basis]
-        generators.append(_primitive(space.particular + (1,)))
-        found = _rays(generators, bounds + [(0,) * n + (1,)], False)
-    # a ray with t = 0 meets the bounds only at x = 0, so the check rejects it
-    # before the division by t
+    # hyperplanes basis . lam + (particular - bound) = 0, one per bound
+    planes = _distinct_rows(
+        tuple(b[i] for b in space.basis) + (space.particular[i] - bound,)
+        for i in range(n)
+        for bound in (lower[i], upper[i])
+    )
+    found = set()
+    for combo in itertools.combinations(planes, d):
+        choice = [LinearEquation(r[:d], Fraction(-r[d])) for r in combo]
+        solution = solve_affine(choice, d, audit=True)
+        # skip inconsistent and singular choices
+        if solution is None or solution.dimension > 0:
+            continue
+        p = space.point(solution.particular)
+        if all(lower[i] <= p[i] <= upper[i] for i in range(n)):
+            found.add(_primitive(p + (1,)))
     _check(found, equalities, bounds)
     return tuple(sorted(tuple(Fraction(v, r[n]) for v in r[:n]) for r in found))
 

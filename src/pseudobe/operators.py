@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import FiniteAlgebra, _holds, format_map, parse_map, vee1, vee2
+from .algebra import FiniteAlgebra, _holds, parse_map, vee1, vee2
 from .dsystems import ConsistencyAlarmError, Subset, is_deductive_system
 from .homs import Check, Homomorphism, PreconditionError, enumerate_homomorphisms, hom_witness
 from .homs import equation_check, scan_maps, search_maps
@@ -152,10 +152,6 @@ def kernel_image(a: FiniteAlgebra, mu: UnaryOperator) -> tuple[Subset, Subset]:
 
 def as_endomorphism(a: FiniteAlgebra, mu: UnaryOperator) -> Homomorphism:
     return Homomorphism(a, a, mu)
-
-
-def format_operator(a: FiniteAlgebra, mu: UnaryOperator) -> str:
-    return format_map(a, a, mu, "map")
 
 
 def parse_operator(a: FiniteAlgebra, text: str) -> UnaryOperator:

@@ -28,7 +28,6 @@ from .linalg import (
     Vector,
     _coefficient_row,
     cone_rays,
-    format_fraction,
     parse_fraction,
     solve_affine,
 )
@@ -75,12 +74,6 @@ def parse_assignment(a: FiniteAlgebra, text: str, kind: str) -> tuple[str, Assig
     if missing:
         raise ValueError(f"assignment missing elements: {', '.join(missing)}")
     return name, tuple(values[i] for i in range(a.size))
-
-
-def format_assignment(a: FiniteAlgebra, kind: str, name: str, values: Assignment) -> str:
-    lines = [f"{kind} {name}"]
-    lines += [f"{a.token(i)} = {format_fraction(values[i])}" for i in range(a.size)]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

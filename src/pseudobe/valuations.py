@@ -1,4 +1,4 @@
-"""Pseudo-valuations: verification, characterizations, cone, transport.
+"""Pseudo-valuations: verification, characterizations, cone, pullback.
 
 Valuation candidates are rational assignments; the full valuation cone
 is computed exactly by extreme-ray enumeration of the defining linear
@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from .algebra import FiniteAlgebra, vee1, vee2
 from .dsystems import Subset, is_deductive_system, is_fantastic
-from .homs import Homomorphism, NotBijectiveError, _require_hom
+from .homs import Homomorphism, _require_hom
 from .linalg import (
     ConsistencyAlarmError,
     IntVector,
@@ -204,33 +204,10 @@ def valuation_kernel(a: FiniteAlgebra, phi: Assignment) -> Subset:
 def pullback(f: Homomorphism, phi: Assignment) -> Assignment:
     """phi o f; a pseudo-valuation on the source with the kernel pulled back."""
     _require_hom(f)
-    _require_pv(f.target, phi)
+    kernel = valuation_kernel(f.target, phi)
     psi = tuple(phi[f.map[x]] for x in range(f.source.size))
-    target_kernel = valuation_kernel(f.target, phi)
-    expected = frozenset(x for x in range(f.source.size) if f.map[x] in target_kernel)
-    _require_transported(f.source, psi, expected, "pullback")
-    return psi
-
-
-def pushforward(f: Homomorphism, phi: Assignment) -> Assignment:
-    """The unique psi with psi o f = phi, along an isomorphism."""
-    _require_hom(f)
-    if not f.is_bijective():
-        raise NotBijectiveError("pushforward requires an isomorphism")
-    _require_pv(f.source, phi)
-    psi = [ZERO] * f.target.size
-    for x in range(f.source.size):
-        psi[f.map[x]] = phi[x]
-    psi = tuple(psi)
-    expected = frozenset(f.map[x] for x in valuation_kernel(f.source, phi))
-    _require_transported(f.target, psi, expected, "pushforward")
-    return psi
-
-
-def _require_transported(a: FiniteAlgebra, psi: Assignment, kernel: Subset, how: str) -> None:
-    """Alarm unless the transported ``psi`` is a pseudo-valuation on ``a``
-    whose kernel is the transported ``kernel``."""
-    if not is_pseudo_valuation(a, psi):
-        raise ConsistencyAlarmError(f"{how} is not a pseudo-valuation")
-    if valuation_kernel(a, psi) != kernel:
-        raise ConsistencyAlarmError(f"{how} does not carry the kernel along")
+    if not is_pseudo_valuation(f.source, psi):
+        raise ConsistencyAlarmError("pullback is not a pseudo-valuation")
+    if valuation_kernel(f.source, psi) == {x for x in range(f.source.size) if f.map[x] in kernel}:
+        return psi
+    raise ConsistencyAlarmError("pullback does not carry the kernel along")

@@ -14,7 +14,6 @@ from pseudobe.dsystems import (
     NotProperError,
     enumerate_ds,
     format_subset,
-    generated_ds,
     is_deductive_system,
     is_fantastic,
     is_involutive_ds,
@@ -165,29 +164,6 @@ def test_prime_maximal_require_proper(conda5):
         is_prime(conda5, full)
     with pytest.raises(NotProperError, match=message):
         is_maximal(conda5, full)
-
-
-def test_generated_ds(bck4):
-    b_i, c_i = bck4.index("b"), bck4.index("c")
-    assert generated_ds(bck4, frozenset({b_i})) == parse_subset(bck4, "{1,b}")
-    assert generated_ds(bck4, frozenset({c_i})) == frozenset(range(bck4.size))
-
-
-def test_generated_ds_is_least_ds_above_seed(small_inputs):
-    for a in small_inputs:
-        family = enumerate_ds(a).subsets
-        for r in range(a.size + 1):
-            for combo in itertools.combinations(range(a.size), r):
-                seed = frozenset(combo)
-                out = generated_ds(a, seed)
-                assert is_deductive_system(a, out) and seed <= out, (a.name, combo)
-                assert all(out <= d for d in family if seed <= d), (a.name, combo)
-
-
-def test_generated_ds_alarm(bck4, monkeypatch):
-    monkeypatch.setattr(dsystems, "is_deductive_system", lambda a, d: False)
-    with pytest.raises(ConsistencyAlarmError):
-        generated_ds(bck4, frozenset())
 
 
 def test_parse_subset_rejects_repeated_token(conda5):

@@ -17,7 +17,6 @@ from pseudobe.operators import (
     as_endomorphism,
     enumerate_internal_states,
     enumerate_smo,
-    format_operator,
     internal_state_witness,
     is_internal_state,
     is_smo,
@@ -196,10 +195,10 @@ def test_smo_as_endomorphism(conda5):
         assert is_homomorphism(as_endomorphism(conda5, mu))
 
 
-def test_operator_file_round_trip(conda5):
-    mu = tuple(conda5.index(t) for t in "1 1 b b 1".split())
-    text = format_operator(conda5, mu)
-    assert parse_operator(conda5, text) == mu
+def test_parse_operator_file(conda5):
+    # lines in any order, with comments and blank lines
+    text = "# a, d to 1 and c to b\nmap 1->1\nmap a->1\n\nmap c->b  # with b\nmap b->b\nmap d->1\n"
+    assert parse_operator(conda5, text) == (0, 0, 2, 2, 0)
 
 
 def test_parse_operator_rejects_partial(conda5):
@@ -208,7 +207,7 @@ def test_parse_operator_rejects_partial(conda5):
 
 
 def test_parse_operator_rejects_repeated_element(conda5):
-    text = format_operator(conda5, tuple(range(conda5.size))) + "\nmap b->1\n"
+    text = "map 1->1\nmap a->a\nmap b->b\nmap c->c\nmap d->d\nmap b->1\n"
     with pytest.raises(ValueError, match="twice"):
         parse_operator(conda5, text)
 

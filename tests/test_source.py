@@ -7,17 +7,107 @@ import sys
 import pseudobe
 
 
+def _modules() -> list[tuple[str, ast.Module]]:
+    """(file name, syntax tree) of every module of the package."""
+    sources = sorted(pathlib.Path(pseudobe.__file__).parent.glob("*.py"))
+    assert {"__init__.py", "finder.py", "linalg.py"} <= {path.name for path in sources}
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sources]
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so none may carry a library check
-    sources = sorted(pathlib.Path(pseudobe.__file__).parent.glob("*.py"))
-    assert "linalg.py" in {path.name for path in sources}
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Top-level names of the package that ``__init__.py`` does not export and no
+# other statement of the package loads, each with the reason it stays.  The
+# test below wants exactly these, so a new helper without a caller fails it,
+# and so does a listed name that gains a caller or is deleted: the list can
+# only shrink.
+NO_CALLER_YET = {
+    # claims of the abstract, for the claims ledger (ROADMAP item 2)
+    "states.state_measure_bijection": "claim: Bosbach states <-> state-measures",
+    "states.is_state_measure_morphism": "claim: state-morphisms <-> their state-measures",
+    "states.sm_characterization_check": "claim: the max-characterization of state-morphisms",
+    "states.state_kernel": "claim: kernels of Bosbach states are fantastic",
+    "states.measure_kernel": "claim: kernels of measures are fantastic",
+    "operators.kernel_image": "claim: kernels of type-II operators are fantastic",
+    "valuations.characterization_crosscheck": "claim: the pv and commutative-pv systems",
+    # transport lemmas, for the product stream (ROADMAP item 5)
+    "homs.preimage_ds": "transport: f^-1(E) is a deductive system",
+    "homs.image_ds": "transport: f(D) is a deductive system above Ker(f)",
+    "homs.check_hom_properties": "transport: the projections fix 1 and are monotone",
+    "homs.identity_hom": "transport: the identity in Aut(A) x Aut(B) <= Aut(A x B)",
+    "operators.as_endomorphism": "transport: a state-morphism operator as an endomorphism",
+    "valuations.pullback": "transport: phi o f is a pseudo-valuation",
+    # test oracles
+    "linalg.box_vertices": "oracle of the state polytope",
+    "states.measure_equations": "oracle of the measure cone",
+    "valuations.valuation_equations": "oracle of the valuation cone",
+}
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """Names a top-level ``def``, ``class`` or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def _loaded(stmt: ast.stmt) -> set[str]:
+    """Names a statement loads, as a name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(stmt)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _unconsumed(modules: list[tuple[str, ast.Module]]) -> set[str]:
+    """``module.name`` of each top-level definition that ``__init__.py``
+    neither imports nor defines and that no other top-level statement loads."""
+    statements = [(name.removesuffix(".py"), stmt) for name, tree in modules for stmt in tree.body]
+    exported = {
+        alias.asname or alias.name
+        for module, stmt in statements
+        if module == "__init__" and isinstance(stmt, ast.ImportFrom)
+        for alias in stmt.names
+    }
+    exported |= {
+        name for module, stmt in statements if module == "__init__" for name in _defined(stmt)
+    }
+    loads = [_loaded(stmt) for _, stmt in statements]
+    return {
+        f"{module}.{name}"
+        for i, (module, stmt) in enumerate(statements)
+        for name in _defined(stmt)
+        if name not in exported and not any(name in seen for j, seen in enumerate(loads) if j != i)
+    }
+
+
+def test_unconsumed_names_of_a_sample_package():
+    sample = [
+        ("__init__.py", ast.parse("from .m import exported\n__version__ = '1'\n")),
+        ("m.py", ast.parse("def exported(): used()\ndef used(): pass\ndef dead(): dead()\n")),
+        ("n.py", ast.parse("import m\nX: int = m.used\nY, Z = 1, 2\nprint(Y)\n")),
+    ]
+    assert _unconsumed(sample) == {"m.dead", "n.X", "n.Z"}
+
+
+def test_every_name_has_a_caller_an_export_or_a_listed_reason():
+    assert _unconsumed(_modules()) == set(NO_CALLER_YET)
 
 
 # each precondition error is raised in one place, which every check calls
@@ -36,11 +126,10 @@ def _name(expr: ast.expr):
 
 
 def test_each_precondition_error_has_one_raise():
-    sources = sorted(pathlib.Path(pseudobe.__file__).parent.glob("*.py"))
     raised = [
         _name(node.exc)
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for _, tree in _modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Raise) and node.exc is not None
     ]
     assert {name: raised.count(name) for name in SINGLE_HOME_ERRORS} == dict.fromkeys(
@@ -64,13 +153,7 @@ def test_yes_no_axiom_decisions_use_holds():
     # a full AxiomReport is built for the ``check`` command; every yes/no
     # decision is ``algebra._holds``, which stops at the first failing identity
     assert _reads_of_report_holds(ast.parse('a.check_axioms(m, "P-system").holds')) == [1]
-    sources = sorted(pathlib.Path(pseudobe.__file__).parent.glob("*.py"))
-    assert "finder.py" in {path.name for path in sources}
-    found = [
-        f"{path.name}:{line}"
-        for path in sources
-        for line in _reads_of_report_holds(ast.parse(path.read_text(encoding="utf-8")))
-    ]
+    found = [f"{name}:{line}" for name, tree in _modules() for line in _reads_of_report_holds(tree)]
     assert found == []
 
 
@@ -87,18 +170,16 @@ CONCURRENCY_MODULES = {
 
 def _absolute_imports() -> list[tuple[str, str]]:
     """(``file:line``, module) of every non-relative import in the package."""
-    sources = sorted(pathlib.Path(pseudobe.__file__).parent.glob("*.py"))
-    assert "finder.py" in {path.name for path in sources}
     found = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for file_name, tree in _modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module]
             else:
                 continue
-            found += [(f"{path.name}:{node.lineno}", name) for name in names]
+            found += [(f"{file_name}:{node.lineno}", name) for name in names]
     return found
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from pseudobe import valuations
 from pseudobe.dsystems import ConsistencyAlarmError, parse_subset
-from pseudobe.homs import Homomorphism, NotAHomomorphismError, NotBijectiveError, identity_hom
+from pseudobe.homs import Homomorphism, NotAHomomorphismError, identity_hom
 from pseudobe.valuations import (
     NotAPseudoValuationError,
     characterization_crosscheck,
@@ -18,7 +18,6 @@ from pseudobe.valuations import (
     is_valuation,
     is_weak_pseudo_valuation,
     pullback,
-    pushforward,
     pv_witness,
     valuation_cone,
     valuation_equations,
@@ -171,7 +170,7 @@ def test_kernel_alarms(conda5, monkeypatch):
         valuation_kernel(conda5, PHI_1_3)
 
 
-@pytest.mark.parametrize("transport", [pullback, pushforward])
+@pytest.mark.parametrize("transport", [pullback])
 def test_transport_alarms(conda5, monkeypatch, transport):
     f = identity_hom(conda5)
     fresh = iter(range(100))  # a different kernel on every call
@@ -183,9 +182,9 @@ def test_transport_alarms(conda5, monkeypatch, transport):
         transport(f, PHI_1_3)
 
 
-@pytest.mark.parametrize("transport", [pullback, pushforward])
+@pytest.mark.parametrize("transport", [pullback])
 def test_transport_requires_homomorphism(conda5, transport):
-    # a bijection swapping a and b, so pushforward fails on the hom check
+    # a bijection swapping a and b
     f = Homomorphism(conda5, conda5, (0, 2, 1, 3, 4))
     with pytest.raises(NotAHomomorphismError, match=r"^arrow not preserved at \(a,b\)$"):
         transport(f, PHI_1_3)
@@ -204,17 +203,6 @@ def test_pullback_collapsing_hom(conda5):
     assert psi == (F(0), F(0), F(0), F(0), F(0))
     psi2 = pullback(f, RAY_BC)
     assert psi2 == RAY_BC
-
-
-def test_pushforward_requires_isomorphism(conda5):
-    f = Homomorphism(conda5, conda5, (0, 0, 2, 2, 0))
-    with pytest.raises(NotBijectiveError):
-        pushforward(f, RAY_BC)
-
-
-def test_pushforward_along_automorphism(conda5):
-    psi = pushforward(identity_hom(conda5), PHI_1_3)
-    assert psi == PHI_1_3
 
 
 def test_commutative_witness_on_noncommutative_pv():
