@@ -345,6 +345,8 @@ class ClassificationReport:
     condition_a: bool
     distributive: bool
     commutative: bool
+    p_system: bool
+    q_system: bool
     bounded: bool
     linear: bool
     good: Optional[bool] = None
@@ -359,16 +361,16 @@ def classify(a: FiniteAlgebra) -> ClassificationReport:
     Each axiom-system flag is :func:`_holds`: it is decided false at the
     first identity with a violation, without scanning the rest.
     """
-    return _classify(a, {})
+    return _classify(a, ())
 
 
-def _classify(a: FiniteAlgebra, verdicts: dict) -> ClassificationReport:
-    """:func:`classify`, sharing ``verdicts`` with :func:`_holds`: the
-    declarations it holds are not scanned again, and those scanned are
-    entered."""
-    pseudo_be, pseudo_bck, condition_a, distributive, commutative = (
-        _holds(a.arrow, a.squig, a.unit, system, verdicts)
-        for system in ("pseudo-BE", "pseudo-BCK", "condition-A", "distributive", "commutative")
+def _classify(a: FiniteAlgebra, holding: tuple[str, ...]) -> ClassificationReport:
+    """:func:`classify` of an algebra on which the axiom systems named in
+    ``holding`` are known to hold: their declarations are not scanned.  A
+    declaration that several systems share is scanned once."""
+    verdicts = {text: True for system in holding for text in _declarations(system).values()}
+    pseudo_be, pseudo_bck, condition_a, distributive, commutative, p_system, q_system = (
+        _holds(a.arrow, a.squig, a.unit, system, verdicts) for system in AXIOM_SYSTEMS
     )
     be = a.is_be()
     proper = pseudo_be and not be
@@ -401,6 +403,8 @@ def _classify(a: FiniteAlgebra, verdicts: dict) -> ClassificationReport:
         condition_a=condition_a,
         distributive=distributive,
         commutative=commutative,
+        p_system=p_system,
+        q_system=q_system,
         bounded=bounded,
         linear=linear,
         good=good,

@@ -229,23 +229,23 @@ def _is_maximal(a: FiniteAlgebra, d: Subset, family: tuple[Subset, ...]) -> bool
     return True
 
 
-def _proper_family(a: FiniteAlgebra, d: Subset, family: Optional[DSFamily]) -> tuple[Subset, ...]:
-    """The deductive systems of ``family`` (enumerated when None), once D
-    is checked to be a proper deductive system."""
+def _proper_family(a: FiniteAlgebra, d: Subset) -> tuple[Subset, ...]:
+    """The deductive systems of ``a``, once D is checked to be a proper
+    deductive system."""
     _require_ds(a, d)
     if len(d) == a.size:
         raise NotProperError(f"{format_subset(a, d)} is not a proper deductive system")
-    return (enumerate_ds(a) if family is None else family).subsets
+    return enumerate_ds(a).subsets
 
 
-def is_prime(a: FiniteAlgebra, d: Subset, family: Optional[DSFamily] = None) -> bool:
+def is_prime(a: FiniteAlgebra, d: Subset) -> bool:
     """Prime: D1 n D2 <= P forces D1 <= P or D2 <= P, over all DS pairs."""
-    return _is_prime(a, d, _proper_family(a, d, family))
+    return _is_prime(a, d, _proper_family(a, d))
 
 
-def is_maximal(a: FiniteAlgebra, d: Subset, family: Optional[DSFamily] = None) -> bool:
+def is_maximal(a: FiniteAlgebra, d: Subset) -> bool:
     """Maximal: proper and contained in no other proper DS."""
-    return _is_maximal(a, d, _proper_family(a, d, family))
+    return _is_maximal(a, d, _proper_family(a, d))
 
 
 @dataclass(frozen=True)

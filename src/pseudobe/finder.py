@@ -26,7 +26,6 @@ from typing import Iterator, Optional
 
 from .algebra import (
     _SYSTEM_AXIOMS,
-    ClassificationReport,
     FiniteAlgebra,
     _classify,
     _holds,
@@ -34,7 +33,7 @@ from .algebra import (
     _is_least,
     serialize_algebra,
 )
-from .dsystems import _involutive, enumerate_ds, format_subset, is_involutive_ds
+from .dsystems import enumerate_ds, format_subset
 from .homs import Map, SizeGuardError, scan_maps, search_maps
 from .parallel import pmap
 from .operators import enumerate_internal_states, is_smo
@@ -164,19 +163,12 @@ def _model_name(n: int, arrow, squig) -> str:
     return f"n{n}_{hashlib.sha256(blob).hexdigest()[:12]}"
 
 
-def _confirmed_verdicts() -> dict[str, bool]:
-    """Declaration verdicts (see ``algebra._holds``) that hold on every table
-    pair the search streams: ``accept`` confirmed it with the pseudo-BE
-    scans."""
-    return dict.fromkeys(_SYSTEM_AXIOMS["pseudo-BE"].values(), True)
-
-
 def _passes_flags(a: FiniteAlgebra, flags: tuple[str, ...]) -> Optional[FiniteAlgebra]:
     """Apply constraint flags to a model the search confirmed; may return a
     bounded copy for the 'bounded' flag."""
     if not flags:
         return a
-    rep = _classify(a, _confirmed_verdicts())
+    rep = _classify(a, ("pseudo-BE",))
     out = a
     for flag in flags:
         if flag == "bounded":
@@ -373,20 +365,6 @@ def _when(premise: bool, message: str) -> tuple[str, ...]:
     return (message,) if premise else ()
 
 
-def _sweep_verdicts(a: FiniteAlgebra) -> tuple[ClassificationReport, bool, bool]:
-    """The classification and the P- and Q-system verdicts of a model the
-    search confirmed, each declaration decided once: psBE1-5 are not scanned
-    again, and the P- and Q-systems scan only the declarations they do not
-    share with pseudo-BE (Q1, and the swap law, which they share with each
-    other)."""
-    verdicts = _confirmed_verdicts()
-    rep = _classify(a, verdicts)
-    p_holds, q_holds = (
-        _holds(a.arrow, a.squig, a.unit, system, verdicts) for system in ("P-system", "Q-system")
-    )
-    return rep, p_holds, q_holds
-
-
 def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     """Evaluate every swept implication on one model the search emitted.
 
@@ -398,10 +376,11 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     phi, so the claims about every pseudo-valuation are decided on the
     extreme rays of the valuation cone, each already verified as a pv.
     """
-    rep, p_holds, q_holds = _sweep_verdicts(a)
-    family = enumerate_ds(a)
-    fantastic = set(family.fantastic)
+    rep = _classify(a, ("pseudo-BE",))
     bounded = with_detected_bottom(a)
+    # the bounded copy has the same deductive systems and tags them involutive
+    family = enumerate_ds(bounded or a)
+    fantastic = set(family.fantastic)
     comm = rep.pseudo_be and rep.commutative
     # cone_rays checks every ray in integers (linalg._check), and the state
     # vertices are those rays scaled to t = 1, so the kernels s^-1(1) and
@@ -425,10 +404,10 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
             rep.commutative and not rep.be, "commutative but arrow != squig"
         ),
         "p-system-iff-commutative": _when(
-            p_holds != comm, f"P-system={p_holds}, commutative={comm}"
+            rep.p_system != comm, f"P-system={rep.p_system}, commutative={comm}"
         ),
         "q-system-iff-commutative": _when(
-            q_holds != comm, f"Q-system={q_holds}, commutative={comm}"
+            rep.q_system != comm, f"Q-system={rep.q_system}, commutative={comm}"
         ),
         "distributive-ds-all-normal": (
             f"non-normal DS {show(d)}"
@@ -448,8 +427,7 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
         "fantastic-implies-involutive": (
             f"fantastic DS {show(d)} not involutive"
             for d in family.fantastic
-            # every member of the family is a verified DS: the unchecked predicate
-            if bounded is not None and not _involutive(bounded, d)
+            if bounded is not None and d not in family.involutive
         ),
         "state-kernels-fantastic": (
             f"state kernel {show(k)} not fantastic" for _, k in states if k not in fantastic
@@ -457,9 +435,7 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
         "bounded-state-kernels-involutive": (
             f"state kernel {show(k)} not involutive"
             for v, k in states
-            if bounded is not None
-            and v[bounded.bottom] == 0
-            and not is_involutive_ds(bounded, k)
+            if bounded is not None and v[bounded.bottom] == 0 and k not in family.involutive
         ),
         "measure-kernels-normal-fantastic": (
             f"measure kernel {show(k)} not normal+fantastic"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .algebra import FiniteAlgebra, vee1, vee2
 from .dsystems import Subset, is_deductive_system, is_fantastic
@@ -107,6 +107,13 @@ class CharacterizationReport:
     cpv_equivalence_agrees: bool
 
 
+def _first_failure(a: FiniteAlgebra, tests: Callable[..., tuple]) -> Optional[Witness]:
+    """The first (tag, (x, y, z)) that ``tests(x, y, z)`` pairs with True:
+    triples in lexicographic order, the pairs of one triple in order."""
+    triples = itertools.product(range(a.size), repeat=3)
+    return next(((tag, t) for t in triples for tag, fails in tests(*t) if fails), None)
+
+
 def characterization_crosscheck(a: FiniteAlgebra, phi: Assignment) -> CharacterizationReport:
     """Evaluate the (pv4)/(pv5) and (cpv3)/(cpv4) inequality systems.
 
@@ -115,31 +122,14 @@ def characterization_crosscheck(a: FiniteAlgebra, phi: Assignment) -> Characteri
     """
     if phi[a.unit] != ZERO:
         raise NotAPseudoValuationError("phi(1) != 0")
-    triples = list(itertools.product(range(a.size), repeat=3))
-    pv45_w = next(
-        (
-            (tag, (x, y, z))
-            for x, y, z in triples
-            for tag, fails in (
-                ("pv4", phi[a.arrow[x][z]] > phi[a.arrow[x][a.squig[y][z]]] + phi[y]),
-                ("pv5", phi[a.squig[x][z]] > phi[a.squig[x][a.arrow[y][z]]] + phi[y]),
-            )
-            if fails
-        ),
-        None,
-    )
-    cpv34_w = next(
-        (
-            (tag, (x, y, z))
-            for x, y, z in triples
-            for tag, fails in (
-                ("cpv3", phi[a.arrow[vee1(a, x, y)][x]] > phi[a.arrow[z][a.arrow[y][x]]] + phi[z]),
-                ("cpv4", phi[a.squig[vee2(a, x, y)][x]] > phi[a.squig[z][a.squig[y][x]]] + phi[z]),
-            )
-            if fails
-        ),
-        None,
-    )
+    pv45_w = _first_failure(a, lambda x, y, z: (
+        ("pv4", phi[a.arrow[x][z]] > phi[a.arrow[x][a.squig[y][z]]] + phi[y]),
+        ("pv5", phi[a.squig[x][z]] > phi[a.squig[x][a.arrow[y][z]]] + phi[y]),
+    ))
+    cpv34_w = _first_failure(a, lambda x, y, z: (
+        ("cpv3", phi[a.arrow[vee1(a, x, y)][x]] > phi[a.arrow[z][a.arrow[y][x]]] + phi[z]),
+        ("cpv4", phi[a.squig[vee2(a, x, y)][x]] > phi[a.squig[z][a.squig[y][x]]] + phi[z]),
+    ))
 
     is_pv = is_pseudo_valuation(a, phi)
     is_comm = is_commutative_pv(a, phi) if is_pv else None

@@ -21,6 +21,7 @@ from pseudobe.algebra import (
     leq,
     negations,
     parse_algebra,
+    parse_map,
     serialize_algebra,
     vee1,
     vee2,
@@ -90,6 +91,20 @@ def test_axiom_report_alarm():
         AxiomReport("pseudo-BE", True, (("psBE1", (0,)),), 1)
     with pytest.raises(ConsistencyAlarmError):
         AxiomReport("pseudo-BE", False, (), 0)
+
+
+def test_classify_decides_every_axiom_system(small_inputs):
+    for a in small_inputs:
+        rep = classify(a)
+        for system in AXIOM_SYSTEMS:
+            flag = getattr(rep, system.lower().replace("-", "_"))
+            assert flag == check_axioms(a, system).holds, (a.name, system)
+
+
+def test_classify_rejects_a_bottom_that_is_not_least(bounded6):
+    fake = dataclasses.replace(bounded6, bottom=bounded6.index("a"))
+    with pytest.raises(AlgebraError, match="^declared bottom 'a' is not a least element$"):
+        classify(fake)
 
 
 def test_classify_flags(bck4, proper6, bounded6, conda5):
@@ -261,6 +276,50 @@ def test_parse_rejects_text_after_end(bck4):
 def test_entry_out_of_range():
     with pytest.raises(AlgebraError, match="out of range"):
         FiniteAlgebra("x", ("1",), ((1,),), ((0,),), 0)
+
+
+@pytest.mark.parametrize(
+    "elements, arrow, unit, bottom, message",
+    [
+        ((), (), 0, None, "empty carrier"),
+        (("1", "a"), ((0, 1),), 0, None, "arrow table: row count mismatch"),
+        (("1", "a"), ((0, 1), (0, 0)), 2, None, "unit out of range"),
+        (("1", "a"), ((0, 1), (0, 0)), 0, -1, "bottom out of range"),
+    ],
+    ids=["empty", "missing-row", "unit", "bottom"],
+)
+def test_constructor_shape_errors(elements, arrow, unit, bottom, message):
+    with pytest.raises(AlgebraError, match=f"^{message}$"):
+        FiniteAlgebra("x", elements, arrow, arrow, unit, bottom)
+
+
+def test_index_of_unknown_token(conda5):
+    with pytest.raises(AlgebraError, match="^unknown element token 'z'$"):
+        conda5.index("z")
+
+
+def test_unknown_axiom_system(conda5):
+    with pytest.raises(ValueError, match="^unknown axiom system 'nope'$"):
+        check_axioms(conda5, "nope")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("algebra conda5", "algebra conda 5", "algebra line needs exactly one name token"),
+        ("elements 1 a b c d", "elements", "missing required section: elements"),
+        ("table squig", "table arrow", "missing required section: table squig"),
+    ],
+    ids=["name", "elements", "table-header"],
+)
+def test_parse_header_errors(conda5, old, new, message):
+    with pytest.raises(AlgebraError, match=f"^{message}$"):
+        parse_algebra(serialize_algebra(conda5).replace(old, new))
+
+
+def test_parse_map_rejects_a_bad_line(conda5):
+    with pytest.raises(ValueError, match="^bad map line: 'map 1 1'$"):
+        parse_map(conda5, conda5, "map 1 1\n", "map")
 
 
 @given(st.integers(2, 4), st.data())

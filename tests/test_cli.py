@@ -254,6 +254,11 @@ def test_internal(capsys, alg):
     assert code == 0 and "valid true" in out
 
 
+def test_internal_smo_verify(capsys, alg):
+    argv = ("internal", alg("conda5.alg"), "--kind", "smo", "--verify", alg("mu6.op"))
+    assert run(capsys, *argv) == (0, "operator 1 1 b b 1\nvalid true\n", "")
+
+
 def test_valuations(capsys, alg):
     code, out, _ = run(capsys, "valuations", alg("conda5.alg"), "--rays")
     assert code == 0 and "ray-count 2" in out
@@ -353,8 +358,35 @@ def test_hom_outside_pseudo_be(capsys, alg):
             "hom 1->a\nhom a->a\nhom b->a\nhom c->a\nhom d->a\n",
             "is-homomorphism false\nviolation arrow (1,1)\n",
         ),
+        (
+            # b and c go to a, which goes to 1: mu(mu(b)) != mu(b)
+            ["internal", "conda5.alg", "--kind", "smo"],
+            "map 1->1\nmap a->1\nmap b->a\nmap c->a\nmap d->1\n",
+            "operator 1 1 a a 1\nvalid false\nviolation idempotent (b)\n",
+        ),
+        (
+            # s(a) + s(a ~> b) = 1/2 but s(b) + s(b ~> a) = 1
+            ["states", "conda5.alg"],
+            "state s\n1 = 1\na = 0\nb = 0\nc = 1/2\nd = 1/2\n",
+            "state s\nbosbach false\nviolation bs3 (a,b)\n",
+        ),
+        (
+            ["valuations", "conda5.alg"],
+            "valuation phi\n1 = 1\na = 0\nb = 0\nc = 0\nd = 0\n",
+            "valuation phi\nis-pseudo-valuation false\nis-weak-pseudo-valuation false\n"
+            "violation pv1 (1)\n",
+        ),
     ],
-    ids=["states", "measures", "measures-unit", "valuations-commutative", "hom"],
+    ids=[
+        "states",
+        "measures",
+        "measures-unit",
+        "valuations-commutative",
+        "hom",
+        "internal-smo",
+        "states-bs3",
+        "valuations-pv1",
+    ],
 )
 def test_verify_failure_exits_one(capsys, alg, tmp_path, argv, text, expected):
     verify = tmp_path / "input"

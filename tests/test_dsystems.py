@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from pseudobe import dsystems
-from pseudobe.algebra import check_axioms
+from pseudobe.algebra import AlgebraError, check_axioms, parse_algebra
 from pseudobe.dsystems import (
     ConsistencyAlarmError,
     NotADeductiveSystemError,
@@ -88,7 +88,7 @@ def test_lazy_tags_match_the_public_checks(small_inputs):
 def test_bck4_unit_ds_not_prime_with_witness(bck4):
     fam = enumerate_ds(bck4)
     unit_only = frozenset({bck4.unit})
-    assert not is_prime(bck4, unit_only, fam)
+    assert not is_prime(bck4, unit_only)
     w = prime_witness(bck4, unit_only, fam.subsets)
     assert w is not None and w[0] == "join"
 
@@ -143,6 +143,31 @@ def test_involutive_on_bounded(bounded6):
         assert is_involutive_ds(bounded6, d)
 
 
+# the three-element Goedel chain b < a < 1: a's double negation is 1
+GOEDEL3 = """algebra goedel3
+elements 1 a b
+unit 1
+bottom b
+table arrow
+1 a b
+1 1 b
+1 1 1
+table squig
+1 a b
+1 1 b
+1 1 1
+end
+"""
+
+
+def test_unit_ds_of_a_chain_not_involutive():
+    a = parse_algebra(GOEDEL3)
+    unit_only = frozenset({a.unit})
+    assert check_axioms(a, "pseudo-BE").holds and is_deductive_system(a, unit_only)
+    assert not is_involutive_ds(a, unit_only)
+    assert enumerate_ds(a).involutive == (frozenset({0, 1}), frozenset(range(3)))
+
+
 def test_involutive_requires_bottom(conda5):
     from pseudobe.algebra import UnboundedAlgebraError
 
@@ -153,6 +178,7 @@ def test_involutive_requires_bottom(conda5):
 def test_predicates_reject_non_ds(conda5):
     bad = frozenset({conda5.unit, conda5.index("a")})
     assert not is_deductive_system(conda5, bad)
+    assert not is_deductive_system(conda5, frozenset(range(1, conda5.size)))
     with pytest.raises(NotADeductiveSystemError):
         is_normal(conda5, bad)
 
@@ -169,6 +195,12 @@ def test_prime_maximal_require_proper(conda5):
 def test_parse_subset_rejects_repeated_token(conda5):
     with pytest.raises(ValueError, match="repeated"):
         parse_subset(conda5, "{1,a,a}")
+
+
+def test_parse_subset_empty_and_unbraced(conda5):
+    assert parse_subset(conda5, " { } ") == frozenset()
+    with pytest.raises(AlgebraError, match=r"^subset must be written \{tok,...\}, got '1,a'$"):
+        parse_subset(conda5, "1,a")
 
 
 def test_subset_format_round_trip(conda5):

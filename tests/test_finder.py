@@ -7,6 +7,7 @@ import io
 import math
 import time
 from contextlib import redirect_stdout
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -310,6 +311,11 @@ def test_limit():
         SearchConstraints(size=3, limit=-1)
 
 
+def test_search_size_below_one():
+    with pytest.raises(ValueError, match="^size must be >= 1$"):
+        SearchConstraints(0)
+
+
 def test_meta_sweep_rejects_size_below_one():
     for n_max in (0, -3):
         with pytest.raises(ValueError, match="max size"):
@@ -403,7 +409,8 @@ def test_meta_sweep_reports_first_counterexample(monkeypatch):
     bottom = detect_bottom(model)
     kernels = [state_kernel(model, v) for v in state_space(model).vertices if v[bottom] == 0]
     assert kernels[0] != kernels[-1]
-    monkeypatch.setattr(finder, "is_involutive_ds", lambda a, d: False)
+    real = finder.enumerate_ds
+    monkeypatch.setattr(finder, "enumerate_ds", lambda a: replace(real(a), involutive=()))
     witness = finder._check_model(model)["bounded-state-kernels-involutive"]
     first = format_subset(model, kernels[0])
     assert witness == f"state kernel {first} not involutive\n{serialize_algebra(model)}"
@@ -411,17 +418,18 @@ def test_meta_sweep_reports_first_counterexample(monkeypatch):
 
 def test_sweep_verdicts_match_the_full_scans(small_inputs):
     """On every pseudo-BE algebra among the small inputs, the sweep's
-    classification and P- and Q-system verdicts, which take psBE1-5 as
-    decided, equal ``classify`` and the full scans of ``check_axioms``."""
+    classification, which takes pseudo-BE as decided, equals ``classify``,
+    and its P- and Q-system verdicts equal the full scans of
+    ``check_axioms``."""
     checked = set()
     for a in small_inputs:
         if not check_axioms(a, "pseudo-BE").holds:
             continue
-        rep, p_holds, q_holds = finder._sweep_verdicts(a)
+        rep = finder._classify(a, ("pseudo-BE",))
         assert rep == classify(a), a.name
-        assert p_holds == check_axioms(a, "P-system").holds, a.name
-        assert q_holds == check_axioms(a, "Q-system").holds, a.name
-        checked.add((p_holds, q_holds))
+        assert rep.p_system == check_axioms(a, "P-system").holds, a.name
+        assert rep.q_system == check_axioms(a, "Q-system").holds, a.name
+        checked.add((rep.p_system, rep.q_system))
     # both verdicts occur, so a sweep that skipped the swap law would fail
     assert checked == {(True, True), (False, False)}
 

@@ -4,7 +4,7 @@ pruned enumeration audited against the full product filter."""
 import pytest
 
 from pseudobe import homs
-from pseudobe.dsystems import ConsistencyAlarmError, parse_subset
+from pseudobe.dsystems import ConsistencyAlarmError, parse_subset, quotient
 from pseudobe.homs import (
     Homomorphism,
     NotAHomomorphismError,
@@ -86,6 +86,20 @@ def test_image_ds_preconditions(conda5):
     g = Homomorphism(conda5, conda5, mu)
     with pytest.raises(PreconditionError):
         image_ds(g, d)
+
+
+def test_transport_preconditions(conda5):
+    f = identity_hom(conda5)
+    not_ds = parse_subset(conda5, "{1,a}")
+    with pytest.raises(PreconditionError, match="^E is not a deductive system of the target$"):
+        preimage_ds(f, not_ds)
+    with pytest.raises(PreconditionError, match="^D is not a deductive system of the source$"):
+        image_ds(f, not_ds)
+    # the projection onto conda5 / {1,a,d} is surjective with kernel {1,a,d}
+    q = quotient(conda5, parse_subset(conda5, "{1,a,d}"))
+    pi = Homomorphism(conda5, q.quotient, q.projection)
+    with pytest.raises(PreconditionError, match=r"^Ker\(f\) is not contained in D$"):
+        image_ds(pi, parse_subset(conda5, "{1}"))
 
 
 def test_kernel_requires_homomorphism(conda5):

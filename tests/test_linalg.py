@@ -280,6 +280,11 @@ def test_cone_not_pointed():
         cone_rays([], [(F(1), F(0))], 2)
 
 
+def test_cone_rejects_inhomogeneous_equality():
+    with pytest.raises(ValueError, match="^cone equalities must be homogeneous$"):
+        cone_rays([_eq([1, 0], 1)], [(0, 1)], 2)
+
+
 @pytest.mark.parametrize("row", [(1, 0, 5), (1,)])
 def test_cone_rejects_inequality_arity(row):
     # a row of the wrong length must not be zipped short against the rays

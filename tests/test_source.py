@@ -48,6 +48,7 @@ NO_CALLER_YET = {
     "valuations.pullback": "transport: phi o f is a pseudo-valuation",
     # test oracles
     "linalg.box_vertices": "oracle of the state polytope",
+    "linalg.LinearEquation.residual": "oracle of solve_affine's solutions",
     "states.measure_equations": "oracle of the measure cone",
     "valuations.valuation_equations": "oracle of the valuation cone",
 }
@@ -75,9 +76,23 @@ def _loaded(stmt: ast.stmt) -> set[str]:
     }
 
 
+def _consumed_as_member(stmt: ast.stmt) -> set[str]:
+    """Names a statement loads as an attribute or holds as a string
+    constant (``getattr`` reads a member by the string)."""
+    return {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
 def _unconsumed(modules: list[tuple[str, ast.Module]]) -> set[str]:
     """``module.name`` of each top-level definition that ``__init__.py``
-    neither imports nor defines and that no other top-level statement loads."""
+    neither imports nor defines and that no other top-level statement loads,
+    and ``module.Class.method`` of each method of a top-level class, dunder
+    methods aside, that no other statement loads as an attribute or holds as
+    a string; a method's statements are the class body's."""
     statements = [(name.removesuffix(".py"), stmt) for name, tree in modules for stmt in tree.body]
     exported = {
         alias.asname or alias.name
@@ -89,21 +104,47 @@ def _unconsumed(modules: list[tuple[str, ast.Module]]) -> set[str]:
         name for module, stmt in statements if module == "__init__" for name in _defined(stmt)
     }
     loads = [_loaded(stmt) for _, stmt in statements]
-    return {
+    names = {
         f"{module}.{name}"
         for i, (module, stmt) in enumerate(statements)
         for name in _defined(stmt)
         if name not in exported and not any(name in seen for j, seen in enumerate(loads) if j != i)
     }
+    units = [
+        unit
+        for _, stmt in statements
+        for unit in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])
+    ]
+    members = [_consumed_as_member(unit) for unit in units]
+    methods = {
+        f"{module}.{stmt.name}.{method.name}"
+        for module, stmt in statements
+        if isinstance(stmt, ast.ClassDef)
+        for method in stmt.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and not any(
+            method.name in seen for unit, seen in zip(units, members) if unit is not method
+        )
+    }
+    return names | methods
 
 
 def test_unconsumed_names_of_a_sample_package():
+    functions = "def exported(): used()\ndef used(): pass\ndef dead(): dead()\n"
+    methods = (
+        "class K:\n"
+        "    def __init__(self): pass\n"
+        "    def called(self): self.named()\n"
+        "    def named(self): pass\n"
+        "    def unused(self): self.unused()\n"
+    )
     sample = [
-        ("__init__.py", ast.parse("from .m import exported\n__version__ = '1'\n")),
-        ("m.py", ast.parse("def exported(): used()\ndef used(): pass\ndef dead(): dead()\n")),
-        ("n.py", ast.parse("import m\nX: int = m.used\nY, Z = 1, 2\nprint(Y)\n")),
+        ("__init__.py", ast.parse("from .m import exported, K\n__version__ = '1'\n")),
+        ("m.py", ast.parse(functions + methods)),
+        ("n.py", ast.parse("X: int = m.used\nY, Z = 1, 2\nprint(Y, getattr(K(), 'called'))\n")),
     ]
-    assert _unconsumed(sample) == {"m.dead", "n.X", "n.Z"}
+    assert _unconsumed(sample) == {"m.dead", "n.X", "n.Z", "m.K.unused"}
 
 
 def test_every_name_has_a_caller_an_export_or_a_listed_reason():

@@ -32,6 +32,7 @@ from pseudobe.states import (
     measure_cone,
     measure_equations,
     measure_kernel,
+    measure_morphism_witness,
     measure_witness,
     parse_assignment,
     sm_characterization_check,
@@ -179,6 +180,14 @@ def test_measure_morphisms_are_measures(conda5):
 def test_negative_values_rejected(conda5):
     m = (F(0), F(-1), F(0), F(0), F(-1))
     assert measure_witness(conda5, m)[0] == "range"
+
+
+def test_morphism_checks_share_the_range_prefix(conda5):
+    # the unit-interval and nonnegativity prefixes decide before any pair
+    assert state_morphism_witness(conda5, (F(0),) + S4[1:]) == ("bs1", (0,))
+    assert state_morphism_witness(conda5, (F(1), F(2), F(1), F(1), F(1))) == ("range", (1,))
+    m = (F(0), F(0), F(0), F(-1), F(0))
+    assert measure_morphism_witness(conda5, m) == ("range", (3,))
 
 
 def test_measure_cone_two_rays(conda5):
@@ -332,6 +341,16 @@ def test_parse_assignment_file(conda5):
 def test_assignment_missing_element(conda5):
     with pytest.raises(ValueError, match="missing"):
         parse_assignment(conda5, "state s\n1 = 1\n", "state")
+
+
+def test_assignment_line_without_equals(conda5):
+    with pytest.raises(ValueError, match=r"^bad assignment line: 'a 1'$"):
+        parse_assignment(conda5, "state s\n1 = 1\na 1\n", "state")
+
+
+def test_assignment_without_lines(conda5):
+    with pytest.raises(ValueError, match="^empty assignment file$"):
+        parse_assignment(conda5, "# only a comment\n\n", "state")
 
 
 def test_assignment_wrong_kind(conda5):

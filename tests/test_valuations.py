@@ -58,6 +58,13 @@ def test_zero_map_is_pv_not_valuation(conda5):
     assert not is_valuation(conda5, zero)
 
 
+def test_non_pv_is_not_a_valuation(conda5):
+    # nonzero everywhere off the unit, but phi(1) = 1
+    phi = (F(1),) * 5
+    assert pv_witness(conda5, phi) == ("pv1", (conda5.unit,))
+    assert not is_valuation(conda5, phi)
+
+
 def test_commutative_pv_requires_pv(conda5):
     with pytest.raises(NotAPseudoValuationError):
         is_commutative_pv(conda5, PHI_WEAK)
