@@ -37,7 +37,7 @@ from .dsystems import enumerate_ds, format_subset
 from .homs import Map, SizeGuardError, scan_maps, search_maps
 from .parallel import pmap
 from .operators import enumerate_internal_states, is_smo
-from .states import measure_cone, state_space
+from .states import measure_face, state_space
 from .valuations import commutative_pv_witness, valuation_cone, weak_pv_witness
 
 MAX_EXHAUSTIVE_SIZE = 5
@@ -384,11 +384,12 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     comm = rep.pseudo_be and rep.commutative
     # cone_rays checks every ray in integers (linalg._check), and the state
     # vertices are those rays scaled to t = 1, so the kernels s^-1(1) and
-    # m^-1(0) are read straight off them
+    # m^-1(0) are read straight off them; the measure rays are the pv rays
+    # on the measure face, since the model is pseudo-BE (states.measure_face)
     carrier = range(a.size)
     states = [(v, frozenset(x for x in carrier if v[x] == 1)) for v in state_space(a).vertices]
-    measure_kernels = [frozenset(x for x in carrier if r[x] == 0) for r in measure_cone(a)]
     rays = valuation_cone(a)
+    measure_kernels = [frozenset(x for x in carrier if r[x] == 0) for r in measure_face(a, rays)]
 
     def show(d) -> str:
         return format_subset(a, d)

@@ -7,8 +7,12 @@ from the distinct terms with the unit's coordinate dropped, since the
 unit pins it (m(1) = 0, s(1) = t): the state polytope is read off the
 integer cone over its homogenised system, {(x, t) : Ax = bt, 0 <= x <= t},
 whose extreme rays scaled to t = 1 are the vertices, and the measure cone
-is enumerated by the same extreme-ray engine.  Vertices are Fraction
-tuples and rays primitive integer tuples; both are exact.
+is enumerated by the same extreme-ray engine.  On a pseudo-BE algebra
+every measure is a pseudo-valuation, so the measure cone is also the face
+of the pseudo-valuation cone on which the comparable-pair rows are tight;
+:func:`measure_face` reads its rays off that cone's rays without running
+the engine again, and :func:`measure_cone` is its oracle.  Vertices are
+Fraction tuples and rays primitive integer tuples; both are exact.
 """
 
 from __future__ import annotations
@@ -333,6 +337,35 @@ def measure_cone(a: FiniteAlgebra) -> tuple[IntVector, ...]:
     eqs = [LinearEquation(row, 0) for row in _unit_free_rows(a, _measure_terms(a), n - 1)]
     nonneg = [_coefficient_row(n - 1, (i,)) for i in range(n - 1)]
     return tuple(_with_unit(a, r, 0) for r in cone_rays(eqs, nonneg, n - 1))
+
+
+def measure_face(a: FiniteAlgebra, pv_rays: Iterable[IntVector]) -> tuple[IntVector, ...]:
+    """The rays in ``pv_rays``, in the given order, on which every
+    :func:`_measure_terms` row is 0.
+
+    When ``a`` is a pseudo-BE algebra and ``pv_rays`` are the extreme rays
+    of its pseudo-valuation cone (``valuations.valuation_cone``), this is
+    :func:`measure_cone`.  Each measure row m(x->y) + m(x) - m(y), y <= x,
+    is also a pv row, so it is >= 0 on the pv cone and the rows cut out a
+    face of it; a face's extreme rays are the cone's extreme rays that lie
+    in it (Ziegler, Lectures on Polytopes, 1995, 2.1).  The face is the
+    measure cone because every measure m is a pv:
+
+    - y <= x -> y and x <= (x -> y) ~> y: y ~> (x -> y) = x -> (y ~> y)
+      = 1 and x -> ((x -> y) ~> y) = (x -> y) ~> (x -> y) = 1, by psBE4
+      and psBE1-2 (psBE5 makes ~> and -> give one order);
+    - m is antitone: m(x -> y) = m(y) - m(x) >= 0 for y <= x;
+    - so m(y) - m(x -> y) = m((x -> y) ~> y) <= m(x), and the twin holds
+      with the tables swapped, which are the two pv bounds.
+
+    A pv is >= 0 and 0 at the unit, so a ray of the face is a measure by
+    construction, and no further scan is needed.  The precondition is not
+    checked here: the meta sweep's models are pseudo-BE by construction.
+    """
+    terms = list(dict.fromkeys(_measure_terms(a)))
+    return tuple(
+        r for r in pv_rays if all(r[t] + r[x] == r[y] for (t, x), (y,) in terms)
+    )
 
 
 def state_measure_bijection(a: FiniteAlgebra, values: Assignment, direction: str) -> Assignment:

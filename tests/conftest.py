@@ -1,7 +1,9 @@
+import collections
 import pathlib
 
 import pytest
 
+from pseudobe import homs
 from pseudobe.algebra import parse_algebra
 from pseudobe.finder import SearchConstraints, enumerate_models
 
@@ -11,6 +13,34 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 def load_fixture(name):
     """Parse ``tests/fixtures/<name>.alg``."""
     return parse_algebra((FIXTURES / f"{name}.alg").read_text(encoding="utf-8"))
+
+
+def count_map_search(monkeypatch, *modules):
+    """Count the work of ``homs.search_maps`` as ``modules`` call it: its
+    ``check`` calls and leaves (``accept`` calls), in the returned Counter.
+    Their ``scan_maps``, the unpruned product scan, raises instead of
+    running."""
+    work = collections.Counter()
+    search = homs.search_maps
+
+    def counted(n, m, check, accept):
+        def counted_check(f, k):
+            work["check"] += 1
+            return check(f, k)
+
+        def counted_accept(f):
+            work["leaves"] += 1
+            return accept(f)
+
+        return search(n, m, counted_check, counted_accept)
+
+    def no_scan(*args):
+        raise AssertionError("scan_maps ran where the pruned search must")
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "search_maps", counted)
+        monkeypatch.setattr(mod, "scan_maps", no_scan)
+    return work
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import collections
 import hashlib
 import io
 import math
-import time
 from contextlib import redirect_stdout
 from dataclasses import replace
 from itertools import product
@@ -13,7 +12,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudobe import algebra, cli, finder
+from conftest import count_map_search
+from pseudobe import algebra, cli, finder, states, valuations
 from pseudobe.algebra import (
     _SYSTEM_AXIOMS,
     FiniteAlgebra,
@@ -333,14 +333,17 @@ def test_size_guard():
         next(audit4)
 
 
-def test_size_five_search_streams():
-    # the whole size-5 search takes minutes; its first models must not wait for it
-    start = time.perf_counter()
+def test_size_five_search_streams(monkeypatch):
+    # the whole size-5 search makes 9,635,650 check calls over 221,729
+    # leaves; its first models must not wait for it
+    work = count_map_search(monkeypatch, finder)
     assert len(_models(5, limit=5)) == 5
-    assert time.perf_counter() - start < 1.0
-    start = time.perf_counter()
+    # measured: 300 check calls and 8 leaves
+    assert work["check"] < 1_000 and work["leaves"] <= 8
+    work.clear()
     first = next(enumerate_models(SearchConstraints(size=5)))
-    assert time.perf_counter() - start < 1.0
+    # measured: 300 check calls and 1 leaf
+    assert work["check"] < 1_000 and work["leaves"] == 1
     assert check_axioms(first, "pseudo-BE").holds
 
 
@@ -360,6 +363,29 @@ def test_bounded_flag_declares_bottom():
     for m in _models(3, flags=("bounded",)):
         assert m.bottom is not None
         assert classify(m).bounded
+
+
+def test_meta_sweep_runs_two_cone_engines_per_model(monkeypatch):
+    """The state polytope and the pv cone are the sweep's only engine runs:
+    the measure kernels come off the pv rays (``states.measure_face``), not
+    off a third run in ``measure_cone``."""
+    runs = collections.Counter()
+    for module in (states, valuations):
+
+        def counted(*args, _name=module.__name__, _run=module.cone_rays):
+            runs[_name] += 1
+            return _run(*args)
+
+        monkeypatch.setattr(module, "cone_rays", counted)
+
+    def no_measure_cone(a):
+        raise AssertionError("the sweep ran the measure cone's engine")
+
+    monkeypatch.setattr(states, "measure_cone", no_measure_cone)
+    monkeypatch.setattr(finder, "measure_cone", no_measure_cone, raising=False)
+    assert verify_meta_theorems(4).models == 83
+    # 166 = 2 x 83 engine runs
+    assert runs == {"pseudobe.states": 83, "pseudobe.valuations": 83}
 
 
 def test_meta_sweep_vacuous():

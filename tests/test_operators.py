@@ -5,11 +5,11 @@ enumeration and hand-checked against the defining axioms.
 """
 
 import itertools
-import time
 
 import pytest
 
-from pseudobe import operators
+from conftest import count_map_search
+from pseudobe import homs, operators
 from pseudobe.algebra import FiniteAlgebra, check_axioms
 from pseudobe.dsystems import ConsistencyAlarmError
 from pseudobe.homs import PreconditionError, SizeGuardError, enumerate_homomorphisms
@@ -99,14 +99,18 @@ def _goedel_chain(n):
     return FiniteAlgebra(f"goedel{n}", tokens, table, table, 0, 1)
 
 
-def test_nine_element_chain_needs_no_product_scan():
+def test_nine_element_chain_needs_no_product_scan(monkeypatch):
     g = _goedel_chain(9)
     assert check_axioms(g, "pseudo-BE").holds
-    start = time.perf_counter()
-    endos = enumerate_homomorphisms(g, g)
-    smo = enumerate_smo(g)
-    enumerate_internal_states(g, "II")
-    assert time.perf_counter() - start < 1.0
+    with monkeypatch.context() as patch:
+        work = count_map_search(patch, homs, operators)
+        endos = enumerate_homomorphisms(g, g)
+        smo = enumerate_smo(g)
+        enumerate_internal_states(g, "II")
+    # measured: 18,846 check calls and 514 leaves (256 + 256 endomorphisms,
+    # 2 internal states), against 9^9 = 387,420,489 maps in the product scan
+    assert work["check"] < 20_000
+    assert work["leaves"] <= 514
     # an endomorphism fixes 1, is injective on the elements it does not
     # send to 1, and those form a down-set: one per subset of the 8
     # non-unit elements; the idempotent ones are the identity below a cut

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pseudobe import states
-from pseudobe.algebra import FiniteAlgebra, UnboundedAlgebraError, negations, vee1
+from pseudobe.algebra import FiniteAlgebra, UnboundedAlgebraError, check_axioms, negations, vee1
 from pseudobe.dsystems import is_involutive_ds
 from pseudobe.finder import SearchConstraints, enumerate_models
 from pseudobe.linalg import (
@@ -31,6 +31,7 @@ from pseudobe.states import (
     lukasiewicz,
     measure_cone,
     measure_equations,
+    measure_face,
     measure_kernel,
     measure_morphism_witness,
     measure_witness,
@@ -42,7 +43,7 @@ from pseudobe.states import (
     state_space,
     state_measure_bijection,
 )
-from pseudobe.valuations import valuation_cone, valuation_equations
+from pseudobe.valuations import is_pseudo_valuation, valuation_cone, valuation_equations
 
 # the four named state families of the 5-element algebra, at the
 # parameter values used throughout the suite (carrier order 1 a b c d)
@@ -482,3 +483,17 @@ def test_equation_rows_are_integer(small_inputs):
     assert len(lines) == 5827
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "107811939796b800ac7976e0ee50c332e060b257e9e6481286b2054d24ceff2a"
+
+
+def test_measure_face_is_the_measure_cone(small_inputs):
+    """On a pseudo-BE algebra the measure rays are the pv rays on which the
+    comparable-pair rows are tight, in the pv cone's order (reversing the
+    pv rays reverses the face), because every measure ray is a pv."""
+    inputs = small_inputs + list(enumerate_models(SearchConstraints(size=5, limit=300)))
+    assert len(inputs) == 387
+    for a in inputs:
+        assert check_axioms(a, "pseudo-BE").holds, a.name
+        rays, measures = valuation_cone(a), measure_cone(a)
+        assert all(is_pseudo_valuation(a, r) for r in measures), a.name
+        assert measure_face(a, rays) == measures, a.name
+        assert measure_face(a, rays[::-1]) == measures[::-1], a.name
