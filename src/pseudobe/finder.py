@@ -9,11 +9,12 @@ value pairs, and each instance of the exchange identity and of the
 identities of the flagged axiom systems is tested only when a cell it
 reads is assigned (watched cells).  Isomorphic duplicates are rejected by a
 canonical form: the lexicographically minimal table pair over all carrier
-permutations fixing the unit.  The search keeps a labelled pair only if no
-relabelling beats it, which the first differing cell decides
-(``_is_canonical``); ``canonical_tables`` builds the minimal pair whole and
-is the audit's filter.  Equal rows and equal tables of the emitted models
-are one tuple each.
+permutations fixing the unit.  Each leaf of the search, a labelled pair, is
+first confirmed pseudo-BE and then kept only if no relabelling beats it,
+which the first differing cell decides (``_is_canonical``);
+``canonical_tables`` builds the minimal pair whole and decides the audit's
+leaves.  Only the kept pairs are frozen into tuples, and equal rows and
+equal tables of the emitted models are one tuple each.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ def canonical_tables(
     """Lexicographically minimal relabeled (arrow, squig) pair over all
     carrier permutations fixing the unit.
 
-    The audit oracle for ``_is_canonical``: ``enumerate_models(audit=True)``
-    filters with it, and so does the benchmark's check of the search.
+    The audit oracle for ``_is_canonical``: the leaves of
+    ``enumerate_models(audit=True)`` are decided with it, and so is the
+    benchmark's check of the search.
     """
     n = len(arrow)
     others = [i for i in range(n) if i != unit]
@@ -195,10 +197,16 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
     cell has an address computed without the cell's value.  The siblings of
     a prefix share its tables and the instances that read their cell
     (``readers``); each test stops at the first violating tuple.
-    ``audit=True`` scans every map with ``homs.scan_maps``.  Both confirm
-    each complete pair with ``algebra._holds``, the pseudo-BE scans of
-    ``check_axioms``; flags are filtered after that.
-    Equal rows of the streamed tables are one tuple object.
+    ``audit=True`` scans every map with ``homs.scan_maps``.
+
+    At each leaf, a complete labelled pair, ``accept`` reads the exact
+    n x n tables off the search's working tables, confirms pseudo-BE with
+    ``algebra._holds`` (the pseudo-BE scans of ``check_axioms``) and then
+    decides canonicity on the same lists: ``_is_canonical`` in the search,
+    ``canonical_tables`` in the audit.  So only canonical pairs are
+    streamed, and only they are frozen (``_freeze``); equal rows and equal
+    tables of the streamed pairs are one tuple object.  Flags are filtered
+    by ``enumerate_models``.
     """
     n, u = c.size, 0
     rng = range(n)
@@ -253,22 +261,6 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
             if free[k][0] in rows or None in rows:
                 watched[k][violations, readers].append(t)
 
-    # equal rows are handed out as one tuple; accept freezes each leaf once
-    interned: dict[tuple, tuple] = {}
-    last: list = [None, None]
-
-    def shared(row: list) -> tuple:
-        r = tuple(row[:n])
-        return interned.setdefault(r, r)
-
-    def frozen(f: Map) -> tuple[tuple, tuple]:
-        if last[0] != f:
-            last[:] = f, tuple(tuple(map(shared, t[:n])) for t in tables(free, f))
-        return last[1]
-
-    def accept(f: Map) -> bool:
-        return _holds(*frozen(f), u, "pseudo-BE")
-
     # the siblings checked in a row share their tables up to cell k, and the
     # instances that read cell k there
     built: list = [None, None, None, None]
@@ -292,11 +284,45 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
                 return False
         return True
 
+    relabellings = _relabellings(n, u)
+    # the exact n x n tables of the last leaf tested; search_maps and
+    # scan_maps yield a leaf right after accept keeps it, so the stream
+    # below freezes the tables that accept decided on
+    leaf: list = [None, None]
+
+    def accept(f: Map) -> bool:
+        if f and built[0] == f[:-1]:
+            # a leaf of the search: its siblings were checked just before on
+            # its parent's working tables, so only its last cell is set
+            _, arrow, squig, _ = built
+            x, y = free[-1]
+            arrow[x][y], squig[x][y] = divmod(f[-1], n)
+        else:
+            arrow, squig = tables(free, f)
+        arrow, squig = leaf[:] = [row[:n] for row in arrow[:n]], [row[:n] for row in squig[:n]]
+        if not _holds(arrow, squig, u, "pseudo-BE"):
+            return False
+        if audit:
+            return canonical_tables(arrow, squig, u) == _freeze(arrow, squig, {})
+        return _is_canonical(arrow, squig, relabellings)
+
     if audit:
         maps = scan_maps(len(free), n * n, accept)
     else:
         maps = search_maps(len(free), n * n, check, accept)
-    return map(frozen, maps)
+    # equal rows and equal tables of the streamed pairs are one tuple each
+    interned: dict[tuple, tuple] = {}
+    return (_freeze(*leaf, interned) for _ in maps)
+
+
+def _freeze(arrow: list, squig: list, interned: dict) -> tuple[tuple, tuple]:
+    """The table pair as tuples of row tuples; a row or table equal to one in
+    ``interned`` is that object, and each new one is entered."""
+    out = []
+    for table in (arrow, squig):
+        t = tuple(interned.setdefault(r, r) for r in map(tuple, table))
+        out.append(interned.setdefault(t, t))
+    return out[0], out[1]
 
 
 def enumerate_models(
@@ -308,22 +334,16 @@ def enumerate_models(
     the search fills the table pair: cell by cell in row-major order, each
     cell taking one (arrow, squig) pair, arrow entry first.  Models thus
     increase in the sequence of per-cell (arrow, squig) pairs, which is not
-    the lexicographic order of (arrow table, squig table).
+    the lexicographic order of (arrow table, squig table).  Canonicity is
+    decided at the search's leaves (``_table_pairs``); only the flags are
+    filtered here.
     """
     if c.size > MAX_EXHAUSTIVE_SIZE:
         raise SizeGuardError(f"exhaustive search capped at n = {MAX_EXHAUSTIVE_SIZE}")
     n = c.size
     elements = tuple(_TOKENS[:n])
-    if audit:
-        pairs = (p for p in _table_pairs(c, audit) if canonical_tables(*p, 0) == p)
-    else:
-        relabellings = _relabellings(n, 0)
-        pairs = (p for p in _table_pairs(c, audit) if _is_canonical(*p, relabellings))
-    # equal tables of the emitted models are one tuple, like equal rows
-    shared: dict[tuple, tuple] = {}
     canonical = (
-        FiniteAlgebra(_model_name(n, *t), elements, *map(shared.setdefault, t, t), 0)
-        for t in pairs
+        FiniteAlgebra(_model_name(n, *t), elements, *t, 0) for t in _table_pairs(c, audit)
     )
     models = (m for m in (_passes_flags(alg, c.flags) for alg in canonical) if m is not None)
     # islice stops before searching past the limit-th model

@@ -70,13 +70,40 @@ def test_audit_agrees_up_to_three():
         ]
 
 
-def test_flagged_search_equals_filtered_search():
+def _record_leaves(monkeypatch):
+    """Wrap ``finder._holds`` and ``finder._freeze``.  The returned dict
+    lists, in visit order, the labelled pairs (leaves) that ``_holds``
+    confirms as pseudo-BE, frozen here, and the pairs the search freezes."""
+    seen = {"confirmed": [], "frozen": []}
+    real_holds, real_freeze = finder._holds, finder._freeze
+
+    def holds(arrow, squig, unit, system):
+        verdict = real_holds(arrow, squig, unit, system)
+        if verdict and system == "pseudo-BE":
+            seen["confirmed"].append(real_freeze(arrow, squig, {}))
+        return verdict
+
+    def freeze(arrow, squig, interned):
+        pair = real_freeze(arrow, squig, interned)
+        seen["frozen"].append(pair)
+        return pair
+
+    monkeypatch.setattr(finder, "_holds", holds)
+    monkeypatch.setattr(finder, "_freeze", freeze)
+    return seen
+
+
+def test_flagged_search_equals_filtered_search(monkeypatch):
     """The declarations of an axiom-system flag prune inside the search;
-    the models and their order, and the labelled table pairs, are those of
-    the unflagged search filtered by the flag."""
+    the models and their order, and the labelled table pairs that the
+    search confirms, are those of the unflagged search filtered by the
+    flag."""
 
     def labelled(n, flags=()):
-        return list(finder._table_pairs(SearchConstraints(size=n, flags=flags), False))
+        with monkeypatch.context() as patched:
+            seen = _record_leaves(patched)
+            list(finder._table_pairs(SearchConstraints(size=n, flags=flags), False))
+        return seen["confirmed"]
 
     assert [len(labelled(n)) for n in (1, 2, 3, 4)] == [1, 1, 6, 388]
     for n in (1, 2, 3, 4):
@@ -198,27 +225,22 @@ def test_emitted_models_are_canonical():
         assert canonical_tables(m.arrow, m.squig, m.unit) == (m.arrow, m.squig)
 
 
-def _labelled(n):
-    return finder._table_pairs(SearchConstraints(size=n), False)
-
-
-def test_early_exit_canonicity_equals_canonical_tables():
-    """On every labelled pair for n <= 4, and on those up to the 300th
-    size-5 model, the early-exit test answers as the full canonical form."""
-    for n in (1, 2, 3, 4):
+def test_early_exit_canonicity_equals_canonical_tables(monkeypatch):
+    """On every labelled pair that the search confirms for n <= 4, and on
+    those up to the 300th size-5 model, the early-exit test answers as the
+    full canonical form, and the search streams exactly the canonical ones."""
+    for n, limit in ((1, None), (2, None), (3, None), (4, None), (5, 300)):
+        with monkeypatch.context() as patched:
+            seen = _record_leaves(patched)
+            streamed = [(m.arrow, m.squig) for m in enumerate_models(SearchConstraints(n, (), limit))]
         relabellings = finder._relabellings(n, 0)
-        for a, s in _labelled(n):
-            want = canonical_tables(a, s, 0) == (a, s)
-            assert finder._is_canonical(a, s, relabellings) == want
-    relabellings = finder._relabellings(5, 0)
-    models = 0
-    for a, s in _labelled(5):
-        want = canonical_tables(a, s, 0) == (a, s)
-        assert finder._is_canonical(a, s, relabellings) == want
-        models += want
-        if models == 300:
-            break
-    assert models == 300
+        canonical = []
+        for pair in seen["confirmed"]:
+            want = canonical_tables(*pair, 0) == pair
+            assert finder._is_canonical(*pair, relabellings) == want
+            canonical += [pair] * want
+        assert streamed == canonical, n
+    assert len(streamed) == 300
 
 
 @st.composite
@@ -274,22 +296,38 @@ def test_models_share_rows_and_elements():
 
 def test_every_labelled_pair_is_confirmed(monkeypatch):
     """The search confirms each labelled pair with the pseudo-BE scans
-    (``algebra._holds``) before it streams it."""
-    confirmed = set()
-    real = finder._holds
+    (``algebra._holds``) before it tests its canonicity, and streams only
+    confirmed pairs."""
+    seen = _record_leaves(monkeypatch)
+    tested = []
+    real = finder._is_canonical
 
-    def recording(arrow, squig, unit, system):
-        holds = real(arrow, squig, unit, system)
-        if holds and system == "pseudo-BE":
-            confirmed.add((arrow, squig))
-        return holds
+    def after_holds(arrow, squig, relabellings):
+        tested.append((tuple(map(tuple, arrow)), tuple(map(tuple, squig))))
+        assert tested[-1:] == seen["confirmed"][-1:]
+        return real(arrow, squig, relabellings)
 
-    monkeypatch.setattr(finder, "_holds", recording)
+    monkeypatch.setattr(finder, "_is_canonical", after_holds)
     pairs = 0
-    for pair in _labelled(4):
-        assert pair in confirmed
+    for pair in finder._table_pairs(SearchConstraints(size=4), False):
+        assert pair in seen["confirmed"]
         pairs += 1
-    assert pairs == 388
+    assert len(seen["confirmed"]) == len(tested) == 388
+    assert pairs == 77
+
+
+def test_search_confirms_every_leaf_and_freezes_only_what_it_emits(monkeypatch):
+    """``_holds`` confirms every leaf the search visits, and only the pairs
+    the search streams are frozen: at n = 4 and up to the 3000th size-5
+    model.  Running the canonicity test first would confirm fewer leaves."""
+    cases = ((SearchConstraints(4), 388, 77), (SearchConstraints(5, (), 3000), 10_917, 3_000))
+    for c, leaves, models in cases:
+        with monkeypatch.context() as patched:
+            seen = _record_leaves(patched)
+            work = count_map_search(patched, finder)
+            assert len(list(enumerate_models(c))) == models
+        assert work["leaves"] == len(seen["confirmed"]) == leaves, c
+        assert len(seen["frozen"]) == models, c
 
 
 def test_no_two_models_isomorphic():

@@ -365,30 +365,49 @@ def test_assignment_duplicate_key(conda5):
         parse_assignment(conda5, text, "state")
 
 
+# their valuation-cone audits take about 5.3 s; the other 85 inputs take
+# about 0.6 s together (2 vCPUs)
+SIX_ELEMENT_FIXTURES = ("proper6", "bounded6")
+
+
+def _engine_matches_audit(a):
+    n = a.size
+    for eqs in (state_equations(a), measure_equations(a)):
+        assert repr(solve_affine(eqs, n)) == repr(solve_affine(eqs, n, audit=True)), a.name
+    nonneg = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+    cones = [
+        (valuation_equations(a), valuation_cone(a)),
+        ((measure_equations(a), nonneg), measure_cone(a)),
+    ]
+    for (eqs, ineqs), public in cones:
+        rays = cone_rays(eqs, ineqs, n)
+        audit = cone_rays(eqs, ineqs, n, audit=True)
+        assert rays == public == audit, a.name
+        assert all(type(v) is int for r in rays + public + audit for v in r), a.name
+
+
 def test_engine_matches_audit_on_small_models(small_inputs):
     """The double description engine and the active-set audit return the
     same tuples for the valuation cone and the measure cone, and the
     integer and Fraction eliminations the same state and measure solution
-    spaces (compared by repr, so types count), on the four fixtures and
-    every model of size <= 4 (the state polytope is compared with
-    ``box_vertices`` by the next test).  Every ray coordinate, from
-    ``cone_rays``, its audit, ``measure_cone`` and ``valuation_cone``, is an
-    ``int``."""
+    spaces (compared by repr, so types count), on bck4, conda5 and every
+    model of size <= 4; the six-element fixtures are the next test's (the
+    state polytope is compared with ``box_vertices`` further down).  Every
+    ray coordinate, from ``cone_rays``, its audit, ``measure_cone`` and
+    ``valuation_cone``, is an ``int``."""
     assert len(small_inputs) == 87
-    for a in small_inputs:
-        n = a.size
-        for eqs in (state_equations(a), measure_equations(a)):
-            assert repr(solve_affine(eqs, n)) == repr(solve_affine(eqs, n, audit=True)), a.name
-        nonneg = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
-        cones = [
-            (valuation_equations(a), valuation_cone(a)),
-            ((measure_equations(a), nonneg), measure_cone(a)),
-        ]
-        for (eqs, ineqs), public in cones:
-            rays = cone_rays(eqs, ineqs, n)
-            audit = cone_rays(eqs, ineqs, n, audit=True)
-            assert rays == public == audit, a.name
-            assert all(type(v) is int for r in rays + public + audit for v in r), a.name
+    rest = [a for a in small_inputs if a.name not in SIX_ELEMENT_FIXTURES]
+    assert len(rest) == 85
+    for a in rest:
+        _engine_matches_audit(a)
+
+
+@pytest.mark.slow
+def test_engine_matches_audit_on_six_element_fixtures(proper6, bounded6):
+    """The comparisons of the previous test on proper6 and bounded6."""
+    assert (proper6.name, bounded6.name) == SIX_ELEMENT_FIXTURES
+    for a in (proper6, bounded6):
+        _engine_matches_audit(a)
 
 
 def test_state_space_matches_the_fraction_box_audit(small_inputs):
