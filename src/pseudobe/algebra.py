@@ -101,6 +101,12 @@ class FiniteAlgebra:
         return self.arrow == self.squig
 
 
+# A failed check's tag and tuple.  Every witness function scans its tuples
+# in lexicographic order and, at each tuple, the -> condition before its ~>
+# twin, so the witness is the first failure in that order.
+Witness = tuple[str, tuple[int, ...]]
+
+
 def leq(a: FiniteAlgebra, x: int, y: int) -> bool:
     """x <= y iff x -> y = 1 iff x ~> y = 1.
 

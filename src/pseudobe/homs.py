@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .algebra import FiniteAlgebra, leq, parse_map
+from .algebra import FiniteAlgebra, Witness, leq, parse_map
 from .dsystems import ConsistencyAlarmError, Subset, is_deductive_system
 
 SEARCH_GUARD = 10_000_000
@@ -49,16 +49,16 @@ def identity_hom(a: FiniteAlgebra) -> Homomorphism:
     return Homomorphism(a, a, tuple(range(a.size)))
 
 
-def hom_witness(f: Homomorphism) -> Optional[tuple[str, tuple[int, int]]]:
+def hom_witness(f: Homomorphism) -> Optional[Witness]:
     """First pair where an operation is not preserved, or None."""
-    a, b = f.source, f.target
-    for x in range(a.size):
-        for y in range(a.size):
-            if f.map[a.arrow[x][y]] != b.arrow[f.map[x]][f.map[y]]:
-                return ("arrow", (x, y))
-            if f.map[a.squig[x][y]] != b.squig[f.map[x]][f.map[y]]:
-                return ("squig", (x, y))
-    return None
+    a, b, m = f.source, f.target, f.map
+    n = range(a.size)
+    twins = (("arrow", a.arrow, b.arrow), ("squig", a.squig, b.squig))
+    return next(
+        ((tag, (x, y)) for x in n for y in n for tag, s, t in twins
+         if m[s[x][y]] != t[m[x]][m[y]]),
+        None,
+    )
 
 
 def is_homomorphism(f: Homomorphism) -> bool:

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import FiniteAlgebra, _holds, parse_map, vee1, vee2
+from .algebra import FiniteAlgebra, Witness, _holds, parse_map, vee1, vee2
 from .dsystems import ConsistencyAlarmError, Subset, is_deductive_system
 from .homs import Check, Homomorphism, PreconditionError, enumerate_homomorphisms, hom_witness
 from .homs import equation_check, scan_maps, search_maps
 
 UnaryOperator = tuple[int, ...]
-
-Witness = tuple[str, tuple[int, ...]]
 
 
 def _require_kind(kind: str) -> None:
@@ -34,28 +32,26 @@ def internal_state_witness(
     The order used by (is1) is the preorder x -> y = 1.
     """
     _require_kind(kind)
-    u = a.unit
-    for x in range(a.size):
-        for y in range(a.size):
-            if a.arrow[x][y] == u and a.arrow[mu[x]][mu[y]] != u:
-                return ("is1", (x, y))
-    for x in range(a.size):
-        for y in range(a.size):
-            if kind == "I":
-                j1, j2 = vee1(a, x, y), vee2(a, x, y)
-            else:
-                j1, j2 = vee1(a, y, x), vee2(a, y, x)
-            if mu[a.arrow[x][y]] != a.arrow[mu[j1]][mu[y]]:
-                return ("is2" if kind == "I" else "is2'", (x, y))
-            if mu[a.squig[x][y]] != a.squig[mu[j2]][mu[y]]:
-                return ("is2" if kind == "I" else "is2'", (x, y))
-    for x in range(a.size):
-        for y in range(a.size):
-            if mu[a.arrow[mu[x]][mu[y]]] != a.arrow[mu[x]][mu[y]]:
-                return ("is3", (x, y))
-            if mu[a.squig[mu[x]][mu[y]]] != a.squig[mu[x]][mu[y]]:
-                return ("is3", (x, y))
-    return None
+    u, n = a.unit, range(a.size)
+    is2 = "is2" if kind == "I" else "is2'"
+    twins = ((a.arrow, vee1), (a.squig, vee2))
+    return (
+        next(
+            (("is1", (x, y)) for x in n for y in n
+             if a.arrow[x][y] == u and a.arrow[mu[x]][mu[y]] != u),
+            None,
+        )
+        or next(
+            ((is2, (x, y)) for x in n for y in n for t, join in twins
+             if mu[t[x][y]] != t[mu[join(a, x, y) if kind == "I" else join(a, y, x)]][mu[y]]),
+            None,
+        )
+        or next(
+            (("is3", (x, y)) for x in n for y in n for t, _ in twins
+             if mu[t[mu[x]][mu[y]]] != t[mu[x]][mu[y]]),
+            None,
+        )
+    )
 
 
 def is_internal_state(a: FiniteAlgebra, mu: UnaryOperator, kind: str) -> bool:
@@ -83,11 +79,11 @@ def _internal_state_check(a: FiniteAlgebra, kind: str) -> Check:
     must fix is already assigned)."""
     n, u = a.size, a.unit
     is2, pairs = [], [[] for _ in range(n)]
+    twins = ((a.arrow, vee1), (a.squig, vee2))
     for x in range(n):
         for y in range(n):
             p, q = (x, y) if kind == "I" else (y, x)
-            is2.append((vee1(a, p, q), y, a.arrow[x][y], a.arrow))
-            is2.append((vee2(a, p, q), y, a.squig[x][y], a.squig))
+            is2 += [(join(a, p, q), y, t[x][y], t) for t, join in twins]
             pairs[max(x, y)].append((x, y, a.arrow[x][y] == u))
     is2_holds = equation_check(n, is2)
 
@@ -106,10 +102,7 @@ def smo_witness(a: FiniteAlgebra, mu: UnaryOperator) -> Optional[Witness]:
     w = hom_witness(Homomorphism(a, a, mu))
     if w is not None:
         return ("hom-" + w[0], w[1])
-    for x in range(a.size):
-        if mu[mu[x]] != mu[x]:
-            return ("idempotent", (x,))
-    return None
+    return next((("idempotent", (x,)) for x in range(a.size) if mu[mu[x]] != mu[x]), None)
 
 
 def is_smo(a: FiniteAlgebra, mu: UnaryOperator) -> bool:

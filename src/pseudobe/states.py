@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .algebra import FiniteAlgebra, _holds, _require_bottom, content_lines, leq, vee1
+from .algebra import FiniteAlgebra, Witness, _holds, _require_bottom, content_lines, leq, vee1
 from .dsystems import Subset
 from .linalg import (
     AffineSolutionSpace,
@@ -37,8 +37,6 @@ from .linalg import (
 )
 
 Assignment = tuple[int | Fraction, ...]  # one exact value per carrier element
-
-Witness = tuple[str, tuple[int, ...]]
 
 
 class MembershipError(ValueError):
@@ -88,23 +86,18 @@ def _unit_interval_witness(a: FiniteAlgebra, s: Assignment) -> Optional[Witness]
     """s(1) = 1 (bs1) and every value in [0, 1]: the prefix of both state checks."""
     if s[a.unit] != ONE:
         return ("bs1", (a.unit,))
-    for x in range(a.size):
-        if not ZERO <= s[x] <= ONE:
-            return ("range", (x,))
-    return None
+    return next((("range", (x,)) for x in range(a.size) if not ZERO <= s[x] <= ONE), None)
 
 
 def bosbach_witness(a: FiniteAlgebra, s: Assignment) -> Optional[Witness]:
     """First violated state axiom, or None if s is a Bosbach state."""
-    if (w := _unit_interval_witness(a, s)) is not None:
-        return w
-    for x in range(a.size):
-        for y in range(a.size):
-            if s[x] + s[a.arrow[x][y]] != s[y] + s[a.arrow[y][x]]:
-                return ("bs2", (x, y))
-            if s[x] + s[a.squig[x][y]] != s[y] + s[a.squig[y][x]]:
-                return ("bs3", (x, y))
-    return None
+    n = range(a.size)
+    twins = (("bs2", a.arrow), ("bs3", a.squig))
+    return _unit_interval_witness(a, s) or next(
+        ((tag, (x, y)) for x in n for y in n for tag, t in twins
+         if s[x] + s[t[x][y]] != s[y] + s[t[y][x]]),
+        None,
+    )
 
 
 def is_bosbach_state(a: FiniteAlgebra, s: Assignment) -> bool:
@@ -219,14 +212,12 @@ def lukasiewicz(x: Fraction, y: Fraction) -> Fraction:
 
 
 def state_morphism_witness(a: FiniteAlgebra, s: Assignment) -> Optional[Witness]:
-    if (w := _unit_interval_witness(a, s)) is not None:
-        return w
-    for x in range(a.size):
-        for y in range(a.size):
-            expected = lukasiewicz(s[x], s[y])
-            if s[a.arrow[x][y]] != expected or s[a.squig[x][y]] != expected:
-                return ("sm", (x, y))
-    return None
+    n = range(a.size)
+    return _unit_interval_witness(a, s) or next(
+        (("sm", (x, y)) for x in n for y in n for t in (a.arrow, a.squig)
+         if s[t[x][y]] != lukasiewicz(s[x], s[y])),
+        None,
+    )
 
 
 def is_state_morphism(a: FiniteAlgebra, s: Assignment) -> bool:
@@ -254,10 +245,7 @@ def sm_characterization_check(a: FiniteAlgebra, s: Assignment) -> bool:
 
 def _nonnegative_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
     """Every value at least 0: the prefix of both measure checks."""
-    for x in range(a.size):
-        if m[x] < ZERO:
-            return ("range", (x,))
-    return None
+    return next((("range", (x,)) for x in range(a.size) if m[x] < ZERO), None)
 
 
 def measure_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
@@ -267,17 +255,15 @@ def measure_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
     On a pseudo-BE algebra the pair (1, 1) already forces m(1) = 0, so the
     ``m1`` witness is reached only on tables outside the theory.
     """
-    if (w := _nonnegative_witness(a, m)) is not None:
-        return w
-    for x in range(a.size):
-        for y in range(a.size):
-            if leq(a, y, x):
-                diff = m[y] - m[x]
-                if m[a.arrow[x][y]] != diff or m[a.squig[x][y]] != diff:
-                    return ("m", (x, y))
-    if m[a.unit] != ZERO:
+    n = range(a.size)
+    w = _nonnegative_witness(a, m) or next(
+        (("m", (x, y)) for x in n for y in n if leq(a, y, x) for t in (a.arrow, a.squig)
+         if m[t[x][y]] != m[y] - m[x]),
+        None,
+    )
+    if w is None and m[a.unit] != ZERO:
         return ("m1", (a.unit,))
-    return None
+    return w
 
 
 def is_measure(a: FiniteAlgebra, m: Assignment) -> bool:
@@ -286,14 +272,12 @@ def is_measure(a: FiniteAlgebra, m: Assignment) -> bool:
 
 def measure_morphism_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
     """max{0, m(y)-m(x)} property over all pairs; nonnegative values."""
-    if (w := _nonnegative_witness(a, m)) is not None:
-        return w
-    for x in range(a.size):
-        for y in range(a.size):
-            expected = max(ZERO, m[y] - m[x])
-            if m[a.arrow[x][y]] != expected or m[a.squig[x][y]] != expected:
-                return ("mm", (x, y))
-    return None
+    n = range(a.size)
+    return _nonnegative_witness(a, m) or next(
+        (("mm", (x, y)) for x in n for y in n for t in (a.arrow, a.squig)
+         if m[t[x][y]] != max(ZERO, m[y] - m[x])),
+        None,
+    )
 
 
 def is_measure_morphism(a: FiniteAlgebra, m: Assignment) -> bool:

@@ -7,12 +7,11 @@ inequality system, and its rays are primitive integer vectors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from .algebra import FiniteAlgebra, vee1, vee2
+from .algebra import FiniteAlgebra, Witness, vee1, vee2
 from .dsystems import Subset, is_deductive_system, is_fantastic
 from .homs import Homomorphism, _require_hom
 from .linalg import (
@@ -22,7 +21,7 @@ from .linalg import (
     _coefficient_row,
     cone_rays,
 )
-from .states import Assignment, Term, Witness, _unit_free_rows, _with_unit
+from .states import Assignment, Term, _unit_free_rows, _with_unit
 
 ZERO = Fraction(0)
 
@@ -35,12 +34,12 @@ def pv_witness(a: FiniteAlgebra, phi: Assignment) -> Optional[Witness]:
     """First violation of phi(1)=0 or the two-sided difference bound."""
     if phi[a.unit] != ZERO:
         return ("pv1", (a.unit,))
-    for x in range(a.size):
-        for y in range(a.size):
-            bound = min(phi[a.arrow[x][y]], phi[a.squig[x][y]])
-            if phi[y] - phi[x] > bound:
-                return ("pv2", (x, y))
-    return None
+    n = range(a.size)
+    return next(
+        (("pv2", (x, y)) for x in n for y in n for t in (a.arrow, a.squig)
+         if phi[y] - phi[x] > phi[t[x][y]]),
+        None,
+    )
 
 
 def is_pseudo_valuation(a: FiniteAlgebra, phi: Assignment) -> bool:
@@ -56,11 +55,12 @@ def is_valuation(a: FiniteAlgebra, phi: Assignment) -> bool:
 
 def weak_pv_witness(a: FiniteAlgebra, phi: Assignment) -> Optional[Witness]:
     """max{phi(x->y), phi(x~>y)} <= phi(x)+phi(y) over all pairs."""
-    for x in range(a.size):
-        for y in range(a.size):
-            if max(phi[a.arrow[x][y]], phi[a.squig[x][y]]) > phi[x] + phi[y]:
-                return ("pv6", (x, y))
-    return None
+    n = range(a.size)
+    return next(
+        (("pv6", (x, y)) for x in n for y in n for t in (a.arrow, a.squig)
+         if phi[t[x][y]] > phi[x] + phi[y]),
+        None,
+    )
 
 
 def is_weak_pseudo_valuation(a: FiniteAlgebra, phi: Assignment) -> bool:
@@ -75,13 +75,13 @@ def _require_pv(a: FiniteAlgebra, phi: Assignment) -> None:
 
 def commutative_pv_witness(a: FiniteAlgebra, phi: Assignment) -> Optional[Witness]:
     """phi(x v1 y -> x) <= phi(y -> x) plus the squig twin."""
-    for x in range(a.size):
-        for y in range(a.size):
-            if phi[a.arrow[vee1(a, x, y)][x]] > phi[a.arrow[y][x]]:
-                return ("cpv1", (x, y))
-            if phi[a.squig[vee2(a, x, y)][x]] > phi[a.squig[y][x]]:
-                return ("cpv2", (x, y))
-    return None
+    n = range(a.size)
+    twins = (("cpv1", a.arrow, vee1), ("cpv2", a.squig, vee2))
+    return next(
+        ((tag, (x, y)) for x in n for y in n for tag, t, vee in twins
+         if phi[t[vee(a, x, y)][x]] > phi[t[y][x]]),
+        None,
+    )
 
 
 def is_commutative_pv(a: FiniteAlgebra, phi: Assignment) -> bool:
@@ -107,13 +107,6 @@ class CharacterizationReport:
     cpv_equivalence_agrees: bool
 
 
-def _first_failure(a: FiniteAlgebra, tests: Callable[..., tuple]) -> Optional[Witness]:
-    """The first (tag, (x, y, z)) that ``tests(x, y, z)`` pairs with True:
-    triples in lexicographic order, the pairs of one triple in order."""
-    triples = itertools.product(range(a.size), repeat=3)
-    return next(((tag, t) for t in triples for tag, fails in tests(*t) if fails), None)
-
-
 def characterization_crosscheck(a: FiniteAlgebra, phi: Assignment) -> CharacterizationReport:
     """Evaluate the (pv4)/(pv5) and (cpv3)/(cpv4) inequality systems.
 
@@ -122,14 +115,19 @@ def characterization_crosscheck(a: FiniteAlgebra, phi: Assignment) -> Characteri
     """
     if phi[a.unit] != ZERO:
         raise NotAPseudoValuationError("phi(1) != 0")
-    pv45_w = _first_failure(a, lambda x, y, z: (
-        ("pv4", phi[a.arrow[x][z]] > phi[a.arrow[x][a.squig[y][z]]] + phi[y]),
-        ("pv5", phi[a.squig[x][z]] > phi[a.squig[x][a.arrow[y][z]]] + phi[y]),
-    ))
-    cpv34_w = _first_failure(a, lambda x, y, z: (
-        ("cpv3", phi[a.arrow[vee1(a, x, y)][x]] > phi[a.arrow[z][a.arrow[y][x]]] + phi[z]),
-        ("cpv4", phi[a.squig[vee2(a, x, y)][x]] > phi[a.squig[z][a.squig[y][x]]] + phi[z]),
-    ))
+    n, A, S = range(a.size), a.arrow, a.squig
+    pv45_w = next(
+        ((tag, (x, y, z)) for x in n for y in n for z in n
+         for tag, t, u in (("pv4", A, S), ("pv5", S, A))
+         if phi[t[x][z]] > phi[t[x][u[y][z]]] + phi[y]),
+        None,
+    )
+    cpv34_w = next(
+        ((tag, (x, y, z)) for x in n for y in n for z in n
+         for tag, t, vee in (("cpv3", A, vee1), ("cpv4", S, vee2))
+         if phi[t[vee(a, x, y)][x]] > phi[t[z][t[y][x]]] + phi[z]),
+        None,
+    )
 
     is_pv = is_pseudo_valuation(a, phi)
     is_comm = is_commutative_pv(a, phi) if is_pv else None

@@ -159,7 +159,7 @@ def test_criterion_05():
     assert is_state_morphism(CONDA5, S1_HALF)
     assert is_state_morphism(CONDA5, S4)
     w = state_morphism_witness(CONDA5, S3)
-    assert w is not None and w[0] == "sm"
+    assert w == ("sm", (1, 2))
     x, y = w[1]
     j = vee1(CONDA5, x, y)
     assert S3[j] > max(S3[x], S3[y])

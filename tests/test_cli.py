@@ -15,8 +15,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pseudobe
 from pseudobe import cli, finder
-from pseudobe.algebra import check_axioms, parse_algebra
-from pseudobe.dsystems import enumerate_ds, format_subset, is_maximal, is_prime
+from pseudobe.algebra import check_axioms, parse_algebra, serialize_algebra
+from pseudobe.dsystems import (
+    enumerate_ds,
+    format_subset,
+    is_deductive_system,
+    is_maximal,
+    is_normal,
+    is_prime,
+    parse_subset,
+)
 from pseudobe.linalg import ConsistencyAlarmError
 
 
@@ -68,6 +76,19 @@ def test_classify_exit_on_non_model(capsys, tmp_path):
     assert "pseudo-be false" in out
 
 
+def test_classify_linear_needs_each_element_below_itself(capsys, tmp_path):
+    # 1 <= a fails and a <= 1 holds, so the two elements are comparable one
+    # way; but a -> a = a is not 1, so a <= a fails and the order is not linear
+    table = tmp_path / "table.alg"
+    table.write_text(
+        "algebra table\nelements 1 a\nunit 1\n"
+        "table arrow\n1 a\n1 a\ntable squig\n1 a\n1 a\nend\n"
+    )
+    code, out, _ = run(capsys, "classify", str(table))
+    assert code == 1
+    assert "linear false\n" in out
+
+
 def test_ds_listing(capsys, alg):
     code, out, _ = run(capsys, "ds", alg("bck4.alg"))
     assert code == 0
@@ -110,6 +131,39 @@ def test_ds_two_kind_flags_exit_two(capsys, alg):
     assert exc.value.code == 2
     cap = capsys.readouterr()
     assert cap.out == "" and "not allowed with argument" in cap.err
+
+
+@pytest.fixture
+def n4_df7d317709e7(tmp_path):
+    """The size-4 model of the search named n4_df7d317709e7, written to a file."""
+    models = finder.enumerate_models(finder.SearchConstraints(4))
+    model = next(m for m in models if m.name == "n4_df7d317709e7")
+    path = tmp_path / "n4_df7d317709e7.alg"
+    path.write_text(serialize_algebra(model))
+    return path
+
+
+def test_ds_normal_needs_both_implications(capsys, n4_df7d317709e7):
+    # {1,c} is a DS, and x -> y in {1,c} implies x ~> y in it, but not the
+    # converse: b ~> a = c while b -> a = a
+    a = parse_algebra(n4_df7d317709e7.read_text())
+    assert is_deductive_system(a, parse_subset(a, "{1,c}"))
+    assert not is_normal(a, parse_subset(a, "{1,c}"))
+    code, out, err = run(capsys, "ds", str(n4_df7d317709e7), "--normal")
+    assert (code, out, err) == (0, "ds {1}\nds {1,a,b,c}\ncount 2\n", "")
+
+
+def test_valuations_verify_bounds_phi_by_both_implications(capsys, n4_df7d317709e7, tmp_path):
+    # phi(a) - phi(b) = 1 is at most phi(b -> a) = phi(a) = 1 but exceeds
+    # phi(b ~> a) = phi(c) = 0, so a bound by the larger of the two passes it
+    phi = tmp_path / "phi.valuation"
+    phi.write_text("valuation phi\n1 = 0\na = 1\nb = 0\nc = 0\n")
+    code, out, err = run(capsys, "valuations", str(n4_df7d317709e7), "--verify", str(phi))
+    assert (code, err) == (1, "")
+    assert out == (
+        "valuation phi\nis-pseudo-valuation false\nis-weak-pseudo-valuation true\n"
+        "violation pv2 (b,a)\n"
+    )
 
 
 def test_ds_involutive_requires_bounded(capsys, alg):

@@ -23,7 +23,7 @@ from pseudobe.algebra import (
     parse_algebra,
     serialize_algebra,
 )
-from pseudobe.dsystems import format_subset
+from pseudobe.dsystems import enumerate_ds, format_subset
 from pseudobe.finder import (
     CounterexampleError,
     SearchConstraints,
@@ -34,6 +34,7 @@ from pseudobe.finder import (
     with_detected_bottom,
 )
 from pseudobe.homs import SizeGuardError, enumerate_homomorphisms
+from pseudobe.operators import enumerate_internal_states
 from pseudobe.states import state_kernel, state_space
 
 # frozen regression values from the exhaustive enumeration (audit mode
@@ -478,6 +479,148 @@ def test_meta_sweep_reports_first_counterexample(monkeypatch):
     witness = finder._check_model(model)["bounded-state-kernels-involutive"]
     first = format_subset(model, kernels[0])
     assert witness == f"state kernel {first} not involutive\n{serialize_algebra(model)}"
+
+
+def _replaced(name, **fields):
+    """Patch ``finder.<name>`` to return its result with ``fields`` replaced."""
+
+    def patch(monkeypatch):
+        real = getattr(finder, name)
+        monkeypatch.setattr(finder, name, lambda *args: replace(real(*args), **fields))
+
+    return patch
+
+
+def _failing(name, value):
+    """Patch ``finder.<name>`` to return ``value``, a failed verdict."""
+    return lambda monkeypatch: monkeypatch.setattr(finder, name, lambda *args: value)
+
+
+def _family(a):
+    return enumerate_ds(with_detected_bottom(a) or a)
+
+
+def _measure_rays(a):
+    return states.measure_face(a, valuations.valuation_cone(a))
+
+
+def _kernels(a, bottom_zero=False):
+    bottom = detect_bottom(a)
+    return [
+        state_kernel(a, v)
+        for v in state_space(a).vertices
+        if not bottom_zero or bottom is not None and v[bottom] == 0
+    ]
+
+
+# tag -> (premise on the model, the patch of the one predicate the claim
+# reads, the first counterexample message the patch must produce); the
+# search puts the unit first, so {1} is frozenset({0})
+LIVE_CLAIMS = {
+    "bck-implies-two-implication-core": (
+        lambda a: classify(a).pseudo_bck,
+        _replaced("_classify", pseudo_be=False),
+        lambda a: "pseudo-BCK but not pseudo-BE",
+    ),
+    "commutative-implies-bck": (
+        lambda a: classify(a).commutative,
+        _replaced("_classify", pseudo_bck=False),
+        lambda a: "commutative but not pseudo-BCK",
+    ),
+    "finite-commutative-implies-single-implication": (
+        lambda a: classify(a).commutative,
+        _replaced("_classify", be=False),
+        lambda a: "commutative but arrow != squig",
+    ),
+    "p-system-iff-commutative": (
+        lambda a: classify(a).commutative,
+        _replaced("_classify", p_system=False),
+        lambda a: "P-system=False, commutative=True",
+    ),
+    "q-system-iff-commutative": (
+        lambda a: classify(a).commutative,
+        _replaced("_classify", q_system=False),
+        lambda a: "Q-system=False, commutative=True",
+    ),
+    "distributive-ds-all-normal": (
+        lambda a: classify(a).distributive,
+        _replaced("enumerate_ds", normal=()),
+        lambda a: f"non-normal DS {format_subset(a, _family(a).subsets[0])}",
+    ),
+    "commutative-ds-all-fantastic": (
+        lambda a: classify(a).commutative,
+        _replaced("enumerate_ds", fantastic=()),
+        lambda a: "DS != fantastic DS",
+    ),
+    "fantastic-upward-closed": (
+        lambda a: classify(a).condition_a and len(_family(a).subsets) > 1,
+        _replaced("enumerate_ds", fantastic=(frozenset({0}),)),
+        lambda a: "{1} fantastic but superset "
+        f"{format_subset(a, next(e for e in _family(a).subsets if e != {0}))} is not",
+    ),
+    "fantastic-implies-involutive": (
+        lambda a: detect_bottom(a) is not None,
+        _replaced("enumerate_ds", involutive=()),
+        lambda a: f"fantastic DS {format_subset(a, _family(a).fantastic[0])} not involutive",
+    ),
+    "state-kernels-fantastic": (
+        lambda a: True,
+        _replaced("enumerate_ds", fantastic=()),
+        lambda a: f"state kernel {format_subset(a, _kernels(a)[0])} not fantastic",
+    ),
+    "bounded-state-kernels-involutive": (
+        lambda a: _kernels(a, bottom_zero=True) != [],
+        _replaced("enumerate_ds", involutive=()),
+        lambda a: "state kernel "
+        f"{format_subset(a, _kernels(a, bottom_zero=True)[0])} not involutive",
+    ),
+    "measure-kernels-normal-fantastic": (
+        lambda a: _measure_rays(a) != (),
+        _replaced("enumerate_ds", normal=()),
+        lambda a: "measure kernel "
+        f"{format_subset(a, {x for x in range(a.size) if _measure_rays(a)[0][x] == 0})} "
+        "not normal+fantastic",
+    ),
+    "pv-implies-weak-pv": (
+        lambda a: valuations.valuation_cone(a) != (),
+        _failing("weak_pv_witness", ("pv6", (0, 0))),
+        lambda a: "pv that is not a weak pv",
+    ),
+    "commutative-pv-all-commutative": (
+        lambda a: classify(a).commutative and valuations.valuation_cone(a) != (),
+        _failing("commutative_pv_witness", ("cpv1", (0, 0))),
+        lambda a: "non-commutative pv on a commutative algebra",
+    ),
+    "linear-type2-states-are-smo": (
+        lambda a: classify(a).linear and enumerate_internal_states(a, "II") != (),
+        _failing("is_smo", False),
+        lambda a: f"type-II state {enumerate_internal_states(a, 'II')[0]} is not an SMO",
+    ),
+    "linear-commutative-type1-states-are-smo": (
+        lambda a: classify(a).linear
+        and classify(a).commutative
+        and enumerate_internal_states(a, "I") != (),
+        _failing("is_smo", False),
+        lambda a: f"type-I state {enumerate_internal_states(a, 'I')[0]} is not an SMO",
+    ),
+}
+
+
+def test_every_swept_claim_has_a_liveness_case():
+    assert set(LIVE_CLAIMS) == set(finder._check_model(_models(1)[0]))
+
+
+@pytest.mark.parametrize("tag", LIVE_CLAIMS)
+def test_every_swept_claim_is_live(monkeypatch, tag):
+    """On the first model of size <= 4 where the claim's premise holds,
+    the claim holds, and failing the one predicate it reads makes its
+    first counterexample the witness: no claim can be switched off unseen."""
+    premise, patch, message = LIVE_CLAIMS[tag]
+    model = next(m for n in range(1, 5) for m in _models(n) if premise(m))
+    assert finder._check_model(model)[tag] is None
+    expected = f"{message(model)}\n{serialize_algebra(model)}"
+    patch(monkeypatch)
+    assert finder._check_model(model)[tag] == expected
 
 
 def test_sweep_verdicts_match_the_full_scans(small_inputs):

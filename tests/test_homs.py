@@ -11,6 +11,7 @@ from pseudobe.homs import (
     PreconditionError,
     check_hom_properties,
     enumerate_homomorphisms,
+    hom_witness,
     identity_hom,
     image_ds,
     is_homomorphism,
@@ -34,6 +35,8 @@ def test_non_homomorphism_witness(conda5):
     m[conda5.index("a")], m[conda5.index("b")] = m[conda5.index("b")], m[conda5.index("a")]
     f = Homomorphism(conda5, conda5, tuple(m))
     assert not is_homomorphism(f)
+    # ~> fails at (a,b) before -> fails at (c,a): the witness is the first pair
+    assert hom_witness(Homomorphism(conda5, conda5, (0, 1, 1, 0, 0))) == ("squig", (1, 2))
 
 
 def test_enumeration_matches_audit(bck4, conda5):

@@ -136,11 +136,17 @@ def test_smo_not_subset_of_internal_states(conda5):
 
 def test_witness_tags(conda5):
     mu = (0, 2, 1, 1, 2)  # crosses the two blocks: breaks (is3)
-    w = internal_state_witness(conda5, mu, "I")
-    assert w is not None and w[0] == "is3"
+    assert internal_state_witness(conda5, mu, "I") == ("is3", (0, 1))
     swap = (0, 4, 2, 3, 1)  # transposes a and d
-    w2 = smo_witness(conda5, swap)
-    assert w2 is not None and w2[0] == "hom-arrow"
+    assert smo_witness(conda5, swap) == ("hom-arrow", (2, 1))
+
+
+def test_witness_is_the_first_pair_then_the_arrow_twin(bck4, conda5):
+    # later pairs fail too, and on bck4 (1 a b c) the (is2) ~> twin fails
+    # at an earlier pair than the -> twin: the witness is the first pair
+    assert internal_state_witness(conda5, (0, 0, 0, 1, 1), "I") == ("is1", (1, 4))
+    assert internal_state_witness(bck4, (0, 1, 0, 0), "I") == ("is2", (2, 1))
+    assert internal_state_witness(bck4, (0, 1, 0, 0), "II") == ("is2'", (2, 1))
 
 
 def test_invalid_kind(conda5):

@@ -65,13 +65,23 @@ def test_named_states_verify(conda5):
 
 def test_non_state_witness(conda5):
     s = (F(1), F(1), F(1), F(1), F(0))  # s(a)=1, s(d)=0 breaks symmetry
-    w = bosbach_witness(conda5, s)
-    assert w is not None and w[0] in ("bs2", "bs3")
+    assert bosbach_witness(conda5, s) == ("bs2", (1, 2))
 
 
 def test_out_of_range_rejected(conda5):
     s = (F(1), F(2), F(2), F(2), F(2))
-    assert bosbach_witness(conda5, s)[0] == "range"
+    assert bosbach_witness(conda5, s) == ("range", (1,))
+
+
+def test_witness_is_the_first_pair_then_the_arrow_twin(bck4):
+    # on bck4 (1 a b c) each scan's ~> twin fails at an earlier pair than
+    # its -> twin, and later pairs fail too: the witness is the first pair
+    s = (F(1), F(1, 2), F(1), F(1))
+    assert bosbach_witness(bck4, s) == ("bs3", (1, 2))
+    assert state_morphism_witness(bck4, s) == ("sm", (2, 1))
+    m = (F(0), F(3), F(0), F(1, 2))
+    assert measure_witness(bck4, m) == ("m", (2, 1))
+    assert measure_morphism_witness(bck4, m) == ("mm", (2, 1))
 
 
 def test_state_space_conda5(conda5):
@@ -114,8 +124,7 @@ def test_state_morphism_discrimination(conda5):
     assert is_state_morphism(conda5, S1_HALF)
     assert is_state_morphism(conda5, S2_THIRD)
     assert is_state_morphism(conda5, S4)
-    w = state_morphism_witness(conda5, S3)
-    assert w is not None and w[0] == "sm"
+    assert state_morphism_witness(conda5, S3) == ("sm", (1, 2))
 
 
 def test_s3_max_witness(conda5):
@@ -180,7 +189,7 @@ def test_measure_morphisms_are_measures(conda5):
 
 def test_negative_values_rejected(conda5):
     m = (F(0), F(-1), F(0), F(0), F(-1))
-    assert measure_witness(conda5, m)[0] == "range"
+    assert measure_witness(conda5, m) == ("range", (1,))
 
 
 def test_morphism_checks_share_the_range_prefix(conda5):

@@ -1,0 +1,131 @@
+"""The swap (A, ->, ~>, 1) to (A, ~>, ->, 1) as a test oracle.
+
+A is pseudo-BE exactly when its swap is, and every notion carried over
+from pseudo-BCK algebras is a pair of -> and ~> twin conditions that the
+swap exchanges.  So each witness scan gives the same verdict and the same
+first tuple on A and on its swap (only the tag may name the other twin),
+and the deductive systems with their normal and fantastic tags, the
+valuation cone and both kinds of internal state are the same.  A check
+that tests one twin only, or one direction of a two-way condition, breaks
+the relation on some small input.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from pseudobe.algebra import FiniteAlgebra, check_axioms
+from pseudobe.dsystems import enumerate_ds
+from pseudobe.homs import Homomorphism, hom_witness
+from pseudobe.operators import enumerate_internal_states, internal_state_witness, smo_witness
+from pseudobe.states import (
+    _nonnegative_witness,
+    _unit_interval_witness,
+    bosbach_witness,
+    measure_morphism_witness,
+    measure_witness,
+    state_morphism_witness,
+)
+from pseudobe.valuations import (
+    characterization_crosscheck,
+    commutative_pv_witness,
+    pv_witness,
+    valuation_cone,
+    weak_pv_witness,
+)
+
+
+def _swap(a):
+    """(A, ~>, ->, 1): ``a`` with its two implications exchanged."""
+    return FiniteAlgebra(a.name, a.elements, a.squig, a.arrow, a.unit, a.bottom)
+
+
+@pytest.fixture(scope="module")
+def pseudo_be(small_inputs):
+    """The pseudo-BE algebras among the small inputs: the four fixtures and
+    the 83 models of size <= 4."""
+    return [a for a in small_inputs if check_axioms(a, "pseudo-BE").holds]
+
+
+def _tuple(witness):
+    return None if witness is None else witness[1]
+
+
+def _untagged(report):
+    """A crosscheck report with its two witnesses cut to their tuples."""
+    return dataclasses.replace(
+        report, pv4_witness=_tuple(report.pv4_witness), cpv3_witness=_tuple(report.cpv3_witness)
+    )
+
+
+ASSIGNMENT_CHECKS = (
+    _unit_interval_witness,
+    bosbach_witness,
+    state_morphism_witness,
+    _nonnegative_witness,
+    measure_witness,
+    measure_morphism_witness,
+    pv_witness,
+    weak_pv_witness,
+    commutative_pv_witness,
+)
+
+VALUES = (F(0), F(1, 2), F(1), F(2))
+
+
+def test_swap_is_an_involution_on_pseudo_be(pseudo_be):
+    assert len(pseudo_be) == 87
+    for a in pseudo_be:
+        assert _swap(_swap(a)) == a
+        assert check_axioms(_swap(a), "pseudo-BE").holds, a.name
+
+
+def test_assignment_witnesses_are_swap_invariant(pseudo_be):
+    """Seeded random assignments, with the unit at 0 and at 1 so that the
+    scans reach their pairs, and the pv rays, which pass them."""
+    rng = random.Random(26)
+    for a in pseudo_be:
+        b, u = _swap(a), a.unit
+        drawn = [[rng.choice(VALUES) for _ in range(a.size)] for _ in range(20)]
+        pinned = [tuple(v[:u] + [F(end)] + v[u + 1 :]) for v in drawn for end in (0, 1)]
+        for v in pinned + list(valuation_cone(a)):
+            for check in ASSIGNMENT_CHECKS:
+                assert _tuple(check(a, v)) == _tuple(check(b, v)), (check.__name__, a.name, v)
+            if v[u] == 0:
+                on_a, on_b = characterization_crosscheck(a, v), characterization_crosscheck(b, v)
+                assert _untagged(on_a) == _untagged(on_b), (a.name, v)
+
+
+def test_map_witnesses_are_swap_invariant(pseudo_be):
+    """Seeded random unary maps and homomorphism candidates, and the
+    identity, which passes the homomorphism and SMO checks."""
+    rng = random.Random(26)
+    for a in pseudo_be:
+        b, n = _swap(a), a.size
+        maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(20)]
+        for mu in maps + [tuple(range(n))]:
+            for kind in ("I", "II"):
+                assert _tuple(internal_state_witness(a, mu, kind)) == _tuple(
+                    internal_state_witness(b, mu, kind)
+                ), (a.name, mu, kind)
+            assert _tuple(smo_witness(a, mu)) == _tuple(smo_witness(b, mu)), (a.name, mu)
+        target = rng.choice(pseudo_be)
+        m = target.size
+        for f in [tuple(rng.randrange(m) for _ in range(n)) for _ in range(10)]:
+            on_a = hom_witness(Homomorphism(a, target, f))
+            on_b = hom_witness(Homomorphism(b, _swap(target), f))
+            assert _tuple(on_a) == _tuple(on_b), (a.name, target.name, f)
+
+
+def test_structures_are_swap_invariant(pseudo_be):
+    for a in pseudo_be:
+        b = _swap(a)
+        family, swapped = enumerate_ds(a), enumerate_ds(b)
+        assert swapped.subsets == family.subsets, a.name
+        assert swapped.normal == family.normal, a.name
+        assert swapped.fantastic == family.fantastic, a.name
+        assert set(valuation_cone(b)) == set(valuation_cone(a)), a.name
+        for kind in ("I", "II"):
+            assert enumerate_internal_states(b, kind) == enumerate_internal_states(a, kind)

@@ -43,13 +43,22 @@ def test_phi_1_3_full_stack(conda5):
 
 def test_weak_example_separates(conda5):
     assert is_weak_pseudo_valuation(conda5, PHI_WEAK)
-    w = pv_witness(conda5, PHI_WEAK)
-    assert w is not None and w[0] == "pv2"
+    assert pv_witness(conda5, PHI_WEAK) == ("pv2", (1, 4))
 
 
 def test_weak_violation_witness(conda5):
     bad = (F(0), F(0), F(0), F(5), F(0))
     assert weak_pv_witness(conda5, bad) is not None
+
+
+def test_witness_is_the_first_pair_then_the_arrow_twin(bck4, bounded6):
+    # each scan's ~> twin fails at an earlier pair than its -> twin, and
+    # later pairs fail too: the witness is the first pair
+    assert pv_witness(bck4, (F(0), F(2), F(2), F(0))) == ("pv2", (3, 1))
+    phi = (F(0), F(2), F(1, 2), F(0), F(2), F(1, 2))
+    assert weak_pv_witness(bounded6, phi) == ("pv6", (2, 5))
+    phi = (F(0), F(2), F(0), F(2), F(0), F(3))
+    assert commutative_pv_witness(bounded6, phi) == ("cpv2", (1, 2))
 
 
 def test_zero_map_is_pv_not_valuation(conda5):
@@ -81,6 +90,8 @@ CROSSCHECK_FAILURES = (
     ("bck4", (0, 0, 0, 1), ("pv4", ("1", "a", "c")), ("cpv4", ("a", "b", "a"))),
     ("bck4", (0, 0, 1, 0), ("pv4", ("1", "a", "b")), ("cpv3", ("a", "c", "a"))),
     ("conda5", (0, 0, 1, 0, 0), ("pv5", ("1", "a", "b")), ("cpv3", ("b", "1", "a"))),
+    # the ~> twins fail at earlier triples than the -> twins
+    ("bounded6", (0, 0, 3, 3, 2, 3), ("pv5", ("1", "a", "b")), ("cpv4", ("a", "c", "a"))),
 )
 
 
