@@ -4,17 +4,19 @@ isomorphism, plus the meta-theorem verification sweep.
 A table pair is searched as a map from its free cells to (arrow, squig)
 value pairs on ``homs.search_maps``; ``homs.scan_maps`` is the audit.  The
 search is derived from the declared identities of ``algebra``: psBE1-3 fix
-the unit rows and columns and the diagonal, psBE5 restricts each cell's
-value pairs, and each instance of the exchange identity and of the
-identities of the flagged axiom systems is tested only when a cell it
-reads is assigned (watched cells).  Isomorphic duplicates are rejected by a
-canonical form: the lexicographically minimal table pair over all carrier
-permutations fixing the unit.  Each leaf of the search, a labelled pair, is
-first confirmed pseudo-BE and then kept only if no relabelling beats it,
-which the first differing cell decides (``_is_canonical``);
-``canonical_tables`` builds the minimal pair whole and decides the audit's
-leaves.  Only the kept pairs are frozen into tuples, and equal rows and
-equal tables of the emitted models are one tuple each.
+the unit rows and columns and the diagonal, psBE5 leaves each other cell
+a domain of value pairs, the only pairs the search and its audit offer it
+(the BE flag's identity narrows it to the equal pairs), and each instance
+of the exchange identity and of the identities of the flagged axiom
+systems is tested only when a cell it reads is assigned (watched cells).
+Isomorphic duplicates are rejected by a canonical form: the
+lexicographically minimal table pair over all carrier permutations fixing
+the unit.  Each leaf of the search, a labelled pair, is first confirmed
+pseudo-BE and then kept only if no relabelling beats it, which the first
+differing cell decides (``_is_canonical``); ``canonical_tables`` builds the
+minimal pair whole and decides the audit's leaves.  Only the kept pairs are
+frozen into tuples, and equal rows and equal tables of the emitted models
+are one tuple each.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ STRUCTURE_FLAGS = (
 )
 
 _TOKENS = "1abcdefghijklmnopqrstuvwxy"
+
+# the declarations by which each flag prunes the search: its axiom system's,
+# or for BE the one identity that makes the two tables equal (BE is no axiom
+# system of ``classify``); the other flags are only filtered
+_FLAG_DECLARATIONS = {**_SYSTEM_AXIOMS, "BE": {"BE": "x -> y = x ~> y"}}
 
 
 @dataclass(frozen=True)
@@ -186,18 +193,22 @@ def _passes_flags(a: FiniteAlgebra, flags: tuple[str, ...]) -> Optional[FiniteAl
 def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tuple]]:
     """Stream the pseudo-BE table pairs on ``c.size`` elements with unit 0.
 
-    The search comes from the declarations of pseudo-BE and of the axiom
-    systems among ``c.flags``.  The instances that read one cell leave it its
-    value pairs ``arrow * n + squig``: one fixes it (psBE1-3), more make it
-    free (psBE5).  A table pair is a map from the free cells, in row-major
-    order, to value pairs on ``homs.search_maps``; any other instance is
+    The search comes from the declarations of pseudo-BE and of the flags
+    among ``c.flags`` that declare any (``_FLAG_DECLARATIONS``).  The
+    instances that read one cell leave it its value pairs
+    ``arrow * n + squig``: one fixes it (psBE1-3), more make it free (psBE5,
+    and BE's identity).  A table pair is a map from the free cells, in
+    row-major order, to value pairs on ``homs.search_maps``, each cell
+    offered only its own pairs in increasing order; any other instance is
     tested at the last cell it reads at atomic indices and, at a later cell,
     only if it reads that cell at a computed index (psBE4) on the assigned
     prefix: its verdict can change only there, and the first read of the
     cell has an address computed without the cell's value.  The siblings of
     a prefix share its tables and the instances that read their cell
     (``readers``); each test stops at the first violating tuple.
-    ``audit=True`` scans every map with ``homs.scan_maps``.
+    ``audit=True`` scans every map of the same domains with
+    ``homs.scan_maps``: 10^6 maps at n = 4, and beyond ``SEARCH_GUARD`` at
+    n = 5.
 
     At each leaf, a complete labelled pair, ``accept`` reads the exact
     n x n tables off the search's working tables, confirms pseudo-BE with
@@ -221,7 +232,9 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
             arrow[x][y], squig[x][y] = divmod(p, n)
         return arrow, squig
 
-    declared = (d for s in ("pseudo-BE", *c.flags) for d in _SYSTEM_AXIOMS.get(s, {}).values())
+    declared = (
+        d for s in ("pseudo-BE", *c.flags) for d in _FLAG_DECLARATIONS.get(s, {}).values()
+    )
     # the instances that read one cell only, by cell and identity
     single = collections.defaultdict(lambda: collections.defaultdict(list))
     instances = []
@@ -266,8 +279,6 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
     built: list = [None, None, None, None]
 
     def check(f: Map, k: int) -> bool:
-        if f[k] not in pairs[free[k]]:
-            return False
         x, y = free[k]
         if built[0] != f[:k]:
             arrow, squig = tables(free, f[:k])
@@ -306,10 +317,8 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
             return canonical_tables(arrow, squig, u) == _freeze(arrow, squig, {})
         return _is_canonical(arrow, squig, relabellings)
 
-    if audit:
-        maps = scan_maps(len(free), n * n, accept)
-    else:
-        maps = search_maps(len(free), n * n, check, accept)
+    domains = [sorted(pairs[cell]) for cell in free]
+    maps = scan_maps(domains, accept) if audit else search_maps(domains, check, accept)
     # equal rows and equal tables of the streamed pairs are one tuple each
     interned: dict[tuple, tuple] = {}
     return (_freeze(*leaf, interned) for _ in maps)

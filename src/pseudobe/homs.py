@@ -4,15 +4,18 @@ Verification, kernel/image, DS transport, and enumeration of homomorphisms
 and isomorphisms on ``search_maps``, the partial-map backtracker that also
 enumerates :mod:`pseudobe.operators` and the table pairs of
 :mod:`pseudobe.finder`; ``scan_maps``, the only search under
-``SEARCH_GUARD``, is their audit oracle.  Both stream their maps; the
-enumerators here and in :mod:`pseudobe.operators` return tuples.
+``SEARCH_GUARD``, is their audit oracle.  Both take one sequence of allowed
+values per point and stream their maps; homomorphisms and internal states
+allow every value at every point, the finder each free cell's value pairs.
+The enumerators here and in :mod:`pseudobe.operators` return tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import FiniteAlgebra, Witness, leq, parse_map
 from .dsystems import ConsistencyAlarmError, Subset, is_deductive_system
@@ -120,32 +123,39 @@ def image_ds(f: Homomorphism, d: Subset) -> Subset:
 
 
 def search_maps(
-    n: int, m: int, check: Check, accept: Callable[[Map], bool]
+    domains: Sequence[Sequence[int]], check: Check, accept: Callable[[Map], bool]
 ) -> Iterator[Map]:
-    """Stream the maps {0..n-1} -> {0..m-1} that ``accept`` keeps, in lexicographic order.
+    """Stream the maps f with each f[k] in ``domains[k]`` that ``accept``
+    keeps, in lexicographic order, a point's values ranked as its domain
+    lists them.
 
-    Points are assigned depth first in the order 0..n-1; ``check(f, k)``
-    tests the constraints among points <= k that involve point k and prunes
-    on failure.  It may only reject maps that ``accept`` rejects, so the
-    result is exact.  With n = 0 the empty map is the only candidate.
+    Points are assigned depth first in the order 0..n-1, and a point is
+    offered only the values of its domain; ``check(f, k)`` tests the
+    constraints among points <= k that involve point k and prunes on
+    failure.  It may only reject maps that ``accept`` rejects, so the result
+    is exact.  With no points the empty map is the only candidate.
     """
+    n = len(domains)
     stack: list[Map] = [()]  # partial maps still to extend, smallest on top
     while stack:
         f = stack.pop()
-        if len(f) == n:
+        k = len(f)
+        if k == n:
             if accept(f):
                 yield f
             continue
-        children = (f + (v,) for v in reversed(range(m)))
-        stack.extend(g for g in children if check(g, len(f)))
+        children = (f + (v,) for v in reversed(domains[k]))
+        stack.extend(g for g in children if check(g, k))
 
 
-def scan_maps(n: int, m: int, accept: Callable[[Map], bool]) -> Iterator[Map]:
-    """Audit oracle for ``search_maps``: stream all m^n maps that ``accept``
-    keeps, unpruned; the size guard trips at the first ``next()``."""
-    if m**n > SEARCH_GUARD:
-        raise SizeGuardError(f"{m}^{n} maps exceeds the search guard")
-    for f in itertools.product(range(m), repeat=n):
+def scan_maps(domains: Sequence[Sequence[int]], accept: Callable[[Map], bool]) -> Iterator[Map]:
+    """Audit oracle for ``search_maps``: stream every map of the product of
+    ``domains`` that ``accept`` keeps, unpruned and in the same order; the
+    size guard trips at the first ``next()``."""
+    maps = math.prod(map(len, domains))
+    if maps > SEARCH_GUARD:
+        raise SizeGuardError(f"{maps} maps exceed the search guard")
+    for f in itertools.product(*domains):
         if accept(f):
             yield f
 
@@ -164,8 +174,9 @@ def enumerate_homomorphisms(
 ) -> tuple[Homomorphism, ...]:
     """All homomorphisms A -> B in lexicographic map order.
 
-    The search checks each preservation equation once its points are
-    assigned; ``audit=True`` filters all |B|^|A| maps instead.
+    The search offers each point every element of B and checks each
+    preservation equation once its points are assigned; ``audit=True``
+    filters all |B|^|A| maps instead.
     """
 
     def accept(m: Map) -> bool:
@@ -173,12 +184,13 @@ def enumerate_homomorphisms(
         f = Homomorphism(a, b, m)
         return is_homomorphism(f) and (not iso_only or f.is_bijective())
 
+    domains = [range(b.size)] * a.size
     if audit:
-        return tuple(Homomorphism(a, b, m) for m in scan_maps(a.size, b.size, accept))
+        return tuple(Homomorphism(a, b, m) for m in scan_maps(domains, accept))
     pairs = [(p, q) for p in range(a.size) for q in range(a.size)]
     tables = ((a.arrow, b.arrow), (a.squig, b.squig))
     check = equation_check(a.size, [(p, q, s[p][q], t) for s, t in tables for p, q in pairs])
-    return tuple(Homomorphism(a, b, m) for m in search_maps(a.size, b.size, check, accept))
+    return tuple(Homomorphism(a, b, m) for m in search_maps(domains, check, accept))
 
 
 def parse_hom(a: FiniteAlgebra, b: FiniteAlgebra, text: str) -> Homomorphism:

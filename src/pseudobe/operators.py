@@ -68,9 +68,10 @@ def enumerate_internal_states(
     def accept(mu: UnaryOperator) -> bool:
         return is_internal_state(a, mu, kind)
 
+    domains = [range(a.size)] * a.size
     if audit:
-        return tuple(scan_maps(a.size, a.size, accept))
-    return tuple(search_maps(a.size, a.size, _internal_state_check(a, kind), accept))
+        return tuple(scan_maps(domains, accept))
+    return tuple(search_maps(domains, _internal_state_check(a, kind), accept))
 
 
 def _internal_state_check(a: FiniteAlgebra, kind: str) -> Check:

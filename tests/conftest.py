@@ -23,7 +23,7 @@ def count_map_search(monkeypatch, *modules):
     work = collections.Counter()
     search = homs.search_maps
 
-    def counted(n, m, check, accept):
+    def counted(domains, check, accept):
         def counted_check(f, k):
             work["check"] += 1
             return check(f, k)
@@ -32,7 +32,7 @@ def count_map_search(monkeypatch, *modules):
             work["leaves"] += 1
             return accept(f)
 
-        return search(n, m, counted_check, counted_accept)
+        return search(domains, counted_check, counted_accept)
 
     def no_scan(*args):
         raise AssertionError("scan_maps ran where the pruned search must")

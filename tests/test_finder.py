@@ -38,7 +38,7 @@ from pseudobe.operators import enumerate_internal_states
 from pseudobe.states import state_kernel, state_space
 
 # frozen regression values from the exhaustive enumeration (audit mode
-# agrees at n <= 3)
+# agrees at n <= 4)
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 77}
 EXPECTED_N3 = {"proper": 0, "commutative": 2, "pseudo-BCK": 3}
 EXPECTED_N4 = {"proper": 26, "commutative": 5, "pseudo-BCK": 17}
@@ -69,6 +69,95 @@ def test_audit_agrees_up_to_three():
         assert [(m.arrow, m.squig) for m in pruned] == [
             (m.arrow, m.squig) for m in audited
         ]
+
+
+@pytest.mark.slow
+def test_audit_agrees_at_four(monkeypatch):
+    """The unpruned scan of the 10^6 maps of the size-4 domains confirms the
+    search's 388 labelled leaves, in the same order, and emits its 77
+    names in order."""
+    runs = {}
+    for audit in (False, True):
+        with monkeypatch.context() as patched:
+            seen = _record_leaves(patched)
+            names = [m.name for m in enumerate_models(SearchConstraints(4), audit=audit)]
+        runs[audit] = names, seen["confirmed"]
+    assert runs[True] == runs[False]
+    assert (len(runs[True][0]), len(runs[True][1])) == (77, 388)
+
+
+def test_search_domains_follow_the_axioms_written_out(monkeypatch):
+    """psBE1-3 and psBE5 written out by hand for unit 0 and n <= 5: the unit
+    row (1 -> x = x), the unit column (x -> 1 = 1) and the diagonal
+    (x -> x = 1) are fixed in both tables, and each other cell, in
+    row-major order, is handed to the search and to its audit with the
+    pairs that psBE5 allows it (with the BE flag, the equal ones).  Every
+    leaf the search tests is the fixed cells plus its map's pairs."""
+    real = finder.search_maps
+    for n in range(1, 6):
+        rng = range(n)
+        free = [(x, y) for x in range(1, n) for y in range(1, n) if x != y]
+        fixed = {(0, x): (x, x) for x in rng}
+        fixed |= {(x, 0): (0, 0) for x in rng} | {(x, x): (0, 0) for x in rng}
+        for flags in ((), ("BE",)):
+            # a value pair arrow * n + squig: both entries the unit 0 or
+            # neither (psBE5), and with BE equal entries
+            domain = [
+                a * n + s
+                for a in rng
+                for s in rng
+                if (a == 0) == (s == 0) and (a == s or not flags)
+            ]
+            handed = []
+
+            def recorded(domains, *args):
+                handed.append(domains)
+                return iter(())
+
+            with monkeypatch.context() as patched:
+                patched.setattr(finder, "search_maps", recorded)
+                patched.setattr(finder, "scan_maps", recorded)
+                for audit in (False, True):
+                    finder._table_pairs(SearchConstraints(n, flags), audit)
+            assert handed == [[domain] * len(free)] * 2, (n, flags)
+
+            maps, leaves = [], []
+
+            def leaf_maps(domains, check, accept):
+                return real(domains, check, lambda f: maps.append(f) or accept(f))
+
+            def holds(arrow, squig, unit, system):
+                leaves.append({(x, y): (arrow[x][y], squig[x][y]) for x in rng for y in rng})
+                return algebra._holds(arrow, squig, unit, system)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(finder, "search_maps", leaf_maps)
+                patched.setattr(finder, "_holds", holds)
+                list(enumerate_models(SearchConstraints(n, flags, 20 if n == 5 else None)))
+            assert len(maps) == len(leaves) > 0
+            for f, tables in zip(maps, leaves):
+                assert tables == {**fixed, **{c: divmod(p, n) for c, p in zip(free, f)}}
+
+
+def test_be_flag_prunes_inside_the_search(monkeypatch):
+    """The BE identity x -> y = x ~> y reads one cell, so the BE flag narrows
+    each free cell to its equal pairs: the flagged search and its audit emit
+    the unflagged search's BE models in order, after confirming its BE
+    leaves, and the search makes fewer check calls."""
+    for n in (1, 2, 3, 4):
+        with monkeypatch.context() as patched:
+            seen = _record_leaves(patched)
+            unflagged = _models(n)
+            be_leaves = [(a, s) for a, s in seen["confirmed"] if a == s]
+            seen["confirmed"].clear()
+            be = [m.name for m in _models(n, flags=("BE",))]
+        assert seen["confirmed"] == be_leaves, n
+        assert be == [m.name for m in unflagged if m.is_be()], n
+        audited = enumerate_models(SearchConstraints(n, ("BE",)), audit=True)
+        assert [m.name for m in audited] == be, n
+    assert len(be) == 51
+    calls = [_record_search(monkeypatch, SearchConstraints(4, f))[0] for f in (("BE",), ())]
+    assert calls[0] < calls[1]
 
 
 def _record_leaves(monkeypatch):
@@ -118,23 +207,28 @@ def test_flagged_search_equals_filtered_search(monkeypatch):
             assert labelled(n, (flag,)) == holds, (n, flag)
 
 
-AXIOM_FLAGS = ((), ("pseudo-BCK",), ("condition-A",), ("distributive",), ("commutative",))
+# the flags that prune inside the search, and the identities each declares:
+# an axiom system's, or BE's one identity
+PRUNING_FLAGS = (
+    (), ("pseudo-BCK",), ("condition-A",), ("distributive",), ("commutative",), ("BE",)
+)
+DECLARED = {**_SYSTEM_AXIOMS, "BE": {"BE": "x -> y = x ~> y"}}
 
 
 def _record_search(monkeypatch, c, on_check=None):
     """Run ``enumerate_models(c)`` with the search's ``check`` and ``accept``
     wrapped.  Returns (check calls, accepted prefixes, leaves, digest), the
     digest hashing the accepted prefixes and the leaves in visit order.
-    ``on_check(cells, f, k, verdict)`` sees every check call."""
+    ``on_check(domains, f, k, verdict)`` sees every check call."""
     seen = {"calls": 0, "accepted": 0, "leaves": 0}
     digest = hashlib.sha256()
     real = finder.search_maps
 
-    def recording(cells, values, check, accept):
+    def recording(domains, check, accept):
         def checked(f, k):
             verdict = check(f, k)
             if on_check is not None:
-                on_check(cells, f, k, verdict)
+                on_check(domains, f, k, verdict)
             seen["calls"] += 1
             if verdict:
                 seen["accepted"] += 1
@@ -146,7 +240,7 @@ def _record_search(monkeypatch, c, on_check=None):
             digest.update(b"L" + repr(f).encode())
             return accept(f)
 
-        return real(cells, values, checked, leaf)
+        return real(domains, checked, leaf)
 
     monkeypatch.setattr(finder, "search_maps", recording)
     for _ in enumerate_models(c):
@@ -156,7 +250,7 @@ def _record_search(monkeypatch, c, on_check=None):
 
 
 def test_propagator_is_exact_on_every_visited_node(monkeypatch):
-    """For n <= 4, with no flag and with each axiom-system flag, ``check(f, k)``
+    """For n <= 4, with no flag and with each pruning flag, ``check(f, k)``
     answers on every node the search visits as a full scan would: whether
     any declared instance is violated on the partial tables of f[:k+1]."""
     for n in (1, 2, 3, 4):
@@ -166,12 +260,8 @@ def test_propagator_is_exact_on_every_visited_node(monkeypatch):
         base = [[n] * (n + 1) for _ in range(n + 1)]
         for x in range(n):
             base[0][x], base[x][0], base[x][x] = x, 0, 0
-        for flags in AXIOM_FLAGS:
-            declared = [
-                _identity(d)
-                for s in ("pseudo-BE", *flags)
-                for d in _SYSTEM_AXIOMS[s].values()
-            ]
+        for flags in PRUNING_FLAGS:
+            declared = [_identity(d) for s in ("pseudo-BE", *flags) for d in DECLARED[s].values()]
 
             def oracle(f):
                 arrow, squig = [r[:] for r in base], [r[:] for r in base]
@@ -182,8 +272,8 @@ def test_propagator_is_exact_on_every_visited_node(monkeypatch):
                     for v, _, violations, _ in declared
                 )
 
-            def compare(cells, f, k, verdict):
-                assert cells == len(free)
+            def compare(domains, f, k, verdict):
+                assert len(domains) == len(free)
                 assert verdict == oracle(f[: k + 1]), (n, flags, f)
 
             calls = _record_search(monkeypatch, SearchConstraints(n, flags), compare)[0]
@@ -191,27 +281,32 @@ def test_propagator_is_exact_on_every_visited_node(monkeypatch):
 
 
 # (size, flags, limit): check calls, accepted prefixes, leaves and the digest
-# of the visit; recorded with the row-scan propagator, which tested every
-# pending instance at each later cell in the rows it reads
+# of the visit.  Without the BE flag, the accepted prefixes, leaves and
+# digests are those of the row-scan propagator, which tested every pending
+# instance at each later cell in the rows it reads; the check calls count
+# only the children that each cell's value-pair domain offers
 SEARCH_TREES = {
-    (3, (), None): (36, 9, 6, "39553931bc53f044"),
-    (3, ("pseudo-BCK",), None): (36, 8, 5, "adb3bf43602f5c60"),
-    (3, ("condition-A",), None): (36, 9, 6, "39553931bc53f044"),
-    (3, ("distributive",), None): (27, 6, 4, "80c676184eba1402"),
-    (3, ("commutative",), None): (36, 6, 3, "eafe45d280873987"),
-    (4, (), None): (7792, 874, 388, "8d72b0fa1217bdcd"),
-    (4, ("pseudo-BCK",), None): (4800, 384, 85, "a905c36b90fed04d"),
-    (4, ("condition-A",), None): (6464, 627, 224, "dadb41b59029be74"),
-    (4, ("distributive",), None): (2096, 192, 62, "3a50192e0e5bd0fb"),
-    (4, ("commutative",), None): (2624, 182, 19, "9bebde1844d25bff"),
-    (5, (), 3000): (448675, 28920, 10917, "9b9ba7aa97e56fb7"),
+    (3, (), None): (20, 9, 6, "39553931bc53f044"),
+    (3, ("pseudo-BCK",), None): (20, 8, 5, "adb3bf43602f5c60"),
+    (3, ("condition-A",), None): (20, 9, 6, "39553931bc53f044"),
+    (3, ("distributive",), None): (15, 6, 4, "80c676184eba1402"),
+    (3, ("commutative",), None): (20, 6, 3, "eafe45d280873987"),
+    (4, (), None): (4870, 874, 388, "8d72b0fa1217bdcd"),
+    (4, ("pseudo-BCK",), None): (3000, 384, 85, "a905c36b90fed04d"),
+    (4, ("condition-A",), None): (4040, 627, 224, "dadb41b59029be74"),
+    (4, ("distributive",), None): (1310, 192, 62, "3a50192e0e5bd0fb"),
+    (4, ("commutative",), None): (1640, 182, 19, "9bebde1844d25bff"),
+    (5, (), 3000): (305099, 28920, 10917, "9b9ba7aa97e56fb7"),
+    (3, ("BE",), None): (12, 9, 6, "39553931bc53f044"),
+    (4, ("BE",), None): (1108, 526, 250, "0d4f4c21a3f20ced"),
 }
 
 
 def test_search_tree_pinned(monkeypatch):
     """The watched-cell propagator visits the tree the row-scan propagator
     visited: the same nodes accepted and the same leaves, in the same order,
-    for each axiom-system flag at n <= 4 and up to the 3000th size-5 model."""
+    for each axiom-system flag at n <= 4 and up to the 3000th size-5 model;
+    and the BE flag's search is pinned, too."""
     for (n, flags, limit), want in SEARCH_TREES.items():
         assert _record_search(monkeypatch, SearchConstraints(n, flags, limit)) == want
 
@@ -366,22 +461,22 @@ def test_size_guard():
         list(enumerate_models(SearchConstraints(size=6)))
     with pytest.raises(SizeGuardError):
         verify_meta_theorems(5)
-    # 16^6 table pairs: the audit scan refuses instead of running for hours
-    audit4 = enumerate_models(SearchConstraints(size=4), audit=True)
+    # 17^12 table pairs: the audit scan refuses instead of running for years
+    audit5 = enumerate_models(SearchConstraints(size=5), audit=True)
     with pytest.raises(SizeGuardError):
-        next(audit4)
+        next(audit5)
 
 
 def test_size_five_search_streams(monkeypatch):
-    # the whole size-5 search makes 9,635,650 check calls over 221,729
+    # the whole size-5 search makes 6,552,242 check calls over 221,729
     # leaves; its first models must not wait for it
     work = count_map_search(monkeypatch, finder)
     assert len(_models(5, limit=5)) == 5
-    # measured: 300 check calls and 8 leaves
+    # measured: 204 check calls and 8 leaves
     assert work["check"] < 1_000 and work["leaves"] <= 8
     work.clear()
     first = next(enumerate_models(SearchConstraints(size=5)))
-    # measured: 300 check calls and 1 leaf
+    # measured: 204 check calls and 1 leaf
     assert work["check"] < 1_000 and work["leaves"] == 1
     assert check_axioms(first, "pseudo-BE").holds
 

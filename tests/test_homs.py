@@ -149,19 +149,28 @@ def test_ds_transport_alarms(conda5, monkeypatch):
 
 
 def test_search_maps_streams_in_lexicographic_order():
-    everything = homs.search_maps(2, 2, lambda f, k: True, lambda f: True)
+    everything = homs.search_maps([range(2)] * 2, lambda f, k: True, lambda f: True)
     assert next(everything) == (0, 0)
     assert list(everything) == [(0, 1), (1, 0), (1, 1)]
     # no points: the empty map is the one candidate
-    assert list(homs.search_maps(0, 3, lambda f, k: True, lambda f: True)) == [()]
-    assert list(homs.search_maps(0, 3, lambda f, k: True, lambda f: False)) == []
+    assert list(homs.search_maps([], lambda f, k: True, lambda f: True)) == [()]
+    assert list(homs.search_maps([], lambda f, k: True, lambda f: False)) == []
     # pruning each value below its predecessor keeps exactly the monotone maps
-    monotone = list(homs.search_maps(3, 3, lambda f, k: k == 0 or f[k - 1] <= f[k], lambda f: True))
-    assert monotone == list(homs.scan_maps(3, 3, lambda f: f[0] <= f[1] <= f[2]))
+    three = [range(3)] * 3
+    monotone = homs.search_maps(three, lambda f, k: k == 0 or f[k - 1] <= f[k], lambda f: True)
+    assert list(monotone) == list(homs.scan_maps(three, lambda f: f[0] <= f[1] <= f[2]))
+    # each point takes only its own values, ranked as its domain lists them
+    domains = [(2, 0), (1,), (), (0,)]
+    assert list(homs.search_maps(domains, lambda f, k: True, lambda f: True)) == []
+    assert list(homs.scan_maps(domains, lambda f: True)) == []
+    domains[2] = (1, 0)
+    everything = [(2, 1, 1, 0), (2, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 0)]
+    assert list(homs.search_maps(domains, lambda f, k: True, lambda f: True)) == everything
+    assert list(homs.scan_maps(domains, lambda f: True)) == everything
 
 
 def test_scan_maps_guard_trips_at_first_next():
-    maps = homs.scan_maps(8, 8, lambda f: True)  # 8^8 > SEARCH_GUARD
+    maps = homs.scan_maps([range(8)] * 8, lambda f: True)  # 8^8 > SEARCH_GUARD
     with pytest.raises(homs.SizeGuardError):
         next(maps)
 

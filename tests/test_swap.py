@@ -7,7 +7,9 @@ first tuple on A and on its swap (only the tag may name the other twin),
 and the deductive systems with their normal and fantastic tags, the
 valuation cone and both kinds of internal state are the same.  A check
 that tests one twin only, or one direction of a two-way condition, breaks
-the relation on some small input.
+the relation on some small input.  The searches keep it, too: the models
+the finder emits are closed under the swap, and Hom(A, B) is
+Hom(A^op, B^op).
 """
 
 import dataclasses
@@ -18,7 +20,8 @@ import pytest
 
 from pseudobe.algebra import FiniteAlgebra, check_axioms
 from pseudobe.dsystems import enumerate_ds
-from pseudobe.homs import Homomorphism, hom_witness
+from pseudobe.finder import SearchConstraints, _model_name, canonical_tables, enumerate_models
+from pseudobe.homs import Homomorphism, enumerate_homomorphisms, hom_witness
 from pseudobe.operators import enumerate_internal_states, internal_state_witness, smo_witness
 from pseudobe.states import (
     _nonnegative_witness,
@@ -129,3 +132,27 @@ def test_structures_are_swap_invariant(pseudo_be):
         assert set(valuation_cone(b)) == set(valuation_cone(a)), a.name
         for kind in ("I", "II"):
             assert enumerate_internal_states(b, kind) == enumerate_internal_states(a, kind)
+
+
+def test_search_is_closed_under_the_swap():
+    """For n <= 4 the canonical name of each emitted model's swap is an
+    emitted name, and each BE model, its own swap, is self-dual: the search
+    treats -> and ~> alike."""
+    for n in (1, 2, 3, 4):
+        models = list(enumerate_models(SearchConstraints(n)))
+        names = {m.name for m in models}
+        for m in models:
+            dual = _model_name(n, *canonical_tables(m.squig, m.arrow, m.unit))
+            assert dual in names, m.name
+            assert dual == m.name or not m.is_be(), m.name
+
+
+def test_homomorphisms_are_swap_invariant(pseudo_be):
+    """Hom(A, B) and Hom(A^op, B^op) are the same maps, on a seeded sample
+    of 600 pairs of the pseudo-BE small inputs of size <= 4."""
+    small = [a for a in pseudo_be if a.size <= 4]
+    pairs = random.Random(5).sample([(a, b) for a in small for b in small], 600)
+    for a, b in pairs:
+        on_a = [f.map for f in enumerate_homomorphisms(a, b)]
+        on_swap = [f.map for f in enumerate_homomorphisms(_swap(a), _swap(b))]
+        assert on_swap == on_a, (a.name, b.name)
