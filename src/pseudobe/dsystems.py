@@ -136,10 +136,6 @@ def is_involutive_ds(a: FiniteAlgebra, d: Subset) -> bool:
     return _involutive(a, d)
 
 
-def _char_vector(a: FiniteAlgebra, d: Subset) -> tuple[int, ...]:
-    return tuple(1 if i in d else 0 for i in range(a.size))
-
-
 @dataclass(frozen=True)
 class DSFamily:
     """All deductive systems of an algebra, with classification tags.
@@ -169,16 +165,14 @@ class DSFamily:
 
 
 def enumerate_ds(a: FiniteAlgebra) -> DSFamily:
-    """Test all 2^(n-1) unit-containing subsets and classify the hits."""
+    """Test all 2^(n-1) unit-containing subsets, in characteristic-vector
+    order, and classify the hits."""
     others = [i for i in range(a.size) if i != a.unit]
-    found = []
-    for r in range(len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            d = frozenset(combo) | {a.unit}
-            if is_deductive_system(a, d):
-                found.append(d)
-    found.sort(key=lambda d: _char_vector(a, d))
-    subsets = tuple(found)
+    candidates = (
+        frozenset(x for x, bit in zip(others, bits) if bit) | {a.unit}
+        for bits in itertools.product((0, 1), repeat=len(others))
+    )
+    subsets = tuple(d for d in candidates if is_deductive_system(a, d))
 
     # every member is a verified deductive system: the unchecked predicates
     normal = tuple(d for d in subsets if _normal(a, d))
@@ -273,13 +267,12 @@ def quotient(a: FiniteAlgebra, h: Subset) -> QuotientResult:
         [a.arrow[x][y] in h and a.arrow[y][x] in h for y in range(a.size)]
         for x in range(a.size)
     ]
-    # the relation must be an equivalence before classes make sense
+    # the relation must be an equivalence before classes make sense; it is
+    # symmetric by its definition, so reflexivity and transitivity are checked
     for x in range(a.size):
         if not related[x][x]:
             raise ConsistencyAlarmError("quotient relation not reflexive")
         for y in range(a.size):
-            if related[x][y] != related[y][x]:
-                raise ConsistencyAlarmError("quotient relation not symmetric")
             for z in range(a.size):
                 if related[x][y] and related[y][z] and not related[x][z]:
                     raise ConsistencyAlarmError("quotient relation not transitive")

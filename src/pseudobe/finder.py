@@ -8,15 +8,16 @@ the unit rows and columns and the diagonal, psBE5 leaves each other cell
 a domain of value pairs, the only pairs the search and its audit offer it
 (the BE flag's identity narrows it to the equal pairs), and each instance
 of the exchange identity and of the identities of the flagged axiom
-systems is tested only when a cell it reads is assigned (watched cells).
+systems is tested at a cell exactly when the assigned prefix shows that it
+reads that cell (watched cells).
 Isomorphic duplicates are rejected by a canonical form: the
 lexicographically minimal table pair over all carrier permutations fixing
 the unit.  Each leaf of the search, a labelled pair, is first confirmed
 pseudo-BE and then kept only if no relabelling beats it, which the first
 differing cell decides (``_is_canonical``); ``canonical_tables`` builds the
-minimal pair whole and decides the audit's leaves.  Only the kept pairs are
-frozen into tuples, and equal rows and equal tables of the emitted models
-are one tuple each.
+minimal pair whole and decides the audit's leaves.  The leaf test returns a
+kept pair frozen into tuples, which the search streams; equal rows and
+equal tables of the emitted models are one tuple each.
 """
 
 from __future__ import annotations
@@ -199,13 +200,14 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
     ``arrow * n + squig``: one fixes it (psBE1-3), more make it free (psBE5,
     and BE's identity).  A table pair is a map from the free cells, in
     row-major order, to value pairs on ``homs.search_maps``, each cell
-    offered only its own pairs in increasing order; any other instance is
-    tested at the last cell it reads at atomic indices and, at a later cell,
-    only if it reads that cell at a computed index (psBE4) on the assigned
-    prefix: its verdict can change only there, and the first read of the
-    cell has an address computed without the cell's value.  The siblings of
-    a prefix share its tables and the instances that read their cell
-    (``readers``); each test stops at the first violating tuple.
+    offered only its own pairs in increasing order.  Any other instance is
+    tested at cell k when the assigned prefix shows it reads cell k
+    (``readers``): its verdict can change only there, and the first read of
+    the cell has an address computed without the cell's value.  It is
+    watched at its last atomic read, where it always reads the cell, and at
+    each later cell whose row one of its computed indices (psBE4) may be.
+    The siblings of a prefix share its tables and the instances that read
+    their cell; each test stops at the first violating tuple.
     ``audit=True`` scans every map of the same domains with
     ``homs.scan_maps``: 10^6 maps at n = 4, and beyond ``SEARCH_GUARD`` at
     n = 5.
@@ -214,10 +216,10 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
     n x n tables off the search's working tables, confirms pseudo-BE with
     ``algebra._holds`` (the pseudo-BE scans of ``check_axioms``) and then
     decides canonicity on the same lists: ``_is_canonical`` in the search,
-    ``canonical_tables`` in the audit.  So only canonical pairs are
-    streamed, and only they are frozen (``_freeze``); equal rows and equal
-    tables of the streamed pairs are one tuple object.  Flags are filtered
-    by ``enumerate_models``.
+    ``canonical_tables`` in the audit.  It returns a canonical pair frozen
+    (``_freeze``), which the search streams, and None for any other leaf;
+    equal rows and equal tables of the streamed pairs are one tuple object.
+    Flags are filtered by ``enumerate_models``.
     """
     n, u = c.size, 0
     rng = range(n)
@@ -225,10 +227,10 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
     # tables have a padding row and column of n
     base = {t: [[n] * (n + 1) for _ in range(n + 1)] for t in "AS"}
 
-    def tables(cells, f: Map) -> tuple[list, list]:
+    def tables(f: Map) -> tuple[list, list]:
         arrow = [row[:] for row in base["A"]]
         squig = [row[:] for row in base["S"]]
-        for (x, y), p in zip(cells, f):
+        for (x, y), p in zip(free, f):
             arrow[x][y], squig[x][y] = divmod(p, n)
         return arrow, squig
 
@@ -248,8 +250,9 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
             else:
                 single[cell][violations].append(t)
     pairs = {cell: set(range(n * n)) for cell in itertools.product(rng, rng)}
-    # one probe pair, all unassigned; each cell is set in place and reset
-    arrow, squig = tables((), ())
+    # the probe pair is the base, still all unassigned; each cell is set in
+    # place and reset
+    arrow, squig = base["A"], base["S"]
     for (x, y), tests in single.items():
         for p in range(n * n):
             arrow[x][y], squig[x][y] = divmod(p, n)
@@ -261,17 +264,14 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
             base["A"][x][y], base["S"][x][y] = divmod(*ps, n)
     free = [cell for cell, ps in pairs.items() if len(ps) != 1]
     order = {cell: k for k, cell in enumerate(free)}
-    # tested at cell k: at its last atomic read, always; later, if it may
-    # read cell k at a computed index, only once the prefix shows it does
-    static = [collections.defaultdict(list) for _ in free]
+    # tested at cell k once the prefix shows it reads cell k: watched at its
+    # last atomic read, and later where it may read cell k at a computed index
     watched = [collections.defaultdict(list) for _ in free]
     for violations, readers, t, reads in instances:
         last = max((order.get(cell, -1) for cell in reads if None not in cell), default=-1)
         rows = {row for row, col in reads if None in (row, col)}
-        if last >= 0:
-            static[last][violations].append(t)
-        for k in range(last + 1, len(free)):
-            if free[k][0] in rows or None in rows:
+        for k in range(max(last, 0), len(free)):
+            if k == last or free[k][0] in rows or None in rows:
                 watched[k][violations, readers].append(t)
 
     # the siblings checked in a row share their tables up to cell k, and the
@@ -281,13 +281,13 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
     def check(f: Map, k: int) -> bool:
         x, y = free[k]
         if built[0] != f[:k]:
-            arrow, squig = tables(free, f[:k])
-            reading = (
+            arrow, squig = tables(f[:k])
+            reading = [
                 (violations, ts)
                 for (violations, readers), candidates in watched[k].items()
                 if (ts := readers(arrow, squig, u, n, candidates, x, y))
-            )
-            built[:] = f[:k], arrow, squig, [*static[k].items(), *reading]
+            ]
+            built[:] = f[:k], arrow, squig, reading
         _, arrow, squig, tests = built
         arrow[x][y], squig[x][y] = divmod(f[k], n)
         for violations, ts in tests:
@@ -296,12 +296,10 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
         return True
 
     relabellings = _relabellings(n, u)
-    # the exact n x n tables of the last leaf tested; search_maps and
-    # scan_maps yield a leaf right after accept keeps it, so the stream
-    # below freezes the tables that accept decided on
-    leaf: list = [None, None]
+    # equal rows and equal tables of the streamed pairs are one tuple each
+    interned: dict[tuple, tuple] = {}
 
-    def accept(f: Map) -> bool:
+    def accept(f: Map) -> Optional[tuple[tuple, tuple]]:
         if f and built[0] == f[:-1]:
             # a leaf of the search: its siblings were checked just before on
             # its parent's working tables, so only its last cell is set
@@ -309,19 +307,18 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
             x, y = free[-1]
             arrow[x][y], squig[x][y] = divmod(f[-1], n)
         else:
-            arrow, squig = tables(free, f)
-        arrow, squig = leaf[:] = [row[:n] for row in arrow[:n]], [row[:n] for row in squig[:n]]
+            arrow, squig = tables(f)
+        arrow, squig = [row[:n] for row in arrow[:n]], [row[:n] for row in squig[:n]]
         if not _holds(arrow, squig, u, "pseudo-BE"):
-            return False
+            return None
         if audit:
-            return canonical_tables(arrow, squig, u) == _freeze(arrow, squig, {})
-        return _is_canonical(arrow, squig, relabellings)
+            canonical = canonical_tables(arrow, squig, u) == _freeze(arrow, squig, {})
+        else:
+            canonical = _is_canonical(arrow, squig, relabellings)
+        return _freeze(arrow, squig, interned) if canonical else None
 
     domains = [sorted(pairs[cell]) for cell in free]
-    maps = scan_maps(domains, accept) if audit else search_maps(domains, check, accept)
-    # equal rows and equal tables of the streamed pairs are one tuple each
-    interned: dict[tuple, tuple] = {}
-    return (_freeze(*leaf, interned) for _ in maps)
+    return scan_maps(domains, accept) if audit else search_maps(domains, check, accept)
 
 
 def _freeze(arrow: list, squig: list, interned: dict) -> tuple[tuple, tuple]:

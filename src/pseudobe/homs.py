@@ -5,8 +5,9 @@ and isomorphisms on ``search_maps``, the partial-map backtracker that also
 enumerates :mod:`pseudobe.operators` and the table pairs of
 :mod:`pseudobe.finder`; ``scan_maps``, the only search under
 ``SEARCH_GUARD``, is their audit oracle.  Both take one sequence of allowed
-values per point and stream their maps; homomorphisms and internal states
-allow every value at every point, the finder each free cell's value pairs.
+values per point and stream what ``accept`` returns for each map, skipping
+None; homomorphisms and internal states allow every value at every point,
+the finder each free cell's value pairs.
 The enumerators here and in :mod:`pseudobe.operators` return tuples.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .algebra import FiniteAlgebra, Witness, leq, parse_map
 from .dsystems import ConsistencyAlarmError, Subset, is_deductive_system
@@ -24,6 +25,7 @@ SEARCH_GUARD = 10_000_000
 
 Map = tuple[int, ...]
 Check = Callable[[Map, int], bool]
+T = TypeVar("T")
 
 
 class NotAHomomorphismError(ValueError):
@@ -123,17 +125,18 @@ def image_ds(f: Homomorphism, d: Subset) -> Subset:
 
 
 def search_maps(
-    domains: Sequence[Sequence[int]], check: Check, accept: Callable[[Map], bool]
-) -> Iterator[Map]:
-    """Stream the maps f with each f[k] in ``domains[k]`` that ``accept``
-    keeps, in lexicographic order, a point's values ranked as its domain
-    lists them.
+    domains: Sequence[Sequence[int]], check: Check, accept: Callable[[Map], Optional[T]]
+) -> Iterator[T]:
+    """Stream ``accept(f)`` for the maps f with each f[k] in ``domains[k]``,
+    skipping each None, in the lexicographic order of f, a point's values
+    ranked as its domain lists them.
 
     Points are assigned depth first in the order 0..n-1, and a point is
     offered only the values of its domain; ``check(f, k)`` tests the
     constraints among points <= k that involve point k and prunes on
-    failure.  It may only reject maps that ``accept`` rejects, so the result
-    is exact.  With no points the empty map is the only candidate.
+    failure.  It may only reject maps for which ``accept`` returns None, so
+    the result is exact.  With no points the empty map is the only
+    candidate.
     """
     n = len(domains)
     stack: list[Map] = [()]  # partial maps still to extend, smallest on top
@@ -141,23 +144,25 @@ def search_maps(
         f = stack.pop()
         k = len(f)
         if k == n:
-            if accept(f):
-                yield f
+            if (kept := accept(f)) is not None:
+                yield kept
             continue
         children = (f + (v,) for v in reversed(domains[k]))
         stack.extend(g for g in children if check(g, k))
 
 
-def scan_maps(domains: Sequence[Sequence[int]], accept: Callable[[Map], bool]) -> Iterator[Map]:
-    """Audit oracle for ``search_maps``: stream every map of the product of
-    ``domains`` that ``accept`` keeps, unpruned and in the same order; the
-    size guard trips at the first ``next()``."""
+def scan_maps(
+    domains: Sequence[Sequence[int]], accept: Callable[[Map], Optional[T]]
+) -> Iterator[T]:
+    """Audit oracle for ``search_maps``: stream ``accept(f)`` for every map
+    f of the product of ``domains``, skipping each None, unpruned and in the
+    same order; the size guard trips at the first ``next()``."""
     maps = math.prod(map(len, domains))
     if maps > SEARCH_GUARD:
         raise SizeGuardError(f"{maps} maps exceed the search guard")
     for f in itertools.product(*domains):
-        if accept(f):
-            yield f
+        if (kept := accept(f)) is not None:
+            yield kept
 
 
 def equation_check(n: int, equations) -> Check:
@@ -179,18 +184,18 @@ def enumerate_homomorphisms(
     filters all |B|^|A| maps instead.
     """
 
-    def accept(m: Map) -> bool:
+    def accept(m: Map) -> Optional[Homomorphism]:
         # the inverse of a bijective homomorphism is one, too
         f = Homomorphism(a, b, m)
-        return is_homomorphism(f) and (not iso_only or f.is_bijective())
+        return f if is_homomorphism(f) and (not iso_only or f.is_bijective()) else None
 
     domains = [range(b.size)] * a.size
     if audit:
-        return tuple(Homomorphism(a, b, m) for m in scan_maps(domains, accept))
+        return tuple(scan_maps(domains, accept))
     pairs = [(p, q) for p in range(a.size) for q in range(a.size)]
     tables = ((a.arrow, b.arrow), (a.squig, b.squig))
     check = equation_check(a.size, [(p, q, s[p][q], t) for s, t in tables for p, q in pairs])
-    return tuple(Homomorphism(a, b, m) for m in search_maps(domains, check, accept))
+    return tuple(search_maps(domains, check, accept))
 
 
 def parse_hom(a: FiniteAlgebra, b: FiniteAlgebra, text: str) -> Homomorphism:

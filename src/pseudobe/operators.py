@@ -65,8 +65,8 @@ def enumerate_internal_states(
     ``audit=True`` scans all n^n maps instead of the pruned search."""
     _require_kind(kind)
 
-    def accept(mu: UnaryOperator) -> bool:
-        return is_internal_state(a, mu, kind)
+    def accept(mu: UnaryOperator) -> Optional[UnaryOperator]:
+        return mu if is_internal_state(a, mu, kind) else None
 
     domains = [range(a.size)] * a.size
     if audit:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from pseudobe.algebra import (
     InconsistentOrderError,
     UnboundedAlgebraError,
     _holds,
+    _identity,
     check_axioms,
     classify,
     leq,
@@ -315,6 +317,21 @@ def test_unknown_axiom_system(conda5):
 def test_parse_header_errors(conda5, old, new, message):
     with pytest.raises(AlgebraError, match=f"^{message}$"):
         parse_algebra(serialize_algebra(conda5).replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x -> (y = x", "declaration 'x -> (y = x': malformed term"),
+        ("x -> = y", "declaration 'x -> = y': malformed term"),
+        ("x -> y", "declaration 'x -> y': malformed equation 'x -> y'"),
+        ("x = y = z", "declaration 'x = y = z': malformed equation 'x = y = z'"),
+    ],
+    ids=["unclosed", "missing-operand", "no-sides", "three-sides"],
+)
+def test_identity_rejects_malformed_declarations(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _identity(text)
 
 
 def test_parse_map_rejects_a_bad_line(conda5):

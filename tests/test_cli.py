@@ -205,6 +205,38 @@ def test_quotient_rejects_non_distributive(capsys, alg):
     )
 
 
+# each table pair passes the distributive identity; none is pseudo-BE
+QUOTIENT_ALARMS = {
+    # x -> x = a everywhere, so no x is related to itself by {1}
+    "reflexive": ("constant2", None, "quotient relation not reflexive"),
+    # {1} relates no two elements, and the tables stay apart on the classes
+    "differ": (
+        "differ2",
+        "elements 1 a\nunit 1\ntable arrow\n1 a\na 1\ntable squig\n1 a\n1 a\n",
+        "quotient tables differ; expected a BE quotient",
+    ),
+    # {1} relates a to b and b to c, but not a to c
+    "transitive": (
+        "trans4",
+        "elements 1 a b c\nunit 1\n"
+        "table arrow\n1 a a a\n1 1 1 a\n1 1 1 1\n1 1 1 1\n"
+        "table squig\n1 a a c\n1 a a c\n1 a a c\n1 a a c\n",
+        "quotient relation not transitive",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", QUOTIENT_ALARMS)
+def test_quotient_alarms(capsys, alg, tmp_path, case):
+    name, body, alarm = QUOTIENT_ALARMS[case]
+    path = alg(f"{name}.alg")
+    if body is not None:
+        path = tmp_path / f"{name}.alg"
+        path.write_text(f"algebra {name}\n{body}end\n")
+    code, out, err = run(capsys, "quotient", str(path), "--ds", "{1}")
+    assert (code, out, err) == (2, "", f"alarm: {alarm}\n")
+
+
 def test_states_summary_and_vertices(capsys, alg):
     code, out, _ = run(capsys, "states", alg("conda5.alg"), "--vertices")
     assert code == 0
@@ -697,11 +729,14 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_malformed_file_is_usage_error(capsys, tmp_path):
+def test_malformed_file_is_usage_error(capsys, alg, tmp_path):
+    # a file that ends after its elements, and one without its end line
+    bck4 = pathlib.Path(alg("bck4.alg")).read_text()
     bad = tmp_path / "bad.alg"
-    bad.write_text("algebra x\nelements 1 a\n")
-    code, _, err = run(capsys, "check", str(bad))
-    assert code == 2 and err.startswith("error:")
+    for text in ("algebra x\nelements 1 a\n", bck4[: bck4.rindex("end")]):
+        bad.write_text(text)
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out, err) == (2, "", "error: unexpected end of input\n"), text
 
 
 def test_unknown_flag_exits_two(capsys, alg):

@@ -149,24 +149,50 @@ def test_ds_transport_alarms(conda5, monkeypatch):
 
 
 def test_search_maps_streams_in_lexicographic_order():
-    everything = homs.search_maps([range(2)] * 2, lambda f, k: True, lambda f: True)
+    everything = homs.search_maps([range(2)] * 2, lambda f, k: True, lambda f: f)
     assert next(everything) == (0, 0)
     assert list(everything) == [(0, 1), (1, 0), (1, 1)]
     # no points: the empty map is the one candidate
-    assert list(homs.search_maps([], lambda f, k: True, lambda f: True)) == [()]
-    assert list(homs.search_maps([], lambda f, k: True, lambda f: False)) == []
+    assert list(homs.search_maps([], lambda f, k: True, lambda f: f)) == [()]
+    assert list(homs.search_maps([], lambda f, k: True, lambda f: None)) == []
     # pruning each value below its predecessor keeps exactly the monotone maps
     three = [range(3)] * 3
-    monotone = homs.search_maps(three, lambda f, k: k == 0 or f[k - 1] <= f[k], lambda f: True)
-    assert list(monotone) == list(homs.scan_maps(three, lambda f: f[0] <= f[1] <= f[2]))
+    monotone = homs.search_maps(three, lambda f, k: k == 0 or f[k - 1] <= f[k], lambda f: f)
+    assert list(monotone) == list(
+        homs.scan_maps(three, lambda f: f if f[0] <= f[1] <= f[2] else None)
+    )
     # each point takes only its own values, ranked as its domain lists them
     domains = [(2, 0), (1,), (), (0,)]
-    assert list(homs.search_maps(domains, lambda f, k: True, lambda f: True)) == []
-    assert list(homs.scan_maps(domains, lambda f: True)) == []
+    assert list(homs.search_maps(domains, lambda f, k: True, lambda f: f)) == []
+    assert list(homs.scan_maps(domains, lambda f: f)) == []
     domains[2] = (1, 0)
     everything = [(2, 1, 1, 0), (2, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 0)]
-    assert list(homs.search_maps(domains, lambda f, k: True, lambda f: True)) == everything
-    assert list(homs.scan_maps(domains, lambda f: True)) == everything
+    assert list(homs.search_maps(domains, lambda f, k: True, lambda f: f)) == everything
+    assert list(homs.scan_maps(domains, lambda f: f)) == everything
+
+
+@pytest.mark.parametrize("search", ["search_maps", "scan_maps"])
+def test_map_searches_stream_what_accept_returns(search):
+    """Both searches stream ``accept(f)`` in the order of f and skip only a
+    None: every other value, a falsy one too, is streamed as it is."""
+
+    def stream(domains, accept):
+        if search == "search_maps":
+            return list(homs.search_maps(domains, lambda f, k: True, accept))
+        return list(homs.scan_maps(domains, accept))
+
+    domains = [(2, 0), (1, 0)]
+    order = [(2, 1), (2, 0), (0, 1), (0, 0)]
+    assert stream(domains, lambda f: f) == order
+    assert stream(domains, lambda f: None) == []
+    # None is skipped; 0, (), False and "" are values like any other
+    verdicts = dict(zip(order, (None, 0, (), None)))
+    assert stream(domains, verdicts.get) == [0, ()]
+    assert stream(domains, lambda f: f[0] - 2 if f[1] else None) == [0, -2]
+    assert stream(domains, lambda f: False if f == (0, 0) else "") == ["", "", "", False]
+    # the stream holds the object accept returned, not a copy
+    token = object()
+    assert stream([(0,)], lambda f: token)[0] is token
 
 
 def test_scan_maps_guard_trips_at_first_next():
