@@ -17,8 +17,6 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .linalg import ConsistencyAlarmError
-
 # subsets, assignment lines and map lines split on these, so no element
 # token may contain one ("|" stays legal: quotient tokens look like 1|a|d)
 _SEPARATORS = (",", "{", "}", "=", "->")
@@ -166,13 +164,12 @@ class AxiomReport:
     """
 
     system: str
-    holds: bool
     violations: tuple[tuple[str, tuple[int, ...]], ...]
     total: int
 
-    def __post_init__(self):
-        if self.holds != (not self.violations):
-            raise ConsistencyAlarmError("AxiomReport: holds disagrees with violations")
+    @property
+    def holds(self) -> bool:
+        return not self.violations
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +334,7 @@ def check_axioms(a: FiniteAlgebra, system: str) -> AxiomReport:
         for tag, text in _declarations(system).items()
     ]
     violations = tuple(sorted((tag, bad[0]) for tag, bad in found if bad))
-    return AxiomReport(system, not violations, violations, sum(len(bad) for _, bad in found))
+    return AxiomReport(system, violations, sum(len(bad) for _, bad in found))
 
 
 @dataclass(frozen=True)

@@ -369,21 +369,12 @@ class TheoremStat:
 
 @dataclass
 class MetaTheoremReport:
-    max_size: int
     models: int = 0
     stats: dict[str, TheoremStat] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
         return all(s.counterexamples == 0 for s in self.stats.values())
-
-
-class CounterexampleError(AssertionError):
-    """A proved implication failed on a concrete model.
-
-    By default this is treated as an implementation bug; pass
-    ``allow_counterexamples`` to downgrade it to a report entry.
-    """
 
 
 def _when(premise: bool, message: str) -> tuple[str, ...]:
@@ -499,19 +490,18 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     }
 
 
-def verify_meta_theorems(
-    n_max: int, allow_counterexamples: bool = False
-) -> MetaTheoremReport:
+def verify_meta_theorems(n_max: int) -> MetaTheoremReport:
     """Check every swept implication on every model of size <= n_max.
 
-    Models are checked independently; results are merged in enumeration
-    order.
+    The sweep always runs to the end: each tag counts its counterexamples
+    and keeps the witness of the first one.  Models are checked
+    independently; results are merged in enumeration order.
     """
     if n_max < 1:
         raise ValueError("max size must be >= 1")
     if n_max > 4:
         raise SizeGuardError("full sweep capped at n = 4")
-    report = MetaTheoremReport(max_size=n_max)
+    report = MetaTheoremReport()
     for n in range(1, n_max + 1):
         models = list(enumerate_models(SearchConstraints(size=n)))
         for outcome in pmap(_check_model, models):
@@ -523,6 +513,4 @@ def verify_meta_theorems(
                     stat.counterexamples += 1
                     if stat.first_witness is None:
                         stat.first_witness = witness
-                    if not allow_counterexamples:
-                        raise CounterexampleError(f"{tag}: {witness}")
     return report

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from pseudobe.algebra import (
     AXIOM_SYSTEMS,
     AlgebraError,
-    AxiomReport,
     FiniteAlgebra,
     InconsistentOrderError,
     UnboundedAlgebraError,
@@ -29,7 +28,6 @@ from pseudobe.algebra import (
     vee2,
 )
 from pseudobe.dsystems import parse_subset, quotient
-from pseudobe.linalg import ConsistencyAlarmError
 
 
 def test_all_fixtures_are_pseudo_be(bck4, proper6, bounded6, conda5):
@@ -86,13 +84,6 @@ def test_violation_report_counts(proper6):
     rep = check_axioms(proper6, "pseudo-BCK")
     assert rep.total >= len(rep.violations)
     assert rep.violations == tuple(sorted(rep.violations))
-
-
-def test_axiom_report_alarm():
-    with pytest.raises(ConsistencyAlarmError):
-        AxiomReport("pseudo-BE", True, (("psBE1", (0,)),), 1)
-    with pytest.raises(ConsistencyAlarmError):
-        AxiomReport("pseudo-BE", False, (), 0)
 
 
 def test_classify_decides_every_axiom_system(small_inputs):

@@ -699,19 +699,26 @@ def weak_pv_fails(monkeypatch):
 
 
 def test_meta_counterexample_exits_one(capsys, weak_pv_fails):
+    # the sweep runs to the end, reports every count on stdout and each
+    # failing tag's first witness on stderr
     code, out, err = run(capsys, "meta", "--max-size", "3")
-    assert code == 1 and out == ""
-    assert err.startswith("counterexample: pv-implies-weak-pv: pv that is not a weak pv\n")
-    assert "algebra n2_5539bae4a742\n" in err
-
-
-def test_meta_allow_counterexamples_reports_them(capsys, weak_pv_fails):
-    code, out, err = run(capsys, "meta", "--max-size", "3", "--allow-counterexamples")
-    assert code == 1 and err == ""
+    assert code == 1
     lines = out.splitlines()
     assert "theorem pv-implies-weak-pv checked=6 counterexamples=5" in lines
     assert "theorem commutative-pv-all-commutative checked=6 counterexamples=0" in lines
     assert lines[-1] == "clean false"
+    (model,) = finder.enumerate_models(finder.SearchConstraints(size=2))
+    assert model.name == "n2_5539bae4a742"
+    witness = f"pv that is not a weak pv\n{serialize_algebra(model)}"
+    assert err == f"counterexample: pv-implies-weak-pv: {witness}\n"
+
+
+def test_meta_allow_counterexamples_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["meta", "--max-size", "3", "--allow-counterexamples"])
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "unrecognized arguments: --allow-counterexamples" in cap.err
 
 
 def test_json_output(capsys, alg):

@@ -25,7 +25,6 @@ from pseudobe.algebra import (
 )
 from pseudobe.dsystems import enumerate_ds, format_subset
 from pseudobe.finder import (
-    CounterexampleError,
     SearchConstraints,
     canonical_tables,
     detect_bottom,
@@ -544,19 +543,18 @@ def test_meta_sweep_four():
 
 
 def test_meta_sweep_counterexample(monkeypatch):
+    # a counterexample does not stop the sweep: every model is checked and
+    # the tag keeps the witness of its first counterexample
     monkeypatch.setattr(finder, "weak_pv_witness", lambda a, phi: ("pv6", (0, 0)))
-    with pytest.raises(CounterexampleError) as exc:
-        verify_meta_theorems(3)
-    message = str(exc.value)
-    assert message.startswith("pv-implies-weak-pv: pv that is not a weak pv\n")
-    assert "algebra n2_5539bae4a742\n" in message
-
-    rep = verify_meta_theorems(3, allow_counterexamples=True)
+    rep = verify_meta_theorems(3)
     assert not rep.clean
+    assert rep.models == 6
     failed = rep.stats["pv-implies-weak-pv"]
     # every model but the one-element one has a nonzero pseudo-valuation
     assert (failed.checked, failed.counterexamples) == (6, 5)
-    assert failed.first_witness == message.split(": ", 1)[1]
+    (first,) = _models(2)
+    assert first.name == "n2_5539bae4a742"
+    assert failed.first_witness == f"pv that is not a weak pv\n{serialize_algebra(first)}"
     for tag, stat in rep.stats.items():
         if tag != "pv-implies-weak-pv":
             assert (stat.counterexamples, stat.first_witness) == (0, None), tag

@@ -1,7 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import importlib.util
 import pathlib
+import re
 import sys
 
 import pseudobe
@@ -242,3 +244,26 @@ def test_stdlib_only_imports():
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert found == []
+
+
+def _mutant_runner():
+    path = pathlib.Path(__file__).parents[1] / "tools" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutants_still_apply():
+    """Each mutant of ``tools/mutants.py`` edits text that occurs exactly
+    once in its file, and names a test that exists as its killer, so the
+    list cannot rot as the source changes."""
+    runner = _mutant_runner()
+    names = [m.name for m in runner.MUTANTS]
+    assert len(set(names)) == len(names)
+    for m in runner.MUTANTS:
+        # raises ValueError unless the old text occurs exactly once
+        assert runner.mutated(runner.ROOT, m) != (runner.ROOT / m.path).read_text(), m.name
+        test_file, test_name = m.killer.split("::")
+        source = (runner.ROOT / test_file).read_text(encoding="utf-8")
+        assert re.search(rf"^def {test_name}\(", source, re.M), m.name

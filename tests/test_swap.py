@@ -9,7 +9,11 @@ valuation cone and both kinds of internal state are the same.  A check
 that tests one twin only, or one direction of a two-way condition, breaks
 the relation on some small input.  The searches keep it, too: the models
 the finder emits are closed under the swap, and Hom(A, B) is
-Hom(A^op, B^op).
+Hom(A^op, B^op).  Every structural flag but ``distributive``, which is
+one-sided as declared, is the same on A and A^op.
+
+A relabelling p of the carrier, which carries the unit along, is the
+second oracle: each answer on p(A) is p's image of the answer on A.
 """
 
 import dataclasses
@@ -18,18 +22,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from pseudobe.algebra import FiniteAlgebra, check_axioms
+from pseudobe.algebra import FiniteAlgebra, check_axioms, classify
 from pseudobe.dsystems import enumerate_ds
 from pseudobe.finder import SearchConstraints, _model_name, canonical_tables, enumerate_models
 from pseudobe.homs import Homomorphism, enumerate_homomorphisms, hom_witness
-from pseudobe.operators import enumerate_internal_states, internal_state_witness, smo_witness
+from pseudobe.operators import (
+    enumerate_internal_states,
+    enumerate_smo,
+    internal_state_witness,
+    smo_witness,
+)
 from pseudobe.states import (
     _nonnegative_witness,
     _unit_interval_witness,
     bosbach_witness,
+    measure_cone,
     measure_morphism_witness,
     measure_witness,
     state_morphism_witness,
+    state_space,
 )
 from pseudobe.valuations import (
     characterization_crosscheck,
@@ -132,6 +143,20 @@ def test_structures_are_swap_invariant(pseudo_be):
         assert set(valuation_cone(b)) == set(valuation_cone(a)), a.name
         for kind in ("I", "II"):
             assert enumerate_internal_states(b, kind) == enumerate_internal_states(a, kind)
+        assert state_space(b).vertices == state_space(a).vertices, a.name
+        assert measure_cone(b) == measure_cone(a), a.name
+        assert enumerate_smo(b) == enumerate_smo(a), a.name
+
+
+def test_flags_but_distributive_are_swap_invariant(pseudo_be):
+    """Every classification field but ``distributive`` is the same on A and
+    A^op; the one-sided distributive identity tells some of them apart."""
+    flipped = 0
+    for a in pseudo_be:
+        on_a, on_b = classify(a), classify(_swap(a))
+        assert dataclasses.replace(on_b, distributive=on_a.distributive) == on_a, a.name
+        flipped += on_b.distributive != on_a.distributive
+    assert flipped > 0
 
 
 def _assert_swap_closed(n):
@@ -168,3 +193,56 @@ def test_homomorphisms_are_swap_invariant(pseudo_be):
         on_a = [f.map for f in enumerate_homomorphisms(a, b)]
         on_swap = [f.map for f in enumerate_homomorphisms(_swap(a), _swap(b))]
         assert on_swap == on_a, (a.name, b.name)
+
+
+def _relabel(a, p):
+    """p(A): element x of ``a`` renamed to position p[x], the unit and the
+    bottom carried along."""
+    n = a.size
+    inverse = [0] * n
+    for x in range(n):
+        inverse[p[x]] = x
+
+    def table(t):
+        return tuple(tuple(p[t[inverse[x]][inverse[y]]] for y in range(n)) for x in range(n))
+
+    return FiniteAlgebra(
+        a.name,
+        tuple(a.elements[inverse[x]] for x in range(n)),
+        table(a.arrow),
+        table(a.squig),
+        p[a.unit],
+        None if a.bottom is None else p[a.bottom],
+    )
+
+
+def test_answers_are_relabelling_equivariant(pseudo_be):
+    """For a seeded random permutation p of each carrier: the deductive
+    systems of p(A) with their normal and fantastic tags are the images
+    p(D), its valuation rays and state vertices are those of A with
+    coordinate x moved to p(x), and its internal states of both kinds are
+    the conjugates p o mu o p^-1."""
+    rng = random.Random(29)
+    for a in pseudo_be:
+        n = a.size
+        p = list(range(n))
+        rng.shuffle(p)
+        b, inverse = _relabel(a, p), [p.index(y) for y in range(n)]
+
+        def image(subsets):
+            return {frozenset(p[x] for x in d) for d in subsets}
+
+        def moved(vectors):
+            return {tuple(v[x] for x in inverse) for v in vectors}
+
+        family, relabelled = enumerate_ds(a), enumerate_ds(b)
+        assert set(relabelled.subsets) == image(family.subsets), a.name
+        assert set(relabelled.normal) == image(family.normal), a.name
+        assert set(relabelled.fantastic) == image(family.fantastic), a.name
+        assert set(valuation_cone(b)) == moved(valuation_cone(a)), a.name
+        assert set(state_space(b).vertices) == moved(state_space(a).vertices), a.name
+        for kind in ("I", "II"):
+            conjugates = {
+                tuple(p[mu[x]] for x in inverse) for mu in enumerate_internal_states(a, kind)
+            }
+            assert set(enumerate_internal_states(b, kind)) == conjugates, (a.name, kind)
