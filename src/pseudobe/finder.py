@@ -206,14 +206,16 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
     the cell has an address computed without the cell's value.  It is
     watched at its last atomic read, where it always reads the cell, and at
     each later cell whose row one of its computed indices (psBE4) may be.
-    The siblings of a prefix share its tables and the instances that read
-    their cell; each test stops at the first violating tuple.
-    ``audit=True`` scans every map of the same domains with
-    ``homs.scan_maps``: 10^6 maps at n = 4, and beyond ``SEARCH_GUARD`` at
-    n = 5.
+    The whole search works on one padded table pair, which ``assign``
+    writes a map onto.  The siblings of a prefix share one assignment of it
+    and the instances that read their cell; each test stops at the first
+    violating tuple.  ``audit=True`` scans every map of the same domains
+    with ``homs.scan_maps``: 10^6 maps at n = 4, and beyond
+    ``SEARCH_GUARD`` at n = 5.
 
-    At each leaf, a complete labelled pair, ``accept`` reads the exact
-    n x n tables off the search's working tables, confirms pseudo-BE with
+    At each leaf, a complete labelled pair, ``accept`` assigns it, in the
+    search and in the audit alike, trims the working pair to the exact
+    n x n tables, confirms pseudo-BE with
     ``algebra._holds`` (the pseudo-BE scans of ``check_axioms``) and then
     decides canonicity on the same lists: ``_is_canonical`` in the search,
     ``canonical_tables`` in the audit.  It returns a canonical pair frozen
@@ -223,17 +225,10 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
     """
     n, u = c.size, 0
     rng = range(n)
-    # an unassigned entry holds n, and so does every read through one: the
-    # tables have a padding row and column of n
-    base = {t: [[n] * (n + 1) for _ in range(n + 1)] for t in "AS"}
-
-    def tables(f: Map) -> tuple[list, list]:
-        arrow = [row[:] for row in base["A"]]
-        squig = [row[:] for row in base["S"]]
-        for (x, y), p in zip(free, f):
-            arrow[x][y], squig[x][y] = divmod(p, n)
-        return arrow, squig
-
+    # the one working pair: an unassigned entry holds n, and so does every
+    # read through one, since the tables have a padding row and column of n
+    arrow = [[n] * (n + 1) for _ in range(n + 1)]
+    squig = [row[:] for row in arrow]
     declared = (
         d for s in ("pseudo-BE", *c.flags) for d in _FLAG_DECLARATIONS.get(s, {}).values()
     )
@@ -250,9 +245,8 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
             else:
                 single[cell][violations].append(t)
     pairs = {cell: set(range(n * n)) for cell in itertools.product(rng, rng)}
-    # the probe pair is the base, still all unassigned; each cell is set in
-    # place and reset
-    arrow, squig = base["A"], base["S"]
+    # the probe runs on the pair while it is still all unassigned; each cell
+    # is set in place and reset
     for (x, y), tests in single.items():
         for p in range(n * n):
             arrow[x][y], squig[x][y] = divmod(p, n)
@@ -261,7 +255,7 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
         arrow[x][y] = squig[x][y] = n
     for (x, y), ps in pairs.items():
         if len(ps) == 1:
-            base["A"][x][y], base["S"][x][y] = divmod(*ps, n)
+            arrow[x][y], squig[x][y] = divmod(*ps, n)
     free = [cell for cell, ps in pairs.items() if len(ps) != 1]
     order = {cell: k for k, cell in enumerate(free)}
     # tested at cell k once the prefix shows it reads cell k: watched at its
@@ -274,23 +268,30 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
             if k == last or free[k][0] in rows or None in rows:
                 watched[k][violations, readers].append(t)
 
-    # the siblings checked in a row share their tables up to cell k, and the
-    # instances that read cell k there
-    built: list = [None, None, None, None]
+    # f onto the free cells in row-major order; the later free cells unassigned
+    def assign(f: Map) -> None:
+        for (x, y), p in zip(free, f):
+            arrow[x][y], squig[x][y] = divmod(p, n)
+        for x, y in free[len(f) :]:
+            arrow[x][y] = squig[x][y] = n
+
+    # the prefix last checked and the instances that read its next cell there:
+    # search_maps checks all children of a node in a row, so a prefix is never
+    # checked again after other nodes have run and its siblings can share it
+    cached: list = [None, None]
 
     def check(f: Map, k: int) -> bool:
         x, y = free[k]
-        if built[0] != f[:k]:
-            arrow, squig = tables(f[:k])
+        if cached[0] != f[:k]:
+            assign(f[:k])
             reading = [
                 (violations, ts)
                 for (violations, readers), candidates in watched[k].items()
                 if (ts := readers(arrow, squig, u, n, candidates, x, y))
             ]
-            built[:] = f[:k], arrow, squig, reading
-        _, arrow, squig, tests = built
+            cached[:] = f[:k], reading
         arrow[x][y], squig[x][y] = divmod(f[k], n)
-        for violations, ts in tests:
+        for violations, ts in cached[1]:
             for _ in violations(arrow, squig, u, n, ts):
                 return False
         return True
@@ -300,22 +301,15 @@ def _table_pairs(c: SearchConstraints, audit: bool) -> Iterator[tuple[tuple, tup
     interned: dict[tuple, tuple] = {}
 
     def accept(f: Map) -> Optional[tuple[tuple, tuple]]:
-        if f and built[0] == f[:-1]:
-            # a leaf of the search: its siblings were checked just before on
-            # its parent's working tables, so only its last cell is set
-            _, arrow, squig, _ = built
-            x, y = free[-1]
-            arrow[x][y], squig[x][y] = divmod(f[-1], n)
-        else:
-            arrow, squig = tables(f)
-        arrow, squig = [row[:n] for row in arrow[:n]], [row[:n] for row in squig[:n]]
-        if not _holds(arrow, squig, u, "pseudo-BE"):
+        assign(f)
+        leaf = [[row[:n] for row in table[:n]] for table in (arrow, squig)]
+        if not _holds(*leaf, u, "pseudo-BE"):
             return None
         if audit:
-            canonical = canonical_tables(arrow, squig, u) == _freeze(arrow, squig, {})
+            canonical = canonical_tables(*leaf, u) == _freeze(*leaf, {})
         else:
-            canonical = _is_canonical(arrow, squig, relabellings)
-        return _freeze(arrow, squig, interned) if canonical else None
+            canonical = _is_canonical(*leaf, relabellings)
+        return _freeze(*leaf, interned) if canonical else None
 
     domains = [sorted(pairs[cell]) for cell in free]
     return scan_maps(domains, accept) if audit else search_maps(domains, check, accept)

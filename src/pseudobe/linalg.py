@@ -463,11 +463,11 @@ def cone_rays(
 
     The basis of the equality space is :func:`_null_basis` of the distinct
     primitive equality rows, so no Fraction is made; with no equality rows
-    it is the unit vectors, and the engine runs on the inequality rows as
-    they are.  ``audit=True`` takes it from ``solve_affine(audit=True)``
-    instead, with an alarm on a nonzero particular solution, and enumerates
-    every choice of d - 1 active inequalities instead of running the double
-    description engine.
+    it is the unit vectors, on which the inequality rows project to
+    themselves.  ``audit=True`` takes the basis from
+    ``solve_affine(audit=True)`` instead, with an alarm on a nonzero
+    particular solution, and enumerates every choice of d - 1 active
+    inequalities instead of running the double description engine.
     """
     for eq in equalities:
         if eq.rhs != 0:
@@ -488,11 +488,7 @@ def cone_rays(
     if d == 0:
         return ()
     rows = _distinct_rows(inequalities)
-    if equality_rows or audit:
-        found = _rays(basis, rows, audit)
-    else:
-        # the basis is the unit vectors, so lam is x: no projection, no back-map
-        found = set(_dd_rays(rows, _independent_rows(rows, d)))
+    found = _rays(basis, rows, audit)
     _check(found, equality_rows, rows)
     return tuple(sorted(found))
 

@@ -12,8 +12,6 @@ import time
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
-import pytest
-
 from conftest import load_fixture
 from pseudobe import cli
 from pseudobe.algebra import (
@@ -263,8 +261,7 @@ def test_criterion_11():
     assert elapsed < 60
 
 
-@criterion(11, "meta-theorem sweep at size 4 (slow)")
-@pytest.mark.slow
+@criterion(11, "meta-theorem sweep at size 4")
 def test_criterion_11_size_four():
     start = time.monotonic()
     rep = verify_meta_theorems(4)

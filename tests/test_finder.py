@@ -535,7 +535,6 @@ def test_meta_sweep_three():
         assert stat.counterexamples == 0
 
 
-@pytest.mark.slow
 def test_meta_sweep_four():
     rep = verify_meta_theorems(4)
     assert rep.clean

@@ -24,7 +24,13 @@ import pytest
 
 from pseudobe.algebra import FiniteAlgebra, check_axioms, classify
 from pseudobe.dsystems import enumerate_ds
-from pseudobe.finder import SearchConstraints, _model_name, canonical_tables, enumerate_models
+from pseudobe.finder import (
+    SearchConstraints,
+    _model_name,
+    canonical_tables,
+    enumerate_models,
+    with_detected_bottom,
+)
 from pseudobe.homs import Homomorphism, enumerate_homomorphisms, hom_witness
 from pseudobe.operators import (
     enumerate_internal_states,
@@ -219,9 +225,11 @@ def _relabel(a, p):
 def test_answers_are_relabelling_equivariant(pseudo_be):
     """For a seeded random permutation p of each carrier: the deductive
     systems of p(A) with their normal and fantastic tags are the images
-    p(D), its valuation rays and state vertices are those of A with
-    coordinate x moved to p(x), and its internal states of both kinds are
-    the conjugates p o mu o p^-1."""
+    p(D), its valuation rays, state vertices and measure rays are those of
+    A with coordinate x moved to p(x), its internal states of both kinds
+    and its SMOs are the conjugates p o mu o p^-1, and the classification
+    of p(A), bounded where A has a least element, has the same flags and
+    its regular and dense elements moved by p."""
     rng = random.Random(29)
     for a in pseudo_be:
         n = a.size
@@ -235,14 +243,25 @@ def test_answers_are_relabelling_equivariant(pseudo_be):
         def moved(vectors):
             return {tuple(v[x] for x in inverse) for v in vectors}
 
+        def conjugates(maps):
+            return {tuple(p[mu[x]] for x in inverse) for mu in maps}
+
         family, relabelled = enumerate_ds(a), enumerate_ds(b)
         assert set(relabelled.subsets) == image(family.subsets), a.name
         assert set(relabelled.normal) == image(family.normal), a.name
         assert set(relabelled.fantastic) == image(family.fantastic), a.name
         assert set(valuation_cone(b)) == moved(valuation_cone(a)), a.name
         assert set(state_space(b).vertices) == moved(state_space(a).vertices), a.name
+        assert set(measure_cone(b)) == moved(measure_cone(a)), a.name
         for kind in ("I", "II"):
-            conjugates = {
-                tuple(p[mu[x]] for x in inverse) for mu in enumerate_internal_states(a, kind)
-            }
-            assert set(enumerate_internal_states(b, kind)) == conjugates, (a.name, kind)
+            on_a, on_b = enumerate_internal_states(a, kind), enumerate_internal_states(b, kind)
+            assert set(on_b) == conjugates(on_a), (a.name, kind)
+        assert set(enumerate_smo(b)) == conjugates(enumerate_smo(a)), a.name
+        # the bounded copy, where there is one, has regular and dense elements
+        bounded = with_detected_bottom(a) or a
+        flags = classify(bounded)
+        elements = {
+            name: None if (xs := getattr(flags, name)) is None else frozenset(p[x] for x in xs)
+            for name in ("regular_elements", "dense_elements")
+        }
+        assert classify(_relabel(bounded, p)) == dataclasses.replace(flags, **elements), a.name

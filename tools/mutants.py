@@ -175,6 +175,20 @@ MUTANTS = (
         "tests/test_finder.py::test_search_domains_follow_the_axioms_written_out",
     ),
     Mutant(
+        "assign-keeps-stale-cells",
+        "src/pseudobe/finder.py",
+        "        for x, y in free[len(f) :]:\n            arrow[x][y] = squig[x][y] = n\n",
+        "",
+        "tests/test_algebra.py::test_axiom_reports_digest",
+    ),
+    Mutant(
+        "accept-without-assign",
+        "src/pseudobe/finder.py",
+        "        assign(f)\n        leaf = ",
+        "        leaf = ",
+        "tests/test_acceptance.py::test_criterion_13",
+    ),
+    Mutant(
         "commutative-pv-claim-off",
         "src/pseudobe/finder.py",
         '"non-commutative pv on a commutative algebra"\n            for phi in rays',
