@@ -38,6 +38,10 @@ class NotDistributiveError(ValueError):
     """Quotients are only guaranteed to exist on distributive algebras."""
 
 
+class NotPseudoBEError(ValueError):
+    """Quotients are only guaranteed to exist on pseudo-BE algebras."""
+
+
 def format_subset(a: FiniteAlgebra, subset: Subset) -> str:
     """``{tok1,tok2,...}`` with tokens in carrier declaration order."""
     return "{" + ",".join(a.token(i) for i in sorted(subset)) + "}"
@@ -252,10 +256,16 @@ class QuotientResult:
 def quotient(a: FiniteAlgebra, h: Subset) -> QuotientResult:
     """Quotient by the congruence x ~ y iff x -> y in H and y -> x in H.
 
-    Only defined for distributive algebras (elsewhere the relation need
-    not be a congruence); the construction is verified, not assumed, and
-    a well-definedness failure raises an alarm.
+    Only defined for distributive pseudo-BE algebras (elsewhere the
+    relation need not be a congruence); both hypotheses are checked first,
+    the construction is verified, not assumed, and a well-definedness
+    failure raises an alarm.
     """
+    if not _holds(a.arrow, a.squig, a.unit, "pseudo-BE"):
+        raise NotPseudoBEError(
+            f"{a.name} is not pseudo-BE; quotients are defined on "
+            "pseudo-BE algebras only"
+        )
     if not _holds(a.arrow, a.squig, a.unit, "distributive"):
         raise NotDistributiveError(
             f"{a.name} is not distributive; quotients are defined on "

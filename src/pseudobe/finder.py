@@ -39,6 +39,7 @@ from .algebra import (
 )
 from .dsystems import enumerate_ds, format_subset
 from .homs import Map, SizeGuardError, scan_maps, search_maps
+from .linalg import _shared_cones
 from .parallel import pmap
 from .operators import enumerate_internal_states, is_smo
 from .states import measure_face, state_space
@@ -489,22 +490,26 @@ def verify_meta_theorems(n_max: int) -> MetaTheoremReport:
 
     The sweep always runs to the end: each tag counts its counterexamples
     and keeps the witness of the first one.  Models are checked
-    independently; results are merged in enumeration order.
+    independently; results are merged in enumeration order.  Models with
+    the same cone rows (a model and its swap among them) share one engine
+    run for the sweep's length (``linalg._shared_cones``); each model still
+    checks the shared rays against its own rows and tables.
     """
     if n_max < 1:
         raise ValueError("max size must be >= 1")
     if n_max > 4:
         raise SizeGuardError("full sweep capped at n = 4")
     report = MetaTheoremReport()
-    for n in range(1, n_max + 1):
-        models = list(enumerate_models(SearchConstraints(size=n)))
-        for outcome in pmap(_check_model, models):
-            report.models += 1
-            for tag, witness in outcome.items():
-                stat = report.stats.setdefault(tag, TheoremStat())
-                stat.checked += 1
-                if witness is not None:
-                    stat.counterexamples += 1
-                    if stat.first_witness is None:
-                        stat.first_witness = witness
+    with _shared_cones():
+        for n in range(1, n_max + 1):
+            models = list(enumerate_models(SearchConstraints(size=n)))
+            for outcome in pmap(_check_model, models):
+                report.models += 1
+                for tag, witness in outcome.items():
+                    stat = report.stats.setdefault(tag, TheoremStat())
+                    stat.checked += 1
+                    if witness is not None:
+                        stat.counterexamples += 1
+                        if stat.first_witness is None:
+                            stat.first_witness = witness
     return report

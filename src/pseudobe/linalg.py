@@ -22,7 +22,9 @@ into its start rays, without leaving the integers.  A cone's basis is read
 off the same :func:`_integer_rref` of its distinct primitive equality rows
 (:func:`_null_basis`), so a cone makes no Fraction at all.  A polytope is
 handled as the cone over its homogenised system: a vertex is a ray with
-t > 0, scaled to t = 1 (:func:`pseudobe.states.state_space`).
+t > 0, scaled to t = 1 (:func:`pseudobe.states.state_space`).  Within
+:func:`_shared_cones`, which the meta sweep opens, cones with the same
+distinct rows share one engine run.
 
 ``audit=True`` takes a cone's basis from ``solve_affine(audit=True)``
 instead, and replaces the engine by the active-set enumerator, which tries
@@ -37,6 +39,7 @@ integers.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import re
 from dataclasses import dataclass
@@ -51,6 +54,10 @@ MAX_DIMENSION = 6
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
+
+# cone_rays' results by (sorted equality rows, sorted inequality rows,
+# num_vars) while _shared_cones is open, else None
+_cone_memo: Optional[dict[tuple, tuple[IntVector, ...]]] = None
 
 
 class DimensionTooLargeError(ValueError):
@@ -475,6 +482,13 @@ def cone_rays(
     _require_arity(inequalities, num_vars, "inequality")
     _require_arity((eq.coeffs for eq in equalities), num_vars, "equation")
     equality_rows = _equality_rows(eq.coeffs for eq in equalities)
+    rows = _distinct_rows(inequalities)
+    memo = None if audit else _cone_memo
+    if memo is not None:
+        key = (tuple(sorted(equality_rows)), tuple(sorted(rows)), num_vars)
+        if key in memo:
+            _check(memo[key], equality_rows, rows)
+            return memo[key]
     if audit:
         space = solve_affine(equalities, num_vars, audit=True)
         if space is None or any(v != 0 for v in space.particular):
@@ -485,12 +499,29 @@ def cone_rays(
     d = len(basis)
     if audit and d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
-    if d == 0:
-        return ()
-    rows = _distinct_rows(inequalities)
-    found = _rays(basis, rows, audit)
+    found = _rays(basis, rows, audit) if d else ()
     _check(found, equality_rows, rows)
-    return tuple(sorted(found))
+    found = tuple(sorted(found))
+    if memo is not None:
+        memo[key] = found
+    return found
+
+
+@contextlib.contextmanager
+def _shared_cones():
+    """Within the block, :func:`cone_rays` runs the engine once per key
+    (sorted distinct equality rows, sorted distinct inequality rows,
+    ``num_vars``) and hands later calls the first call's rays, checked
+    again against their own rows.  The extreme rays of a cone depend only
+    on its constraint set, and ``cone_rays`` sorts them, so a hit returns
+    what the engine would.  ``audit=True`` never reads or fills the memo;
+    it is dropped when the block ends, also on an exception."""
+    global _cone_memo
+    _cone_memo = {}
+    try:
+        yield
+    finally:
+        _cone_memo = None
 
 
 def format_fraction(value: int | Fraction) -> str:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pseudobe
-from pseudobe import cli, finder
+from pseudobe import cli, dsystems, finder
 from pseudobe.algebra import check_axioms, parse_algebra, serialize_algebra
 from pseudobe.dsystems import (
     enumerate_ds,
@@ -205,7 +205,8 @@ def test_quotient_rejects_non_distributive(capsys, alg):
     )
 
 
-# each table pair passes the distributive identity; none is pseudo-BE
+# each table pair passes the distributive identity; none is pseudo-BE, so
+# the quotient refuses each before its construction starts
 QUOTIENT_ALARMS = {
     # x -> x = a everywhere, so no x is related to itself by {1}
     "reflexive": ("constant2", None, "quotient relation not reflexive"),
@@ -226,15 +227,33 @@ QUOTIENT_ALARMS = {
 }
 
 
+def _quotient_input(alg, tmp_path, case):
+    name, body, _ = QUOTIENT_ALARMS[case]
+    if body is None:
+        return name, alg(f"{name}.alg")
+    path = tmp_path / f"{name}.alg"
+    path.write_text(f"algebra {name}\n{body}end\n")
+    return name, str(path)
+
+
 @pytest.mark.parametrize("case", QUOTIENT_ALARMS)
-def test_quotient_alarms(capsys, alg, tmp_path, case):
-    name, body, alarm = QUOTIENT_ALARMS[case]
-    path = alg(f"{name}.alg")
-    if body is not None:
-        path = tmp_path / f"{name}.alg"
-        path.write_text(f"algebra {name}\n{body}end\n")
-    code, out, err = run(capsys, "quotient", str(path), "--ds", "{1}")
-    assert (code, out, err) == (2, "", f"alarm: {alarm}\n")
+def test_quotient_rejects_non_pseudo_be(capsys, alg, tmp_path, case):
+    name, path = _quotient_input(alg, tmp_path, case)
+    code, out, err = run(capsys, "quotient", path, "--ds", "{1}")
+    assert (code, out, err) == (
+        2, "", f"error: {name} is not pseudo-BE; quotients are defined on "
+        "pseudo-BE algebras only\n"
+    )
+
+
+@pytest.mark.parametrize("case", QUOTIENT_ALARMS)
+def test_quotient_alarms(capsys, alg, tmp_path, monkeypatch, case):
+    # fault injection: with both hypothesis checks passing every table, each
+    # input reaches the construction and trips its alarm
+    monkeypatch.setattr(dsystems, "_holds", lambda *args: True)
+    _, path = _quotient_input(alg, tmp_path, case)
+    code, out, err = run(capsys, "quotient", path, "--ds", "{1}")
+    assert (code, out, err) == (2, "", f"alarm: {QUOTIENT_ALARMS[case][2]}\n")
 
 
 def test_states_summary_and_vertices(capsys, alg):
@@ -536,11 +555,16 @@ def test_alarm_exits_two(capsys, alg):
         ("ds", a2),
         ("ds", a2, "--prime"),
         ("ds", a2, "--involutive"),
-        ("quotient", a2, "--ds", "{1}"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err == "alarm: modus ponens closures disagree on {1}\n", argv
+    # the quotient checks its pseudo-BE hypothesis before any closure runs
+    code, out, err = run(capsys, "quotient", a2, "--ds", "{1}")
+    assert (code, out, err) == (
+        2, "", "error: alarm2 is not pseudo-BE; quotients are defined on "
+        "pseudo-BE algebras only\n"
+    )
 
 
 # every subcommand once per file; hom takes the file twice

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import count_map_search
-from pseudobe import algebra, cli, finder, states, valuations
+from pseudobe import algebra, cli, finder, linalg, states, valuations
 from pseudobe.algebra import (
     _SYSTEM_AXIOMS,
     FiniteAlgebra,
@@ -34,7 +34,8 @@ from pseudobe.finder import (
 )
 from pseudobe.homs import SizeGuardError, enumerate_homomorphisms
 from pseudobe.operators import enumerate_internal_states
-from pseudobe.states import state_kernel, state_space
+from pseudobe.states import _state_terms, _unit_free_rows, state_kernel, state_space
+from pseudobe.valuations import _valuation_terms, valuation_cone
 
 # frozen regression values from the exhaustive enumeration (audit mode
 # agrees at n <= 4)
@@ -517,8 +518,95 @@ def test_meta_sweep_runs_two_cone_engines_per_model(monkeypatch):
     monkeypatch.setattr(states, "measure_cone", no_measure_cone)
     monkeypatch.setattr(finder, "measure_cone", no_measure_cone, raising=False)
     assert verify_meta_theorems(4).models == 83
-    # 166 = 2 x 83 engine runs
+    # 166 = 2 x 83 cone calls; models with equal rows share one engine run
+    # (test_sweep_runs_the_engine_once_per_distinct_row_set)
     assert runs == {"pseudobe.states": 83, "pseudobe.valuations": 83}
+
+
+def _count_engine_runs(monkeypatch):
+    """The list of ``num_vars`` of every ``cone_rays`` call that misses the
+    shared cones: each miss, and nothing else, reads a null basis."""
+    runs = []
+    null_basis = linalg._null_basis
+
+    def counted(rows, num_vars):
+        runs.append(num_vars)
+        return null_basis(rows, num_vars)
+
+    monkeypatch.setattr(linalg, "_null_basis", counted)
+    return runs
+
+
+def _cones(a):
+    return state_space(a).vertices, valuation_cone(a)
+
+
+def test_shared_cones_equal_unshared_runs(monkeypatch):
+    """Every model of size <= 4 gets the same state vertices and pv rays
+    from the shared cones as from its own engine runs."""
+    models = [m for n in range(1, 5) for m in _models(n)]
+    unshared = [_cones(m) for m in models]
+    runs = _count_engine_runs(monkeypatch)
+    with linalg._shared_cones():
+        shared = [_cones(m) for m in models]
+    assert shared == unshared
+    assert len(runs) < 2 * len(models)
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return tuple(v // g for v in row)
+
+
+def _cone_keys(n):
+    """The distinct constraint sets of the sweep's cones on the size-n
+    models, counted here from ``_unit_free_rows``: nonzero primitive rows,
+    equality rows up to sign, and the number of variables.  The state
+    polytope's inequalities are its homogenised unit box, x >= 0, x <= t
+    and t >= 0, with t the last of its n variables."""
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    box = frozenset(
+        unit[:-1] + [tuple(t - e for t, e in zip(unit[-1], x)) for x in unit[:-1]] + unit[-1:]
+    )
+    keys = set()
+    for a in _models(n):
+        pv_rows = _unit_free_rows(a, _valuation_terms(a), n - 1)
+        state_rows = map(_primitive, filter(any, _unit_free_rows(a, _state_terms(a), n)))
+        keys.add((frozenset(), frozenset(map(_primitive, filter(any, pv_rows))), n - 1))
+        keys.add((frozenset(max(r, tuple(-v for v in r)) for r in state_rows), box, n))
+    return keys
+
+
+def test_sweep_runs_the_engine_once_per_distinct_row_set(monkeypatch):
+    runs = _count_engine_runs(monkeypatch)
+    assert verify_meta_theorems(4).models == 83
+    keys = set().union(*map(_cone_keys, range(1, 5)))
+    # 166 cone calls; the one-variable orthant is both the state polytope's
+    # cone at n = 1 and the pv cone at n = 2
+    assert len(runs) == len(keys) == 113
+
+
+def test_shared_cones_last_one_sweep(monkeypatch):
+    """The memo opens with the sweep, is filled while it runs, and is gone
+    after it, also when a model's check raises."""
+    assert linalg._cone_memo is None
+    verify_meta_theorems(3)
+    assert linalg._cone_memo is None
+    sizes = []
+    check = finder._check_model
+
+    def failing(a):
+        outcome = check(a)
+        sizes.append(len(linalg._cone_memo))
+        if len(sizes) == 4:
+            raise RuntimeError("injected")
+        return outcome
+
+    monkeypatch.setattr(finder, "_check_model", failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        verify_meta_theorems(3)
+    assert linalg._cone_memo is None
+    assert sizes == sorted(sizes) and sizes[0] > 0
 
 
 def test_meta_sweep_vacuous():

@@ -445,3 +445,20 @@ def test_box_engine_matches_audit_and_rank_oracle(n, eq_rows, bounds):
         assert all(lower[i] <= v[i] <= upper[i] for i in range(n))
         active = [unit[i] for i in range(n) if v[i] in (lower[i], upper[i])]
         assert _sympy_rank([eq.coeffs for eq in eqs] + active) == n
+
+
+def test_audit_never_reads_the_shared_cones():
+    """Inside the sweep's scope a default call reads and fills the memo;
+    ``audit=True`` does neither."""
+    eqs = [_eq([1, -1, 0], 0)]
+    nonneg = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    with linalg._shared_cones():
+        rays = cone_rays(eqs, nonneg, 3)
+        (key,) = linalg._cone_memo
+        # an empty answer passes every check, so only the memo can give it
+        linalg._cone_memo[key] = ()
+        assert cone_rays(eqs, nonneg, 3) == ()
+        assert cone_rays(eqs, nonneg, 3, audit=True) == rays
+        assert cone_rays([], nonneg, 3, audit=True) == tuple(sorted(nonneg))
+        assert linalg._cone_memo == {key: ()}
+    assert linalg._cone_memo is None

@@ -22,6 +22,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pseudobe import linalg
 from pseudobe.algebra import FiniteAlgebra, check_axioms, classify
 from pseudobe.dsystems import enumerate_ds
 from pseudobe.finder import (
@@ -188,6 +189,21 @@ def test_search_is_closed_under_the_swap_at_five():
     """The same at n = 5, where no audit of the search runs: the one check
     there that the propagator keeps the -> and ~> twins alike."""
     _assert_swap_closed(5)
+
+
+def test_a_model_and_its_swap_share_their_cones(pseudo_be):
+    """The state and pv rows are built from both tables alike, so A^op adds
+    no entry to the sweep's shared cones once A is in."""
+    shared = 0
+    for a in pseudo_be:
+        with linalg._shared_cones():
+            answers = state_space(a).vertices, valuation_cone(a)
+            entries = dict(linalg._cone_memo)
+            b = _swap(a)
+            assert (state_space(b).vertices, valuation_cone(b)) == answers, a.name
+            assert linalg._cone_memo == entries, a.name
+        shared += not a.is_be()
+    assert shared > 0
 
 
 def test_homomorphisms_are_swap_invariant(pseudo_be):

@@ -133,6 +133,20 @@ MUTANTS = (
         "tests/test_swap.py::test_answers_are_relabelling_equivariant",
     ),
     Mutant(
+        "cone-memo-key-drops-equalities",
+        "src/pseudobe/linalg.py",
+        "key = (tuple(sorted(equality_rows)), tuple(sorted(rows)), num_vars)",
+        "key = (tuple(sorted(rows)), num_vars)",
+        "tests/test_finder.py::test_shared_cones_equal_unshared_runs",
+    ),
+    Mutant(
+        "cone-memo-outlives-sweep",
+        "src/pseudobe/linalg.py",
+        "    finally:\n        _cone_memo = None\n",
+        "    finally:\n        pass\n",
+        "tests/test_finder.py::test_shared_cones_last_one_sweep",
+    ),
+    Mutant(
         "canonical-on-arrow-only",
         "src/pseudobe/finder.py",
         "(_first_difference(arrow, p, cells) or _first_difference(squig, p, cells)) >= 0",
