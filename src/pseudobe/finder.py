@@ -394,12 +394,13 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
     family = enumerate_ds(bounded or a)
     fantastic = set(family.fantastic)
     comm = rep.pseudo_be and rep.commutative
-    # cone_rays checks every ray in integers (linalg._check), and the state
-    # vertices are those rays scaled to t = 1, so the kernels s^-1(1) and
-    # m^-1(0) are read straight off them; the measure rays are the pv rays
-    # on the measure face, since the model is pseudo-BE (states.measure_face)
+    # the cone engine checks every ray in integers (linalg._check); a state
+    # ray is (s(0) t, ..., s(n-1) t, t), so the kernels s^-1(1) and m^-1(0)
+    # are read straight off the integer rays; the measure rays are the pv
+    # rays on the measure face, since the model is pseudo-BE
+    # (states.measure_face)
     carrier = range(a.size)
-    states = [(v, frozenset(x for x in carrier if v[x] == 1)) for v in state_space(a).vertices]
+    states = [(r, frozenset(x for x in carrier if r[x] == r[-1])) for r in state_space(a).rays]
     rays = valuation_cone(a)
     measure_kernels = [frozenset(x for x in carrier if r[x] == 0) for r in measure_face(a, rays)]
 
@@ -447,8 +448,8 @@ def _check_model(a: FiniteAlgebra) -> dict[str, Optional[str]]:
         ),
         "bounded-state-kernels-involutive": (
             f"state kernel {show(k)} not involutive"
-            for v, k in states
-            if bounded is not None and v[bounded.bottom] == 0 and k not in family.involutive
+            for r, k in states
+            if bounded is not None and r[bounded.bottom] == 0 and k not in family.involutive
         ),
         "measure-kernels-normal-fantastic": (
             f"measure kernel {show(k)} not normal+fantastic"
@@ -490,10 +491,11 @@ def verify_meta_theorems(n_max: int) -> MetaTheoremReport:
 
     The sweep always runs to the end: each tag counts its counterexamples
     and keeps the witness of the first one.  Models are checked
-    independently; results are merged in enumeration order.  Models with
-    the same cone rows (a model and its swap among them) share one engine
-    run for the sweep's length (``linalg._shared_cones``); each model still
-    checks the shared rays against its own rows and tables.
+    independently; results are merged in enumeration order.  Models whose
+    cones have the same inequality rows and the same row space of equality
+    rows (a model and its swap among them) share one engine run for the
+    sweep's length (``linalg._shared_cones``); each model still checks the
+    shared rays against its own rows and tables.
     """
     if n_max < 1:
         raise ValueError("max size must be >= 1")

@@ -12,19 +12,22 @@ really are rational.  The two entry points are:
   only at the end,
 * :func:`cone_rays` -- extreme rays of ``{x : Ax = 0, Cx >= 0}``.
 
-Rays come from one exact engine.  The inequalities are restricted to an
-integer basis of the equality space and scaled to primitive integer rows,
-dropping exact repeats, zero rows and positive multiples.  An incremental
-double description pass (Motzkin et al. 1953; Fukuda & Prodon 1996) then
-runs in integer arithmetic; the integer Gauss-Jordan :func:`_integer_rref`
-of :func:`solve_affine` picks its first independent rows and inverts them
-into its start rays, without leaving the integers.  A cone's basis is read
-off the same :func:`_integer_rref` of its distinct primitive equality rows
-(:func:`_null_basis`), so a cone makes no Fraction at all.  A polytope is
-handled as the cone over its homogenised system: a vertex is a ray with
+Rays come from one exact engine, :func:`_cone`, which takes distinct
+primitive integer rows: :func:`cone_rays` makes them so, and the state
+polytope and the valuation cone build them so
+(:func:`pseudobe.states._unit_free_rows`).  The equality rows are reduced
+once by the integer Gauss-Jordan :func:`_integer_rref` of
+:func:`solve_affine`, and the basis of their null space is read off that
+reduction (:func:`_null_basis`), so a cone makes no Fraction at all.  The
+inequalities are restricted to that basis and scaled to primitive integer
+rows, dropping exact repeats, zero rows and positive multiples.  An
+incremental double description pass (Motzkin et al. 1953; Fukuda & Prodon
+1996) then runs in integer arithmetic; :func:`_integer_rref` also picks its
+first independent rows and inverts them into its start rays.  A polytope
+is handled as the cone over its homogenised system: a vertex is a ray with
 t > 0, scaled to t = 1 (:func:`pseudobe.states.state_space`).  Within
-:func:`_shared_cones`, which the meta sweep opens, cones with the same
-distinct rows share one engine run.
+:func:`_shared_cones`, which the meta sweep opens, cones with the same row
+space of equalities and the same inequality rows share one engine run.
 
 ``audit=True`` takes a cone's basis from ``solve_affine(audit=True)``
 instead, and replaces the engine by the active-set enumerator, which tries
@@ -55,8 +58,8 @@ MAX_DIMENSION = 6
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 
-# cone_rays' results by (sorted equality rows, sorted inequality rows,
-# num_vars) while _shared_cones is open, else None
+# _cone's results by (row space of the equality rows, sorted inequality
+# rows, num_vars) while _shared_cones is open, else None
 _cone_memo: Optional[dict[tuple, tuple[IntVector, ...]]] = None
 
 
@@ -273,12 +276,14 @@ def _equality_rows(rows: Iterable[Sequence]) -> list[IntVector]:
     return list({max(p, tuple(-v for v in p)): None for p in _distinct_rows(rows)})
 
 
-def _null_basis(rows: Sequence[IntVector], num_vars: int) -> list[IntVector]:
-    """Primitive integer basis of ``{x : r . x = 0 for r in rows}``, read off
-    :func:`_integer_rref`: one vector per free column, positive there and 0
-    on the other free columns, so each is the primitive positive multiple of
-    the matching basis vector of :func:`solve_affine`."""
-    reduced, pivots = _integer_rref(list(rows))
+def _null_basis(
+    reduced: Sequence[IntVector], pivots: Sequence[int], num_vars: int
+) -> list[IntVector]:
+    """Primitive integer basis of the null space of the rows whose
+    :func:`_integer_rref` is ``(reduced, pivots)``: one vector per free
+    column, positive there and 0 on the other free columns, so each is the
+    primitive positive multiple of the matching basis vector of
+    :func:`solve_affine`."""
     # integer row i is RREF row i times its pivot entry, of either sign; the
     # lcm is positive, so scale // row[c] clears the pivots and keeps signs
     scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
@@ -453,6 +458,35 @@ def box_vertices(
     return tuple(sorted(tuple(Fraction(v, r[n]) for v in r[:n]) for r in found))
 
 
+def _cone(
+    equality_rows: Sequence[IntVector], rows: Sequence[IntVector], num_vars: int
+) -> tuple[IntVector, ...]:
+    """Extreme rays of ``{x : e . x = 0 for e in equality_rows, r . x >= 0
+    for r in rows}``, sorted, for distinct primitive nonzero integer rows.
+
+    The equality rows are reduced once by :func:`_integer_rref`; the key of
+    :func:`_shared_cones` and the basis of their null space
+    (:func:`_null_basis`) are both read off that reduction.  Every answer,
+    a memo hit included, is checked against the caller's own rows.
+    """
+    reduced, pivots = _integer_rref(list(equality_rows))
+    memo = _cone_memo
+    found = None
+    if memo is not None:
+        space = tuple(
+            _primitive(row if row[c] > 0 else [-v for v in row]) for row, c in zip(reduced, pivots)
+        )
+        key = (space, tuple(sorted(rows)), num_vars)
+        found = memo.get(key)
+    if found is None:
+        basis = _null_basis(reduced, pivots, num_vars)
+        found = tuple(sorted(_rays(basis, rows, False))) if basis else ()
+        if memo is not None:
+            memo[key] = found
+    _check(found, equality_rows, rows)
+    return found
+
+
 def cone_rays(
     equalities: Sequence[LinearEquation],
     inequalities: Sequence[IntVector | Vector],
@@ -468,13 +502,13 @@ def cone_rays(
     each checked in integers against the distinct primitive equality and
     inequality rows, sorted lexicographically.
 
-    The basis of the equality space is :func:`_null_basis` of the distinct
-    primitive equality rows, so no Fraction is made; with no equality rows
-    it is the unit vectors, on which the inequality rows project to
-    themselves.  ``audit=True`` takes the basis from
-    ``solve_affine(audit=True)`` instead, with an alarm on a nonzero
-    particular solution, and enumerates every choice of d - 1 active
-    inequalities instead of running the double description engine.
+    The rows are made distinct and primitive and handed to :func:`_cone`,
+    so no Fraction is made; with no equality rows the basis is the unit
+    vectors, on which the inequality rows project to themselves.
+    ``audit=True`` takes the basis from ``solve_affine(audit=True)``
+    instead, with an alarm on a nonzero particular solution, and enumerates
+    every choice of d - 1 active inequalities instead of running the double
+    description engine; it neither reads nor fills the shared cones.
     """
     for eq in equalities:
         if eq.rhs != 0:
@@ -483,39 +517,32 @@ def cone_rays(
     _require_arity((eq.coeffs for eq in equalities), num_vars, "equation")
     equality_rows = _equality_rows(eq.coeffs for eq in equalities)
     rows = _distinct_rows(inequalities)
-    memo = None if audit else _cone_memo
-    if memo is not None:
-        key = (tuple(sorted(equality_rows)), tuple(sorted(rows)), num_vars)
-        if key in memo:
-            _check(memo[key], equality_rows, rows)
-            return memo[key]
-    if audit:
-        space = solve_affine(equalities, num_vars, audit=True)
-        if space is None or any(v != 0 for v in space.particular):
-            raise ConsistencyAlarmError("homogeneous system without the solution 0")
-        basis = [_primitive(b) for b in space.basis]
-    else:
-        basis = _null_basis(equality_rows, num_vars)
+    if not audit:
+        return _cone(equality_rows, rows, num_vars)
+    space = solve_affine(equalities, num_vars, audit=True)
+    if space is None or any(v != 0 for v in space.particular):
+        raise ConsistencyAlarmError("homogeneous system without the solution 0")
+    basis = [_primitive(b) for b in space.basis]
     d = len(basis)
-    if audit and d > MAX_DIMENSION:
+    if d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
-    found = _rays(basis, rows, audit) if d else ()
+    found = _rays(basis, rows, True) if d else ()
     _check(found, equality_rows, rows)
-    found = tuple(sorted(found))
-    if memo is not None:
-        memo[key] = found
-    return found
+    return tuple(sorted(found))
 
 
 @contextlib.contextmanager
 def _shared_cones():
-    """Within the block, :func:`cone_rays` runs the engine once per key
-    (sorted distinct equality rows, sorted distinct inequality rows,
-    ``num_vars``) and hands later calls the first call's rays, checked
-    again against their own rows.  The extreme rays of a cone depend only
-    on its constraint set, and ``cone_rays`` sorts them, so a hit returns
-    what the engine would.  ``audit=True`` never reads or fills the memo;
-    it is dropped when the block ends, also on an exception."""
+    """Within the block, :func:`_cone` runs the engine once per key (the
+    row space of the equality rows, as their reduced rows each made
+    primitive with a positive pivot, which is the RREF up to scale; the
+    sorted distinct inequality rows; ``num_vars``) and hands later calls
+    the first call's rays, checked again against their own rows.  The
+    extreme rays of a cone depend only on the set it cuts out, which the
+    row space of its equalities and its inequality rows fix, and ``_cone``
+    sorts them, so a hit returns what the engine would.
+    ``cone_rays(audit=True)`` never reads or fills the memo; it is dropped
+    when the block ends, also on an exception."""
     global _cone_memo
     _cone_memo = {}
     try:

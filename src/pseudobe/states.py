@@ -31,6 +31,8 @@ from .linalg import (
     LinearEquation,
     Vector,
     _coefficient_row,
+    _cone,
+    _primitive,
     cone_rays,
     parse_fraction,
     solve_affine,
@@ -119,15 +121,16 @@ Term = tuple[tuple[int, ...], tuple[int, ...]]  # (plus, minus) indices of one r
 
 
 def _unit_free_rows(a: FiniteAlgebra, terms: Iterable[Term], width: int) -> list[IntVector]:
-    """Coefficient rows of the distinct ``terms`` with the unit's coordinate
-    moved last: element x is column x below the unit and x - 1 above it,
-    and the unit is column n - 1, kept when ``width`` is n (the state
-    polytope's t) and dropped when it is n - 1 (the cones, where the unit
-    is pinned to 0).  Repeated terms are dropped before any row is built."""
+    """Distinct primitive nonzero coefficient rows of ``terms``, in order of
+    first occurrence, with the unit's coordinate moved last: element x is
+    column x below the unit and x - 1 above it, and the unit is column
+    n - 1, kept when ``width`` is n (the state polytope's t) and dropped
+    when it is n - 1 (the cones, where the unit is pinned to 0).  Repeated
+    terms are dropped before any row is built."""
     n, u = a.size, a.unit
     column = [x - (x > u) for x in range(n)]
     column[u] = n - 1
-    rows = []
+    rows: dict[IntVector, None] = {}
     # filled in place: _coefficient_row over mapped copies of each term
     # takes half as long again
     for plus, minus in dict.fromkeys(terms):
@@ -136,8 +139,10 @@ def _unit_free_rows(a: FiniteAlgebra, terms: Iterable[Term], width: int) -> list
             row[column[i]] += 1
         for i in minus:
             row[column[i]] -= 1
-        rows.append(tuple(row[:width]))
-    return rows
+        del row[width:]
+        if any(row):
+            rows.setdefault(_primitive(row))
+    return list(rows)
 
 
 def _with_unit(a: FiniteAlgebra, values: tuple, value) -> tuple:
@@ -148,17 +153,30 @@ def _with_unit(a: FiniteAlgebra, values: tuple, value) -> tuple:
 
 @dataclass(frozen=True)
 class StateSpaceResult:
-    """The state polytope of ``algebra``: its vertices, sorted
-    lexicographically, and ``affine``, the solution space of
-    :func:`state_equations` (None when the system is inconsistent), which is
-    solved when it is first read."""
+    """The state polytope of ``algebra``.
+
+    ``rays`` are the extreme rays of the integer cone over the homogenised
+    system, as primitive integer points (s(0) t, ..., s(n-1) t, t) with
+    t > 0, so the unit's coordinate equals the last one.  ``vertices``, the
+    rays scaled to t = 1 as Fraction tuples sorted lexicographically, and
+    ``affine``, the solution space of :func:`state_equations`, are made
+    when first read."""
 
     algebra: FiniteAlgebra
-    vertices: tuple[Vector, ...]
+    rays: tuple[IntVector, ...]
 
     @cached_property
-    def affine(self) -> Optional[AffineSolutionSpace]:
-        return solve_affine(state_equations(self.algebra), self.algebra.size)
+    def vertices(self) -> tuple[Vector, ...]:
+        return tuple(sorted(tuple(Fraction(v, r[-1]) for v in r[:-1]) for r in self.rays))
+
+    @cached_property
+    def affine(self) -> AffineSolutionSpace:
+        # the all-ones point solves every state equation of any table pair:
+        # s(1) = 1, and each symmetry row's coefficients sum to 0
+        space = solve_affine(state_equations(self.algebra), self.algebra.size)
+        if space is None:
+            raise ConsistencyAlarmError("the state equations exclude the all-ones point")
+        return space
 
 
 def _state_terms(a: FiniteAlgebra) -> Iterable[Term]:
@@ -185,22 +203,18 @@ def state_equations(a: FiniteAlgebra) -> list[LinearEquation]:
 def state_space(a: FiniteAlgebra) -> StateSpaceResult:
     """All states: the solutions of :func:`state_equations` in the unit box.
 
-    The vertices are the extreme rays, scaled to t = 1, of the integer
-    cone {(x, t) : Ax = bt, 0 <= x <= t} over the homogenised system, with
-    s(1) = t taking the unit's coordinate.  An empty polytope is a legal
-    outcome, not an error.
+    The rays are those of the integer cone {(x, t) : Ax = bt, 0 <= x <= t}
+    over the homogenised system, with s(1) = t taking the unit's
+    coordinate; the vertices are the rays scaled to t = 1.  An empty
+    polytope is a legal outcome, not an error.
     """
     n = a.size
-    eqs = [LinearEquation(row, 0) for row in _unit_free_rows(a, _state_terms(a), n)]
     # x >= 0 and x <= t for each coordinate but the unit's, then t >= 0
     box = [_coefficient_row(n, (i,)) for i in range(n - 1)]
     box += [_coefficient_row(n, (n - 1,), (i,)) for i in range(n - 1)]
     box.append(_coefficient_row(n, (n - 1,)))
-    vertices = (
-        tuple(Fraction(v, r[-1]) for v in _with_unit(a, r[:-1], r[-1]))
-        for r in cone_rays(eqs, box, n)
-    )
-    return StateSpaceResult(a, tuple(sorted(vertices)))
+    rays = _cone(_unit_free_rows(a, _state_terms(a), n), box, n)
+    return StateSpaceResult(a, tuple(_with_unit(a, r[:-1], r[-1]) + r[-1:] for r in rays))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .linalg import (
     IntVector,
     LinearEquation,
     _coefficient_row,
-    cone_rays,
+    _cone,
 )
 from .states import Assignment, Term, _unit_free_rows, _with_unit
 
@@ -171,7 +171,7 @@ def valuation_cone(a: FiniteAlgebra) -> tuple[IntVector, ...]:
     back at it on every ray."""
     n = a.size
     ineqs = _unit_free_rows(a, _valuation_terms(a), n - 1)
-    rays = tuple(_with_unit(a, r, 0) for r in cone_rays([], ineqs, n - 1))
+    rays = tuple(_with_unit(a, r, 0) for r in _cone((), ineqs, n - 1))
     for ray in rays:
         if not is_pseudo_valuation(a, ray):
             raise ConsistencyAlarmError(f"valuation cone ray {ray} is not a pseudo-valuation")

@@ -80,3 +80,10 @@ def small_inputs():
     fixtures = [load_fixture(name) for name in ("bck4", "conda5", "proper6", "bounded6")]
     models = [m for n in range(1, 5) for m in enumerate_models(SearchConstraints(size=n))]
     return fixtures + models
+
+
+@pytest.fixture(scope="session")
+def size_five_models():
+    """Every model of size 5 (9,698), searched once for the slow tests that
+    read them all."""
+    return list(enumerate_models(SearchConstraints(size=5)))

@@ -10,6 +10,7 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from conftest import count_map_search
@@ -358,15 +359,29 @@ def test_early_exit_canonicity_on_random_tables(pair):
     assert finder._is_canonical(*best, relabellings)
 
 
-def test_orbit_counting():
+def _labelled_pairs(models, n):
     """Each model of size n stands for (n-1)!/|Aut(A)| labelled pairs with
-    unit 0, so the emitted models account for every labelled pair."""
+    unit 0: the relabellings that fix the unit, up to its automorphisms."""
+    return sum(
+        math.factorial(n - 1) // len(enumerate_homomorphisms(m, m, iso_only=True))
+        for m in models
+    )
+
+
+def test_orbit_counting():
+    """The emitted models account for every labelled pair: at n = 4 the 388
+    labelled leaves that the search confirms."""
     for n, labelled in zip((1, 2, 3, 4), (1, 1, 6, 388)):
-        orbits = sum(
-            math.factorial(n - 1) // len(enumerate_homomorphisms(m, m, iso_only=True))
-            for m in _models(n)
-        )
-        assert orbits == labelled, n
+        assert _labelled_pairs(_models(n), n) == labelled, n
+
+
+@pytest.mark.slow
+def test_orbit_counting_at_five(size_five_models):
+    """The same identity over the 9,698 models of size 5: the count of
+    labelled pairs that an orderly cut of the search must still account
+    for."""
+    assert len(size_five_models) == 9698
+    assert _labelled_pairs(size_five_models, 5) == 221_729
 
 
 def test_find_size_four_output_pinned():
@@ -506,11 +521,11 @@ def test_meta_sweep_runs_two_cone_engines_per_model(monkeypatch):
     runs = collections.Counter()
     for module in (states, valuations):
 
-        def counted(*args, _name=module.__name__, _run=module.cone_rays):
+        def counted(*args, _name=module.__name__, _run=module._cone):
             runs[_name] += 1
             return _run(*args)
 
-        monkeypatch.setattr(module, "cone_rays", counted)
+        monkeypatch.setattr(module, "_cone", counted)
 
     def no_measure_cone(a):
         raise AssertionError("the sweep ran the measure cone's engine")
@@ -518,20 +533,20 @@ def test_meta_sweep_runs_two_cone_engines_per_model(monkeypatch):
     monkeypatch.setattr(states, "measure_cone", no_measure_cone)
     monkeypatch.setattr(finder, "measure_cone", no_measure_cone, raising=False)
     assert verify_meta_theorems(4).models == 83
-    # 166 = 2 x 83 cone calls; models with equal rows share one engine run
+    # 166 = 2 x 83 cone calls; models with equal cones share one engine run
     # (test_sweep_runs_the_engine_once_per_distinct_row_set)
     assert runs == {"pseudobe.states": 83, "pseudobe.valuations": 83}
 
 
 def _count_engine_runs(monkeypatch):
-    """The list of ``num_vars`` of every ``cone_rays`` call that misses the
+    """The list of ``num_vars`` of every ``_cone`` call that misses the
     shared cones: each miss, and nothing else, reads a null basis."""
     runs = []
     null_basis = linalg._null_basis
 
-    def counted(rows, num_vars):
+    def counted(reduced, pivots, num_vars):
         runs.append(num_vars)
-        return null_basis(rows, num_vars)
+        return null_basis(reduced, pivots, num_vars)
 
     monkeypatch.setattr(linalg, "_null_basis", counted)
     return runs
@@ -558,32 +573,47 @@ def _primitive(row):
     return tuple(v // g for v in row)
 
 
+def _row_space(rows):
+    """The nonzero rows of sympy's RREF of ``rows``: equal exactly when the
+    row spaces are."""
+    if not rows:
+        return ()
+    reduced, _ = sympy.Matrix(rows).rref()
+    return tuple(r for r in map(tuple, reduced.tolist()) if any(r))
+
+
 def _cone_keys(n):
-    """The distinct constraint sets of the sweep's cones on the size-n
-    models, counted here from ``_unit_free_rows``: nonzero primitive rows,
-    equality rows up to sign, and the number of variables.  The state
-    polytope's inequalities are its homogenised unit box, x >= 0, x <= t
-    and t >= 0, with t the last of its n variables."""
+    """The sweep's cones on the size-n models, counted here from
+    ``_unit_free_rows``: the pv cones by their nonzero primitive rows, the
+    state cones by their equality rows up to sign and by the row space of
+    those rows, each with the number of variables.  The state polytope's
+    inequalities, its homogenised unit box x >= 0, x <= t and t >= 0 with t
+    the last of its n variables, are the same for every size-n model, so
+    its row space alone tells its cones apart."""
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     box = frozenset(
         unit[:-1] + [tuple(t - e for t, e in zip(unit[-1], x)) for x in unit[:-1]] + unit[-1:]
     )
-    keys = set()
+    pv, state_sets, state_spaces = set(), set(), set()
     for a in _models(n):
         pv_rows = _unit_free_rows(a, _valuation_terms(a), n - 1)
-        state_rows = map(_primitive, filter(any, _unit_free_rows(a, _state_terms(a), n)))
-        keys.add((frozenset(), frozenset(map(_primitive, filter(any, pv_rows))), n - 1))
-        keys.add((frozenset(max(r, tuple(-v for v in r)) for r in state_rows), box, n))
-    return keys
+        state_rows = list(map(_primitive, filter(any, _unit_free_rows(a, _state_terms(a), n))))
+        pv.add(((), frozenset(map(_primitive, filter(any, pv_rows))), n - 1))
+        state_sets.add((frozenset(max(r, tuple(-v for v in r)) for r in state_rows), n))
+        state_spaces.add((_row_space(state_rows), box, n))
+    return pv, state_sets, state_spaces
 
 
 def test_sweep_runs_the_engine_once_per_distinct_row_set(monkeypatch):
     runs = _count_engine_runs(monkeypatch)
     assert verify_meta_theorems(4).models == 83
-    keys = set().union(*map(_cone_keys, range(1, 5)))
+    keys = zip(*map(_cone_keys, range(1, 5)))
+    pv, state_sets, state_spaces = (set().union(*per_size) for per_size in keys)
+    # the 53 distinct state row sets span 22 row spaces
+    assert (len(state_sets), len(state_spaces)) == (53, 22)
     # 166 cone calls; the one-variable orthant is both the state polytope's
     # cone at n = 1 and the pv cone at n = 2
-    assert len(runs) == len(keys) == 113
+    assert len(runs) == len(pv | state_spaces) == 82
 
 
 def test_shared_cones_last_one_sweep(monkeypatch):

@@ -316,7 +316,7 @@ def test_cone_alarm_on_corrupted_integer_basis(monkeypatch):
     # the default path reads its basis off the integer RREF; a basis vector
     # off the equality x = 0 yields a ray that the check against the rows trips
     assert cone_rays([_eq([1, 0], 0)], [(1, 0), (0, 1)], 2) == ((0, 1),)
-    monkeypatch.setattr(linalg, "_null_basis", lambda rows, n: [(1, 1)])
+    monkeypatch.setattr(linalg, "_null_basis", lambda reduced, pivots, n: [(1, 1)])
     with pytest.raises(ConsistencyAlarmError):
         cone_rays([_eq([1, 0], 0)], [(1, 0), (0, 1)], 2)
 
@@ -405,7 +405,7 @@ def test_integer_cone_basis_matches_fraction_audit(n, base, copies, ineq_rows):
     rows = base + scaled + base + [(0,) * n]
     eqs = [LinearEquation(r, 0) for r in rows]
     audit_basis = solve_affine(eqs, n, audit=True).basis
-    integer_basis = linalg._null_basis(linalg._equality_rows(rows), n)
+    integer_basis = linalg._null_basis(*linalg._integer_rref(linalg._equality_rows(rows)), n)
     assert integer_basis == [linalg._primitive(b) for b in audit_basis]
     nonneg = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     ineqs = [tuple(r[:n]) for r in ineq_rows] * 2 + [(0,) * n] + nonneg

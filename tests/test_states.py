@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import FIXTURES, load_fixture
 from pseudobe import states
 from pseudobe.algebra import FiniteAlgebra, UnboundedAlgebraError, check_axioms, negations, vee1
 from pseudobe.dsystems import is_involutive_ds
@@ -419,19 +420,54 @@ def test_engine_matches_audit_on_six_element_fixtures(proper6, bounded6):
         _engine_matches_audit(a)
 
 
+def _every_input(small_inputs):
+    """The small inputs and the .alg fixtures outside them."""
+    names = {a.name for a in small_inputs}
+    fixtures = [load_fixture(p.stem) for p in sorted(FIXTURES.glob("*.alg"))]
+    return small_inputs + [a for a in fixtures if a.name not in names]
+
+
 def test_state_space_matches_the_fraction_box_audit(small_inputs):
-    """``state_space`` reads its vertices off the integer cone over the
+    """``state_space`` reads its rays off the integer cone over the
     homogenised system, with the unit's coordinate as t; the independent
     path solves ``state_equations`` in Fractions and runs the active-set
     enumerator ``box_vertices`` on that space.  ``affine`` is that space (by
-    repr, so types count)."""
-    for a in small_inputs:
+    repr, so types count).  The meta sweep reads the state kernels and the
+    bounded filter off the integer rays (s(0) t, ..., s(n-1) t, t): each ray
+    scaled to t = 1 is a vertex, {x : r[x] = t} is ``state_kernel`` of it,
+    and r[x] = 0 exactly where it is 0.  Checked on every model of size
+    <= 4 and every .alg fixture."""
+    inputs = _every_input(small_inputs)
+    assert len(inputs) == 89
+    for a in inputs:
         n = a.size
         space = solve_affine(state_equations(a), n)
         result = state_space(a)
         assert repr(result.affine) == repr(space), a.name
-        expected = () if space is None else box_vertices(space, [0] * n, [1] * n)
-        assert repr(result.vertices) == repr(expected), a.name
+        assert repr(result.vertices) == repr(box_vertices(space, [0] * n, [1] * n)), a.name
+        scaled = [tuple(F(v, r[-1]) for v in r[:-1]) for r in result.rays]
+        assert sorted(scaled) == list(result.vertices), a.name
+        for r, v in zip(result.rays, scaled):
+            assert all(type(c) is int for c in r) and r[a.unit] == r[-1] > 0, a.name
+            assert frozenset(x for x in range(n) if r[x] == r[-1]) == state_kernel(a, v), a.name
+            assert [r[x] == 0 for x in range(n)] == [v[x] == 0 for x in range(n)], a.name
+
+
+def test_all_ones_solves_every_state_system(small_inputs):
+    """s(1) = 1, and each symmetry row's coefficients sum to 0, so the
+    all-ones point solves the state equations of any table pair, and
+    ``affine``, their canonical solution space, is never empty."""
+    for a in _every_input(small_inputs):
+        ones = (1,) * a.size
+        assert all(eq.residual(ones) == 0 for eq in state_equations(a)), a.name
+        assert all(eq.residual(ones) == 0 for eq in state_space(a).affine.equalities), a.name
+
+
+def test_empty_state_system_alarms(conda5, monkeypatch):
+    # an empty solution space would contradict the all-ones point
+    monkeypatch.setattr(states, "solve_affine", lambda eqs, n: None)
+    with pytest.raises(ConsistencyAlarmError):
+        state_space(conda5).affine
 
 
 def _outcome(build):
@@ -444,7 +480,7 @@ def _outcome(build):
 
 def _state_vertices_by_box(a):
     space = solve_affine(state_equations(a), a.size)
-    return () if space is None else box_vertices(space, [0] * a.size, [1] * a.size)
+    return box_vertices(space, [0] * a.size, [1] * a.size)
 
 
 @st.composite

@@ -166,13 +166,13 @@ def test_flags_but_distributive_are_swap_invariant(pseudo_be):
     assert flipped > 0
 
 
-def _assert_swap_closed(n):
-    """The canonical name of each size-n model's swap is an emitted name,
-    and each BE model, its own swap, is self-dual."""
-    models = list(enumerate_models(SearchConstraints(n)))
+def _assert_swap_closed(models):
+    """The canonical name of each model's swap is an emitted name, and each
+    BE model, its own swap, is self-dual; ``models`` are every model of one
+    size."""
     names = {m.name for m in models}
     for m in models:
-        dual = _model_name(n, *canonical_tables(m.squig, m.arrow, m.unit))
+        dual = _model_name(m.size, *canonical_tables(m.squig, m.arrow, m.unit))
         assert dual in names, m.name
         assert dual == m.name or not m.is_be(), m.name
 
@@ -181,14 +181,14 @@ def test_search_is_closed_under_the_swap():
     """For n <= 4 the search treats -> and ~> alike: the models it emits
     are closed under the swap."""
     for n in (1, 2, 3, 4):
-        _assert_swap_closed(n)
+        _assert_swap_closed(list(enumerate_models(SearchConstraints(n))))
 
 
 @pytest.mark.slow
-def test_search_is_closed_under_the_swap_at_five():
+def test_search_is_closed_under_the_swap_at_five(size_five_models):
     """The same at n = 5, where no audit of the search runs: the one check
     there that the propagator keeps the -> and ~> twins alike."""
-    _assert_swap_closed(5)
+    _assert_swap_closed(size_five_models)
 
 
 def test_a_model_and_its_swap_share_their_cones(pseudo_be):

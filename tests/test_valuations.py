@@ -146,8 +146,11 @@ def test_cone_rays_bounded6(bounded6):
 
 
 def test_cone_alarm_on_unverified_ray(conda5, monkeypatch):
-    # a ray that is not a pseudo-valuation must not pass the re-verification
-    monkeypatch.setattr(valuations, "cone_rays", lambda eqs, ineqs, n: (PHI_WEAK,))
+    # a ray that is not a pseudo-valuation must not pass the re-verification;
+    # the engine's rays leave out the unit's coordinate, which is 0 here
+    u = conda5.unit
+    ray = PHI_WEAK[:u] + PHI_WEAK[u + 1 :]
+    monkeypatch.setattr(valuations, "_cone", lambda eqs, rows, n: (ray,))
     with pytest.raises(ConsistencyAlarmError):
         valuation_cone(conda5)
 

@@ -135,8 +135,15 @@ MUTANTS = (
     Mutant(
         "cone-memo-key-drops-equalities",
         "src/pseudobe/linalg.py",
-        "key = (tuple(sorted(equality_rows)), tuple(sorted(rows)), num_vars)",
+        "key = (space, tuple(sorted(rows)), num_vars)",
         "key = (tuple(sorted(rows)), num_vars)",
+        "tests/test_finder.py::test_shared_cones_equal_unshared_runs",
+    ),
+    Mutant(
+        "row-space-key-keeps-first-row",
+        "src/pseudobe/linalg.py",
+        "key = (space, tuple(sorted(rows)), num_vars)",
+        "key = (space[:1], tuple(sorted(rows)), num_vars)",
         "tests/test_finder.py::test_shared_cones_equal_unshared_runs",
     ),
     Mutant(
