@@ -4,11 +4,13 @@ Verification, kernel/image, DS transport, and enumeration of homomorphisms
 and isomorphisms on ``search_maps``, the partial-map backtracker that also
 enumerates :mod:`pseudobe.operators` and the table pairs of
 :mod:`pseudobe.finder`; ``scan_maps``, the only search under
-``SEARCH_GUARD``, is their audit oracle.  Both take one sequence of allowed
-values per point and stream what ``accept`` returns for each map, skipping
-None; homomorphisms and internal states allow every value at every point,
-the finder each free cell's value pairs.
-The enumerators here and in :mod:`pseudobe.operators` return tuples.
+``SEARCH_GUARD``, is the audit oracle of those two modules' searches.  Both
+take one sequence of allowed values per point and stream what ``accept``
+returns for each map, skipping None; homomorphisms and internal states
+allow every value at every point, the finder each free cell's value pairs.
+The homomorphism search's unpruned twin, a filter over every map, is a
+test oracle (``tests/oracles.py``).  The enumerators here and in
+:mod:`pseudobe.operators` return tuples.
 """
 
 from __future__ import annotations
@@ -175,13 +177,12 @@ def equation_check(n: int, equations) -> Check:
 
 
 def enumerate_homomorphisms(
-    a: FiniteAlgebra, b: FiniteAlgebra, iso_only: bool = False, audit: bool = False
+    a: FiniteAlgebra, b: FiniteAlgebra, iso_only: bool = False
 ) -> tuple[Homomorphism, ...]:
     """All homomorphisms A -> B in lexicographic map order.
 
     The search offers each point every element of B and checks each
-    preservation equation once its points are assigned; ``audit=True``
-    filters all |B|^|A| maps instead.
+    preservation equation once its points are assigned.
     """
 
     def accept(m: Map) -> Optional[Homomorphism]:
@@ -190,8 +191,6 @@ def enumerate_homomorphisms(
         return f if is_homomorphism(f) and (not iso_only or f.is_bijective()) else None
 
     domains = [range(b.size)] * a.size
-    if audit:
-        return tuple(scan_maps(domains, accept))
     pairs = [(p, q) for p in range(a.size) for q in range(a.size)]
     tables = ((a.arrow, b.arrow), (a.squig, b.squig))
     check = equation_check(a.size, [(p, q, s[p][q], t) for s, t in tables for p, q in pairs])

@@ -29,21 +29,17 @@ t > 0, scaled to t = 1 (:func:`pseudobe.states.state_space`).  Within
 :func:`_shared_cones`, which the meta sweep opens, cones with the same row
 space of equalities and the same inequality rows share one engine run.
 
-``audit=True`` takes a cone's basis from ``solve_affine(audit=True)``
-instead, and replaces the engine by the active-set enumerator, which tries
-every choice of active constraints and solves each with
-``solve_affine(audit=True)``, the one caller of the Fraction RREF
-:func:`_rref`.  :func:`box_vertices`, the vertices of a Fraction solution
-space inside a coordinate box, is the same kind of enumerator over the
-bound constraints, kept as the state polytope's oracle.  Every output ray
-or vertex is re-checked against every input equality and inequality in
-integers.
+Every output ray is re-checked against every input equality and
+inequality in integers.  The independent twins of these paths, a
+Fraction RREF over every input row, an active-set cone enumerator and an
+active-set vertex enumerator for a box, are test oracles
+(``tests/oracles.py``), written from the definitions without this
+module's helpers.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,20 +47,12 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-# guards the active-set enumerators (the cone audit and box_vertices): their
-# choices grow combinatorially in d
-MAX_DIMENSION = 6
-
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 
 # _cone's results by (row space of the equality rows, sorted inequality
 # rows, num_vars) while _shared_cones is open, else None
 _cone_memo: Optional[dict[tuple, tuple[IntVector, ...]]] = None
-
-
-class DimensionTooLargeError(ValueError):
-    """Solution-space dimension exceeds the guard of an audit enumerator."""
 
 
 class ConsistencyAlarmError(AssertionError):
@@ -96,9 +84,6 @@ class LinearEquation:
     coeffs: IntVector | Vector
     rhs: int | Fraction
 
-    def residual(self, point: Sequence[Fraction]) -> Fraction:
-        return sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0)) - self.rhs
-
 
 @dataclass(frozen=True)
 class AffineSolutionSpace:
@@ -117,57 +102,17 @@ class AffineSolutionSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def point(self, coords: Sequence[Fraction]) -> Vector:
-        if len(coords) != self.dimension:
-            raise ValueError(f"expected {self.dimension} coordinates, got {len(coords)}")
-        vals = list(self.particular)
-        for lam, direction in zip(coords, self.basis):
-            for i, d in enumerate(direction):
-                vals[i] += lam * d
-        return tuple(vals)
-
 
 def _require_arity(rows: Iterable[Sequence], num_vars: int, kind: str) -> None:
     if any(len(row) != num_vars for row in rows):
         raise ValueError(f"{kind} arity mismatch")
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns).
-
-    Pivot columns are chosen left to right so the output is canonical.
-    """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r] + [row for row in rows[r:] if any(v != 0 for v in row)], pivots
-
-
 def _integer_rref(rows: list[IntVector]) -> tuple[list[IntVector], list[int]]:
-    """:func:`_rref` of integer rows, eliminating in integers; returns
-    (integer rows, pivot columns).
+    """Reduced row echelon form of integer rows, eliminating in integers;
+    returns (integer rows, pivot columns).
 
+    Pivot columns are chosen left to right, so the output is canonical.
     Each updated row is divided by its gcd.  Returned row i is row i of
     the RREF times its pivot entry ``row[pivots[i]]``, which may be
     negative; dividing by it is left to the caller.
@@ -196,7 +141,7 @@ def _integer_rref(rows: list[IntVector]) -> tuple[list[IntVector], list[int]]:
 
 
 def solve_affine(
-    equalities: Sequence[LinearEquation], num_vars: int, audit: bool = False
+    equalities: Sequence[LinearEquation], num_vars: int
 ) -> Optional[AffineSolutionSpace]:
     """Solve an equality system exactly; ``None`` means inconsistent.
 
@@ -204,20 +149,16 @@ def solve_affine(
     one direction per free variable (that variable set to 1).  Each
     augmented row is scaled to a primitive integer row whose first nonzero
     entry is positive, zero rows and repeats are dropped, and the rest is
-    reduced by :func:`_integer_rref`.  A system's RREF depends only on its
-    row space, so ``audit=True``, which runs the Fraction :func:`_rref` over
-    every input row, returns the same space.
+    reduced by :func:`_integer_rref`, then divided by its pivots.  A
+    system's RREF depends only on its row space, so the result does not
+    depend on the order, scale or repetition of the rows.
     """
     _require_arity((eq.coeffs for eq in equalities), num_vars, "equation")
-    if audit:
-        rows, pivots = _rref([[Fraction(v) for v in (*eq.coeffs, eq.rhs)] for eq in equalities])
-    else:
-        rows, pivots = _integer_rref(_equality_rows((*eq.coeffs, eq.rhs) for eq in equalities))
-        rows = [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
+    rows, pivots = _integer_rref(_equality_rows((*eq.coeffs, eq.rhs) for eq in equalities))
+    rows = [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
     # a pivot in the right-hand side column is a row 0 = nonzero
     if pivots and pivots[-1] == num_vars:
         return None
-    rows = rows[: len(pivots)]
     free = [c for c in range(num_vars) if c not in pivots]
 
     particular = [Fraction(0)] * num_vars
@@ -371,24 +312,6 @@ def _dd_rays(rows: list[IntVector], start: list[int]) -> list[IntVector]:
     return rays
 
 
-def _active_set_rays(rows: list[IntVector], d: int) -> list[list[Fraction]]:
-    """Audit path: an extreme ray spans the null space of d - 1 independent
-    active rows, so solve every choice of d - 1 rows with
-    ``solve_affine(audit=True)``, skip those whose null space is not a line,
-    and keep each sign of the spanning vector that satisfies every row."""
-    found = []
-    for combo in itertools.combinations(rows, d - 1):
-        space = solve_affine([LinearEquation(r, Fraction(0)) for r in combo], d, audit=True)
-        if space.dimension != 1:
-            continue
-        lam = space.basis[0]
-        for sign in (1, -1):
-            cand = [sign * v for v in lam]
-            if all(_dot(r, cand) >= 0 for r in rows):
-                found.append(cand)
-    return found
-
-
 def _independent_rows(rows: list[IntVector], d: int) -> list[int]:
     """Indices of the first d linearly independent ``rows``; ``ValueError``
     when they span less, as the cone then contains a line."""
@@ -399,15 +322,12 @@ def _independent_rows(rows: list[IntVector], d: int) -> list[int]:
     return start
 
 
-def _rays(
-    generators: Sequence[IntVector], rows: Sequence[IntVector], audit: bool
-) -> set[IntVector]:
+def _rays(generators: Sequence[IntVector], rows: Sequence[IntVector]) -> set[IntVector]:
     """Extreme rays of ``{x = sum lam_j g_j : r . x >= 0}`` as primitive
     integer vectors, for linearly independent integer generators g_j."""
     d = len(generators)
     reduced = _distinct_rows([_dot(r, g) for g in generators] for r in rows)
-    start = _independent_rows(reduced, d)
-    lams = _active_set_rays(reduced, d) if audit else _dd_rays(reduced, start)
+    lams = _dd_rays(reduced, _independent_rows(reduced, d))
     return {
         _primitive([_dot(lam, coords) for coords in zip(*generators)]) for lam in lams
     }
@@ -415,47 +335,6 @@ def _rays(
 
 # ---------------------------------------------------------------------------
 # public enumerators
-
-
-def box_vertices(
-    space: AffineSolutionSpace, lower: Sequence, upper: Sequence
-) -> tuple[Vector, ...]:
-    """Vertices of ``space`` intersected with the box [lower, upper], sorted
-    lexicographically: every choice of ``dimension`` active bound
-    constraints is solved with ``solve_affine(audit=True)``.
-
-    :func:`pseudobe.states.state_space` reads the state polytope off an
-    integer cone instead; this enumerator, which builds no cone, is its
-    test oracle.
-    """
-    n = space.num_vars
-    _require_arity((lower, upper), n, "bound")
-    d = space.dimension
-    if d > MAX_DIMENSION:
-        raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
-    unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
-    # constraint rows on the homogeneous point (x, t)
-    bounds = [_primitive(e + (-lower[i],)) for i, e in enumerate(unit)]
-    bounds += [_primitive(tuple(-v for v in e) + (upper[i],)) for i, e in enumerate(unit)]
-    equalities = [_primitive(eq.coeffs + (-eq.rhs,)) for eq in space.equalities]
-    # hyperplanes basis . lam + (particular - bound) = 0, one per bound
-    planes = _distinct_rows(
-        tuple(b[i] for b in space.basis) + (space.particular[i] - bound,)
-        for i in range(n)
-        for bound in (lower[i], upper[i])
-    )
-    found = set()
-    for combo in itertools.combinations(planes, d):
-        choice = [LinearEquation(r[:d], Fraction(-r[d])) for r in combo]
-        solution = solve_affine(choice, d, audit=True)
-        # skip inconsistent and singular choices
-        if solution is None or solution.dimension > 0:
-            continue
-        p = space.point(solution.particular)
-        if all(lower[i] <= p[i] <= upper[i] for i in range(n)):
-            found.add(_primitive(p + (1,)))
-    _check(found, equalities, bounds)
-    return tuple(sorted(tuple(Fraction(v, r[n]) for v in r[:n]) for r in found))
 
 
 def _cone(
@@ -480,7 +359,7 @@ def _cone(
         found = memo.get(key)
     if found is None:
         basis = _null_basis(reduced, pivots, num_vars)
-        found = tuple(sorted(_rays(basis, rows, False))) if basis else ()
+        found = tuple(sorted(_rays(basis, rows))) if basis else ()
         if memo is not None:
             memo[key] = found
     _check(found, equality_rows, rows)
@@ -491,7 +370,6 @@ def cone_rays(
     equalities: Sequence[LinearEquation],
     inequalities: Sequence[IntVector | Vector],
     num_vars: int,
-    audit: bool = False,
 ) -> tuple[IntVector, ...]:
     """Extreme rays of ``{x : equalities(x)=0, ineq . x >= 0}``.
 
@@ -505,10 +383,6 @@ def cone_rays(
     The rows are made distinct and primitive and handed to :func:`_cone`,
     so no Fraction is made; with no equality rows the basis is the unit
     vectors, on which the inequality rows project to themselves.
-    ``audit=True`` takes the basis from ``solve_affine(audit=True)``
-    instead, with an alarm on a nonzero particular solution, and enumerates
-    every choice of d - 1 active inequalities instead of running the double
-    description engine; it neither reads nor fills the shared cones.
     """
     for eq in equalities:
         if eq.rhs != 0:
@@ -516,19 +390,7 @@ def cone_rays(
     _require_arity(inequalities, num_vars, "inequality")
     _require_arity((eq.coeffs for eq in equalities), num_vars, "equation")
     equality_rows = _equality_rows(eq.coeffs for eq in equalities)
-    rows = _distinct_rows(inequalities)
-    if not audit:
-        return _cone(equality_rows, rows, num_vars)
-    space = solve_affine(equalities, num_vars, audit=True)
-    if space is None or any(v != 0 for v in space.particular):
-        raise ConsistencyAlarmError("homogeneous system without the solution 0")
-    basis = [_primitive(b) for b in space.basis]
-    d = len(basis)
-    if d > MAX_DIMENSION:
-        raise DimensionTooLargeError(f"solution-space dimension {d} > {MAX_DIMENSION}")
-    found = _rays(basis, rows, True) if d else ()
-    _check(found, equality_rows, rows)
-    return tuple(sorted(found))
+    return _cone(equality_rows, _distinct_rows(inequalities), num_vars)
 
 
 @contextlib.contextmanager
@@ -540,9 +402,8 @@ def _shared_cones():
     the first call's rays, checked again against their own rows.  The
     extreme rays of a cone depend only on the set it cuts out, which the
     row space of its equalities and its inequality rows fix, and ``_cone``
-    sorts them, so a hit returns what the engine would.
-    ``cone_rays(audit=True)`` never reads or fills the memo; it is dropped
-    when the block ends, also on an exception."""
+    sorts them, so a hit returns what the engine would.  The memo is
+    dropped when the block ends, also on an exception."""
     global _cone_memo
     _cone_memo = {}
     try:

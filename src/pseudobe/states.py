@@ -1,8 +1,8 @@
 """Bosbach states, state-morphisms, measures, and their exact geometry.
 
 All candidates are rational-valued assignments checked exactly.  Each
-system is generated once as ``(plus, minus)`` index terms, which feed both
-the public equation builders and the polyhedra.  The polyhedra are built
+system is generated once as ``(plus, minus)`` index terms, which feed the
+polyhedra and, for states, :func:`state_equations`.  The polyhedra are built
 from the distinct terms with the unit's coordinate dropped, since the
 unit pins it (m(1) = 0, s(1) = t): the state polytope is read off the
 integer cone over its homogenised system, {(x, t) : Ax = bt, 0 <= x <= t},
@@ -264,7 +264,7 @@ def _nonnegative_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
 
 def measure_witness(a: FiniteAlgebra, m: Assignment) -> Optional[Witness]:
     """Difference property over comparable pairs; nonnegative values;
-    m(1) = 0, as in :func:`measure_equations`.
+    m(1) = 0, as :func:`measure_cone` pins it.
 
     On a pseudo-BE algebra the pair (1, 1) already forces m(1) = 0, so the
     ``m1`` witness is reached only on tables outside the theory.
@@ -316,14 +316,6 @@ def _measure_terms(a: FiniteAlgebra) -> Iterable[Term]:
             if leq(a, y, x):
                 for table in (a.arrow, a.squig):
                     yield (table[x][y], x), (y,)
-
-
-def measure_equations(a: FiniteAlgebra) -> list[LinearEquation]:
-    """m(1)=0 plus m(x->y)=m(y)-m(x) (both tables) for each y <= x."""
-    n = a.size
-    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), 0)]
-    eqs += [LinearEquation(_coefficient_row(n, *term), 0) for term in _measure_terms(a)]
-    return eqs
 
 
 def measure_cone(a: FiniteAlgebra) -> tuple[IntVector, ...]:

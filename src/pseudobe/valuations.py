@@ -14,13 +14,7 @@ from typing import Iterable, Optional
 from .algebra import FiniteAlgebra, Witness, vee1, vee2
 from .dsystems import Subset, is_deductive_system, is_fantastic
 from .homs import Homomorphism, _require_hom
-from .linalg import (
-    ConsistencyAlarmError,
-    IntVector,
-    LinearEquation,
-    _coefficient_row,
-    _cone,
-)
+from .linalg import ConsistencyAlarmError, IntVector, _cone
 from .states import Assignment, Term, _unit_free_rows, _with_unit
 
 ZERO = Fraction(0)
@@ -150,17 +144,6 @@ def _valuation_terms(a: FiniteAlgebra) -> Iterable[Term]:
         for y in range(n):
             for table in (a.arrow, a.squig):
                 yield (table[x][y], x), (y,)
-
-
-def valuation_equations(a: FiniteAlgebra) -> tuple[list[LinearEquation], list[IntVector]]:
-    """Equalities and inequalities cutting out the pseudo-valuation cone.
-
-    phi(1)=0; phi(y)-phi(x) <= phi(x->y) and phi(y)-phi(x) <= phi(x~>y)
-    for all pairs.  Nonnegativity is implied (take y := 1).
-    """
-    n = a.size
-    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), 0)]
-    return eqs, [_coefficient_row(n, *term) for term in _valuation_terms(a)]
 
 
 def valuation_cone(a: FiniteAlgebra) -> tuple[IntVector, ...]:

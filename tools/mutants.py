@@ -133,6 +133,20 @@ MUTANTS = (
         "tests/test_swap.py::test_answers_are_relabelling_equivariant",
     ),
     Mutant(
+        "null-basis-without-pivot-scale",
+        "src/pseudobe/linalg.py",
+        "x[c] = -row[free] * (scale // row[c])",
+        "x[c] = -row[free]",
+        "tests/test_linalg.py::test_integer_cone_basis_matches_fraction_audit",
+    ),
+    Mutant(
+        "solve-affine-ignores-inconsistency",
+        "src/pseudobe/linalg.py",
+        "if pivots and pivots[-1] == num_vars:",
+        "if False:",
+        "tests/test_linalg.py::test_solve_inconsistent",
+    ),
+    Mutant(
         "cone-memo-key-drops-equalities",
         "src/pseudobe/linalg.py",
         "key = (space, tuple(sorted(rows)), num_vars)",
