@@ -94,10 +94,6 @@ class FiniteAlgebra:
     def token(self, x: int) -> str:
         return self.elements[x]
 
-    def is_be(self) -> bool:
-        """arrow and squig coincide everywhere."""
-        return self.arrow == self.squig
-
 
 # A failed check's tag and tuple.  Every witness function scans its tuples
 # in lexicographic order and, at each tuple, the -> condition before its ~>
@@ -176,10 +172,11 @@ class AxiomReport:
 # axioms, each declared once in the paper's notation: an identity over x, y,
 # z and the unit 1, whose terms join two atoms or parenthesized terms by ->,
 # ~>, v1 or v2, and whose formula is a conjunction (&) of equations t = s,
-# optionally followed by => or <=> and a second conjunction.  An identity
-# that several systems share is declared once.  ``_identity`` compiles each
-# once per process, on first use, for ``check_axioms``, ``_holds`` and the
-# model finder's fixed cells, propagator and watched cells.
+# optionally followed by => or <=> and a second conjunction.  The conclusion
+# of a plain or => formula may instead be a disjunction (|) of equations.
+# An identity that several systems share is declared once.  ``_identity``
+# compiles each once per process, on first use, for ``check_axioms``,
+# ``_holds`` and the model finder's fixed cells, propagator and watched cells.
 
 _UNIT_RIGHT = "x -> 1 = 1 & x ~> 1 = 1"
 _UNIT_LEFT = "1 -> x = x & 1 ~> x = x"
@@ -188,6 +185,7 @@ _SAME_ORDER = "x -> y = 1 <=> x ~> y = 1"
 _SWAP_LAW = (
     "(x -> z) ~> (y -> z) = (z -> x) ~> (y -> x) & (x ~> z) -> (y ~> z) = (z ~> x) -> (y ~> x)"
 )
+_ANTISYMMETRY = "x -> y = 1 & y -> x = 1 => x = y"
 
 _SYSTEM_AXIOMS: dict[str, dict[str, str]] = {
     "pseudo-BE": dict(
@@ -200,7 +198,7 @@ _SYSTEM_AXIOMS: dict[str, dict[str, str]] = {
         psBCK3="1 -> x = x",
         psBCK4="1 ~> x = x",
         psBCK5="x -> 1 = 1",
-        psBCK6="x -> y = 1 & y -> x = 1 => x = y",
+        psBCK6=_ANTISYMMETRY,
     ),
     "condition-A": dict(A="x -> y = 1 => (y -> z) -> (x -> z) = 1 & (y ~> z) -> (x ~> z) = 1"),
     "distributive": dict(dist="x -> (y ~> z) = (x -> y) ~> (x -> z)"),
@@ -213,22 +211,34 @@ _SYSTEM_AXIOMS: dict[str, dict[str, str]] = {
 
 AXIOM_SYSTEMS = tuple(_SYSTEM_AXIOMS)
 
+# the structural flags that are identities but no axiom system of
+# ``check_axioms``: BE, whose two implications coincide, and linear, whose
+# order is total and antisymmetric; ``classify`` decides them with
+# ``_holds``, and the model finder prunes by them as by a system's axioms
+_FLAG_IDENTITIES: dict[str, dict[str, str]] = {
+    "BE": dict(BE="x -> y = x ~> y"),
+    "linear": dict(total="x -> y = 1 | y -> x = 1", antisymmetric=_ANTISYMMETRY),
+}
+
 _ATOMS = {"x": "x", "y": "y", "z": "z", "1": "u"}
 # the tables A (->) and S (~>) an operator reads, innermost first:
 # x v1 y = (x -> y) ~> y and x v2 y = (x ~> y) -> y
 _OPERATORS = {"->": "A", "~>": "S", "v1": "AS", "v2": "SA"}
 
 
-def _violation(premise, kind, conclusion) -> str:
+def _violation(premise, kind, conclusion, disjunctive: bool) -> str:
     """The condition under which one tuple violates the formula (a plain
-    conjunction has an empty premise).  An entry n is unassigned: only a
-    violation that the assigned entries decide counts."""
+    formula has an empty premise).  A conjunctive conclusion is broken when
+    one of its equations fails, a disjunctive one when all of them do.  An
+    entry n is unassigned: only a violation that the assigned entries decide
+    counts."""
 
     def side(equations, form: str, join: str) -> str:
         return "(" + (join.join(form.format(*e) for e in equations) or "True") + ")"
 
     eq, ne = "{} == {} != n", "n != {} != {} != n"
-    broken = f"{side(premise, eq, ' and ')} and {side(conclusion, ne, ' or ')}"
+    fails = side(conclusion, ne, " and " if disjunctive else " or ")
+    broken = f"{side(premise, eq, ' and ')} and {fails}"
     if kind == "<=>":
         broken += f" or {side(premise, ne, ' or ')} and {side(conclusion, eq, ' and ')}"
     return broken
@@ -266,9 +276,9 @@ def _identity(text: str) -> tuple[str, list, Callable, Callable]:
                 left = f"{table}[{left}][{right}]"
         return left
 
-    def equations(conjunction: str) -> list[tuple[str, ...]]:
+    def equations(formula: str) -> list[tuple[str, ...]]:
         found = []
-        for equation in filter(None, conjunction.split(" & ")):
+        for equation in filter(None, re.split(" [&|] ", formula)):
             sides = [re.findall(r"->|~>|v[12]|\S", s)[::-1] for s in equation.split(" = ")]
             found.append(tuple(term(tokens) for tokens in sides))
             if len(sides) != 2 or any(sides):
@@ -277,11 +287,17 @@ def _identity(text: str) -> tuple[str, list, Callable, Callable]:
 
     parts = re.split(r" (<=>|=>) ", text)
     premise, kind, conclusion = parts if len(parts) > 1 else ("", None, text)
+    disjunctive = " | " in conclusion
+    if " | " in premise or disjunctive and (" & " in conclusion or kind == "<=>"):
+        raise ValueError(
+            f"declaration {text!r}: | joins only a whole conclusion, after => or alone"
+        )
     premise, conclusion = equations(premise), equations(conclusion)
     variables = "".join(sorted(set(re.findall("[xyz]", text))))
     names = ", ".join(variables) + ","
     scan = f"({names}) for {names} in ts if"
-    broken, reads = _violation(premise, kind, conclusion), " or ".join(addresses) or "False"
+    broken = _violation(premise, kind, conclusion, disjunctive)
+    reads = " or ".join(addresses) or "False"
     code: dict[str, Callable] = {}
     exec(
         f"def violations(A, S, u, n, ts):\n    return ({scan} {broken})\n"
@@ -309,12 +325,14 @@ def _holds(arrow, squig, unit: int, system: str, verdicts: Optional[dict] = None
     """``check_axioms(...).holds`` for the tables, decided at the first
     violating tuple: the rest of the scan is skipped.
 
-    ``verdicts`` maps declaration texts to their verdicts on these tables.
-    A declaration found there is not scanned, and each one scanned is
-    entered, so systems that share a declaration decide it once.
+    ``system`` may also be a flag of ``_FLAG_IDENTITIES``.  ``verdicts``
+    maps declaration texts to their verdicts on these tables.  A declaration
+    found there is not scanned, and each one scanned is entered, so systems
+    and flags that share a declaration decide it once.
     """
     known = {} if verdicts is None else verdicts
-    for text in _declarations(system).values():
+    texts = _FLAG_IDENTITIES[system] if system in _FLAG_IDENTITIES else _declarations(system)
+    for text in texts.values():
         if text not in known:
             known[text] = not any(_violations(arrow, squig, unit, text))
         if not known[text]:
@@ -361,8 +379,9 @@ class ClassificationReport:
 def classify(a: FiniteAlgebra) -> ClassificationReport:
     """Decide every axiom-system flag plus the derived structural flags.
 
-    Each axiom-system flag is :func:`_holds`: it is decided false at the
-    first identity with a violation, without scanning the rest.
+    Each axiom-system flag, and each flag of ``_FLAG_IDENTITIES``, is
+    :func:`_holds`: it is decided false at the first identity with a
+    violation, without scanning the rest.
     """
     return _classify(a, ())
 
@@ -370,20 +389,14 @@ def classify(a: FiniteAlgebra) -> ClassificationReport:
 def _classify(a: FiniteAlgebra, holding: tuple[str, ...]) -> ClassificationReport:
     """:func:`classify` of an algebra on which the axiom systems named in
     ``holding`` are known to hold: their declarations are not scanned.  A
-    declaration that several systems share is scanned once."""
+    declaration that several systems or flags share is scanned once."""
     verdicts = {text: True for system in holding for text in _declarations(system).values()}
-    pseudo_be, pseudo_bck, condition_a, distributive, commutative, p_system, q_system = (
-        _holds(a.arrow, a.squig, a.unit, system, verdicts) for system in AXIOM_SYSTEMS
+    (pseudo_be, pseudo_bck, condition_a, distributive, commutative, p_system, q_system,
+     be, linear) = (
+        _holds(a.arrow, a.squig, a.unit, flag, verdicts)
+        for flag in (*AXIOM_SYSTEMS, *_FLAG_IDENTITIES)
     )
-    be = a.is_be()
     proper = pseudo_be and not be
-
-    # linear: the derived preorder is total and antisymmetric, so exactly
-    # one of x <= y and y <= x holds for x != y
-    le = [[v == a.unit for v in row] for row in a.arrow]
-    rng = range(a.size)
-    linear = all(le[x][y] != le[y][x] or x == y and le[x][x] for x in rng for y in rng)
-
     bounded = a.bottom is not None
     good = involutive = None
     reg = den = None

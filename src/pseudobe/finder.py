@@ -7,9 +7,9 @@ search is derived from the declared identities of ``algebra``: psBE1-3 fix
 the unit rows and columns and the diagonal, psBE5 leaves each other cell
 a domain of value pairs, the only pairs the search and its audit offer it
 (the BE flag's identity narrows it to the equal pairs), and each instance
-of the exchange identity and of the identities of the flagged axiom
-systems is tested at a cell exactly when the assigned prefix shows that it
-reads that cell (watched cells).
+of the exchange identity and of the identities of the other flags (an
+axiom system's, or linear's) is tested at a cell exactly when the assigned
+prefix shows that it reads that cell (watched cells).
 Isomorphic duplicates are rejected by a canonical form: the
 lexicographically minimal table pair over all carrier permutations fixing
 the unit.  Each leaf of the search, a labelled pair, is first confirmed
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .algebra import (
+    _FLAG_IDENTITIES,
     _SYSTEM_AXIOMS,
     FiniteAlgebra,
     _classify,
@@ -62,9 +63,11 @@ STRUCTURE_FLAGS = (
 _TOKENS = "1abcdefghijklmnopqrstuvwxy"
 
 # the declarations by which each flag prunes the search: its axiom system's,
-# or for BE the one identity that makes the two tables equal (BE is no axiom
-# system of ``classify``); the other flags are only filtered
-_FLAG_DECLARATIONS = {**_SYSTEM_AXIOMS, "BE": {"BE": "x -> y = x ~> y"}}
+# or the identities of BE and linear.  Only proper and bounded are filtered:
+# each asks that something exist (for proper a cell where arrow and squig
+# differ, for bounded a least element), which no identity says.  Condition-A is
+# declared, but it prunes little: its search at n = 6 did not finish in 300 s.
+_FLAG_DECLARATIONS = {**_SYSTEM_AXIOMS, **_FLAG_IDENTITIES}
 
 
 @dataclass(frozen=True)

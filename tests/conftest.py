@@ -43,6 +43,16 @@ def count_map_search(monkeypatch, *modules):
     return work
 
 
+def is_linear(a):
+    """Written out: x <= x for every x, and for x != y exactly one of x <= y
+    and y <= x, where x <= y iff x -> y = 1."""
+    le = [[v == a.unit for v in row] for row in a.arrow]
+    rng = range(a.size)
+    return all(le[x][x] for x in rng) and all(
+        le[x][y] != le[y][x] for x in rng for y in rng if x != y
+    )
+
+
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES

@@ -9,7 +9,9 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import is_linear
 from pseudobe.algebra import (
+    _FLAG_IDENTITIES,
     AXIOM_SYSTEMS,
     AlgebraError,
     FiniteAlgebra,
@@ -17,6 +19,7 @@ from pseudobe.algebra import (
     UnboundedAlgebraError,
     _holds,
     _identity,
+    _violations,
     check_axioms,
     classify,
     leq,
@@ -37,7 +40,7 @@ def test_all_fixtures_are_pseudo_be(bck4, proper6, bounded6, conda5):
 
 def test_bck4_is_pseudo_bck(bck4):
     assert check_axioms(bck4, "pseudo-BCK").holds
-    assert not bck4.is_be()
+    assert bck4.arrow != bck4.squig
 
 
 def test_proper6_fails_bck_antisymmetry(proper6):
@@ -92,6 +95,30 @@ def test_classify_decides_every_axiom_system(small_inputs):
         for system in AXIOM_SYSTEMS:
             flag = getattr(rep, system.lower().replace("-", "_"))
             assert flag == check_axioms(a, system).holds, (a.name, system)
+
+
+def test_classify_decides_be_and_linear_by_their_identities(small_inputs, fixtures_dir):
+    """``classify``'s BE and linear flags, which read the declarations of
+    ``_FLAG_IDENTITIES``, equal the definitions written out by hand on the
+    six fixtures, every model of size <= 4 and random tables."""
+    extra = [
+        parse_algebra((fixtures_dir / f).read_text()) for f in ("alarm2.alg", "constant2.alg")
+    ]
+    rng = random.Random(1)
+    algebras = small_inputs + extra + [_random_algebra(rng) for _ in range(500)]
+    seen = set()
+    for a in algebras:
+        rep = classify(a)
+        assert rep.be == (a.arrow == a.squig), a.name
+        assert rep.linear == is_linear(a), a.name
+        seen.add((rep.be, rep.linear))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("flag", _FLAG_IDENTITIES)
+def test_flags_are_no_axiom_systems(conda5, flag):
+    with pytest.raises(ValueError, match=f"^unknown axiom system '{flag}'$"):
+        check_axioms(conda5, flag)
 
 
 def test_classify_rejects_a_bottom_that_is_not_least(bounded6):
@@ -317,12 +344,41 @@ def test_parse_header_errors(conda5, old, new, message):
         ("x -> = y", "declaration 'x -> = y': malformed term"),
         ("x -> y", "declaration 'x -> y': malformed equation 'x -> y'"),
         ("x = y = z", "declaration 'x = y = z': malformed equation 'x = y = z'"),
+        ("x -> y = 1 | y", "declaration 'x -> y = 1 | y': malformed equation 'y'"),
     ],
-    ids=["unclosed", "missing-operand", "no-sides", "three-sides"],
+    ids=["unclosed", "missing-operand", "no-sides", "three-sides", "disjunct-no-sides"],
 )
 def test_identity_rejects_malformed_declarations(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _identity(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x = 1 | y = 1 & x = y",
+        "x = 1 & y = 1 | x = y",
+        "x -> y = 1 <=> x = 1 | y = 1",
+        "x = 1 | y = 1 => x = y",
+    ],
+    ids=["or-then-and", "and-then-or", "or-under-iff", "or-in-premise"],
+)
+def test_identity_rejects_a_disjunction_that_is_not_a_whole_conclusion(text):
+    message = f"declaration {text!r}: | joins only a whole conclusion, after => or alone"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _identity(text)
+
+
+def test_disjunction_is_broken_where_every_disjunct_fails():
+    """On a 3-element table, totality streams exactly the pairs (x, y) where
+    neither x -> y nor y -> x is the unit, in order."""
+    arrow = ((0, 1, 2), (0, 0, 2), (0, 1, 0))
+    squig = ((0, 1, 2), (0, 0, 0), (0, 0, 0))
+    want = [
+        (x, y) for x in range(3) for y in range(3) if arrow[x][y] != 0 and arrow[y][x] != 0
+    ]
+    assert want == [(1, 2), (2, 1)]
+    assert list(_violations(arrow, squig, 0, "x -> y = 1 | y -> x = 1")) == want
 
 
 def test_parse_map_rejects_a_bad_line(conda5):

@@ -217,7 +217,7 @@ def test_quotient_by_kernel(conda5):
     h = parse_subset(conda5, "{1,a,d}")
     q = quotient(conda5, h)
     assert len(q.classes) == 2
-    assert q.quotient.is_be()
+    assert q.quotient.arrow == q.quotient.squig
     assert check_axioms(q.quotient, "pseudo-BE").holds
     assert check_axioms(q.quotient, "commutative").holds
     # Ker(pi_H) = H
@@ -236,7 +236,7 @@ def test_quotient_full_carrier(conda5):
 def test_quotient_proper6(proper6):
     h = parse_subset(proper6, "{1,e}")
     q = quotient(proper6, h)
-    assert q.quotient.is_be()
+    assert q.quotient.arrow == q.quotient.squig
     assert check_axioms(q.quotient, "pseudo-BE").holds
     # brute-force oracle for the classes
     expected = {frozenset({0, 5}), frozenset({1}), frozenset({2, 3, 4})}

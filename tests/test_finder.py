@@ -13,7 +13,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_map_search
+from conftest import count_map_search, is_linear
 from pseudobe import algebra, cli, finder, linalg, states, valuations
 from pseudobe.algebra import (
     _SYSTEM_AXIOMS,
@@ -41,8 +41,8 @@ from pseudobe.valuations import _valuation_terms, valuation_cone
 # frozen regression values from the exhaustive enumeration (audit mode
 # agrees at n <= 4)
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 77}
-EXPECTED_N3 = {"proper": 0, "commutative": 2, "pseudo-BCK": 3}
-EXPECTED_N4 = {"proper": 26, "commutative": 5, "pseudo-BCK": 17}
+EXPECTED_N3 = {"proper": 0, "commutative": 2, "pseudo-BCK": 3, "linear": 2}
+EXPECTED_N4 = {"proper": 26, "commutative": 5, "pseudo-BCK": 17, "linear": 10}
 
 
 def _models(n, **kw):
@@ -153,7 +153,7 @@ def test_be_flag_prunes_inside_the_search(monkeypatch):
             seen["confirmed"].clear()
             be = [m.name for m in _models(n, flags=("BE",))]
         assert seen["confirmed"] == be_leaves, n
-        assert be == [m.name for m in unflagged if m.is_be()], n
+        assert be == [m.name for m in unflagged if m.arrow == m.squig], n
         audited = enumerate_models(SearchConstraints(n, ("BE",)), audit=True)
         assert [m.name for m in audited] == be, n
     assert len(be) == 51
@@ -185,10 +185,11 @@ def _record_leaves(monkeypatch):
 
 
 def test_flagged_search_equals_filtered_search(monkeypatch):
-    """The declarations of an axiom-system flag prune inside the search;
-    the models and their order, and the labelled table pairs that the
-    search confirms, are those of the unflagged search filtered by the
-    flag."""
+    """The declarations of an axiom-system flag, and linear's identities,
+    prune inside the search; the models and their order, and the labelled
+    table pairs that the search confirms, are those of the unflagged search
+    filtered by the flag (``check_axioms`` for a system, ``classify`` for
+    linear)."""
 
     def labelled(n, flags=()):
         with monkeypatch.context() as patched:
@@ -196,24 +197,45 @@ def test_flagged_search_equals_filtered_search(monkeypatch):
             list(finder._table_pairs(SearchConstraints(size=n, flags=flags), False))
         return seen["confirmed"]
 
+    def holds(a, flag):
+        return classify(a).linear if flag == "linear" else check_axioms(a, flag).holds
+
     assert [len(labelled(n)) for n in (1, 2, 3, 4)] == [1, 1, 6, 388]
+    flags = ("pseudo-BE", "pseudo-BCK", "condition-A", "distributive", "commutative", "linear")
     for n in (1, 2, 3, 4):
         unflagged = _models(n)
         pairs = labelled(n)
-        for flag in ("pseudo-BE", "pseudo-BCK", "condition-A", "distributive", "commutative"):
-            want = [m.name for m in unflagged if check_axioms(m, flag).holds]
+        algebras = [FiniteAlgebra("p", tuple("1abc"[:n]), *p, 0) for p in pairs]
+        for flag in flags:
+            want = [m.name for m in unflagged if holds(m, flag)]
             assert [m.name for m in _models(n, flags=(flag,))] == want, (n, flag)
-            algebras = [FiniteAlgebra("p", tuple("1abc"[:n]), *p, 0) for p in pairs]
-            holds = [p for p, a in zip(pairs, algebras) if check_axioms(a, flag).holds]
-            assert labelled(n, (flag,)) == holds, (n, flag)
+            kept = [p for p, a in zip(pairs, algebras) if holds(a, flag)]
+            assert labelled(n, (flag,)) == kept, (n, flag)
+
+
+@pytest.mark.slow
+def test_linear_flag_at_five_equals_filtered_models(size_five_models):
+    """The linear search at n = 5 emits the 81 linear models of the full
+    search, in its order, with linearity written out by hand."""
+    want = [m.name for m in size_five_models if is_linear(m)]
+    assert len(want) == 81
+    assert [m.name for m in _models(5, flags=("linear",))] == want
 
 
 # the flags that prune inside the search, and the identities each declares:
-# an axiom system's, or BE's one identity
+# an axiom system's, BE's one identity, or linear's totality and antisymmetry
 PRUNING_FLAGS = (
-    (), ("pseudo-BCK",), ("condition-A",), ("distributive",), ("commutative",), ("BE",)
+    (), ("pseudo-BCK",), ("condition-A",), ("distributive",), ("commutative",), ("BE",),
+    ("linear",),
 )
-DECLARED = {**_SYSTEM_AXIOMS, "BE": {"BE": "x -> y = x ~> y"}}
+DECLARED = {
+    **_SYSTEM_AXIOMS,
+    "BE": {"BE": "x -> y = x ~> y"},
+    "linear": {
+        "total": "x -> y = 1 | y -> x = 1",
+        "antisymmetric": "x -> y = 1 & y -> x = 1 => x = y",
+    },
+}
 
 
 def _record_search(monkeypatch, c, on_check=None):
@@ -250,10 +272,24 @@ def _record_search(monkeypatch, c, on_check=None):
     return seen["calls"], seen["accepted"], seen["leaves"], digest.hexdigest()[:16]
 
 
+def _linear_broken(arrow, n):
+    """Written out for unit 0 on partial tables: some x != y with both arrow
+    cells assigned where not exactly one of x -> y and y -> x is the unit."""
+    return any(
+        n != arrow[x][y] and n != arrow[y][x] and (arrow[x][y] == 0) == (arrow[y][x] == 0)
+        for x in range(n)
+        for y in range(n)
+        if x != y
+    )
+
+
 def test_propagator_is_exact_on_every_visited_node(monkeypatch):
     """For n <= 4, with no flag and with each pruning flag, ``check(f, k)``
     answers on every node the search visits as a full scan would: whether
-    any declared instance is violated on the partial tables of f[:k+1]."""
+    any declared instance is violated on the partial tables of f[:k+1].
+    Linear's instances are the rule written out by hand (``_linear_broken``),
+    not its compiled declarations."""
+    assert finder._FLAG_DECLARATIONS == DECLARED
     for n in (1, 2, 3, 4):
         # psBE1-3 with unit 0 fix row 0, column 0 and the diagonal; the
         # other cells are free, in row-major order, unassigned entries n
@@ -262,12 +298,19 @@ def test_propagator_is_exact_on_every_visited_node(monkeypatch):
         for x in range(n):
             base[0][x], base[x][0], base[x][x] = x, 0, 0
         for flags in PRUNING_FLAGS:
-            declared = [_identity(d) for s in ("pseudo-BE", *flags) for d in DECLARED[s].values()]
+            declared = [
+                _identity(d)
+                for s in ("pseudo-BE", *flags)
+                if s != "linear"
+                for d in DECLARED[s].values()
+            ]
 
             def oracle(f):
                 arrow, squig = [r[:] for r in base], [r[:] for r in base]
                 for (x, y), p in zip(free, f):
                     arrow[x][y], squig[x][y] = divmod(p, n)
+                if "linear" in flags and _linear_broken(arrow, n):
+                    return False
                 return not any(
                     any(violations(arrow, squig, 0, n, product(range(n), repeat=len(v))))
                     for v, _, violations, _ in declared
@@ -300,6 +343,8 @@ SEARCH_TREES = {
     (5, (), 3000): (305099, 28920, 10917, "9b9ba7aa97e56fb7"),
     (3, ("BE",), None): (12, 9, 6, "39553931bc53f044"),
     (4, ("BE",), None): (1108, 526, 250, "0d4f4c21a3f20ced"),
+    (3, ("linear",), None): (20, 7, 4, "addb67fed474b3d7"),
+    (4, ("linear",), None): (2320, 287, 56, "32d245cf97b70482"),
 }
 
 
@@ -307,9 +352,11 @@ def test_search_tree_pinned(monkeypatch):
     """The watched-cell propagator visits the tree the row-scan propagator
     visited: the same nodes accepted and the same leaves, in the same order,
     for each axiom-system flag at n <= 4 and up to the 3000th size-5 model;
-    and the BE flag's search is pinned, too."""
+    and the searches of the BE and linear flags are pinned, too.  The
+    linear search makes fewer check calls than the unflagged one."""
     for (n, flags, limit), want in SEARCH_TREES.items():
         assert _record_search(monkeypatch, SearchConstraints(n, flags, limit)) == want
+    assert SEARCH_TREES[4, ("linear",), None][0] < SEARCH_TREES[4, (), None][0]
 
 
 def test_all_models_are_pseudo_be():

@@ -100,11 +100,25 @@ MUTANTS = (
         "tests/test_cli.py::test_quotient_alarms",
     ),
     Mutant(
-        "linear-without-reflexivity",
+        "disjunction-read-as-conjunction",
         "src/pseudobe/algebra.py",
-        "or x == y and le[x][x] for x in rng",
-        "or x == y for x in rng",
-        "tests/test_cli.py::test_classify_linear_needs_each_element_below_itself",
+        '" and " if disjunctive else " or "',
+        '" or "',
+        "tests/test_algebra.py::test_disjunction_is_broken_where_every_disjunct_fails",
+    ),
+    Mutant(
+        "linear-without-antisymmetry",
+        "src/pseudobe/algebra.py",
+        ", antisymmetric=_ANTISYMMETRY",
+        "",
+        "tests/test_algebra.py::test_classify_decides_be_and_linear_by_their_identities",
+    ),
+    Mutant(
+        "be-not-declared",
+        "src/pseudobe/algebra.py",
+        '"BE": dict(BE="x -> y = x ~> y"),',
+        '"BE": dict(),',
+        "tests/test_finder.py::test_search_domains_follow_the_axioms_written_out",
     ),
     Mutant(
         "measure-face-by-inequality",
@@ -194,13 +208,6 @@ MUTANTS = (
         "domains = [sorted(pairs[cell]) for cell in free]",
         "domains = [sorted(pairs[cell])[:-1] for cell in free]",
         "tests/test_algebra.py::test_axiom_reports_digest",
-    ),
-    Mutant(
-        "be-not-declared",
-        "src/pseudobe/finder.py",
-        '_FLAG_DECLARATIONS = {**_SYSTEM_AXIOMS, "BE": {"BE": "x -> y = x ~> y"}}',
-        "_FLAG_DECLARATIONS = {**_SYSTEM_AXIOMS}",
-        "tests/test_finder.py::test_search_domains_follow_the_axioms_written_out",
     ),
     Mutant(
         "audit-over-all-pairs",
