@@ -211,7 +211,7 @@ def _cmd_states(args, rep: Report) -> int:
             return 1
         return 0
     space = state_space(a)
-    rep.add("dimension", space.affine.dimension)
+    rep.add("dimension", space.dimension)
     rep.add("vertex-count", len(space.vertices))
     if args.vertices:
         for v in space.vertices:

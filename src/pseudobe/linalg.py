@@ -3,21 +3,14 @@
 Everything here works over Python integers and `fractions.Fraction`, so
 results are exact and deterministic.  Each value keeps the cheapest exact
 type: rays are primitive integer vectors (``int`` tuples), while vertices
-and the :class:`AffineSolutionSpace` hold Fractions, since their values
-really are rational.  The two entry points are:
+hold Fractions, since their values really are rational.  The one entry
+point is :func:`_cone`, the extreme rays of ``{x : Ax = 0, Cx >= 0}`` for
+distinct primitive integer rows, which the state polytope, the measure
+cone and the valuation cone all build so
+(:func:`pseudobe.states._unit_free_rows`).
 
-* :func:`solve_affine` -- canonical RREF solution space of a linear
-  equality system, found by integer Gauss-Jordan elimination over the
-  distinct primitive integer rows of the system, divided by the pivots
-  only at the end,
-* :func:`cone_rays` -- extreme rays of ``{x : Ax = 0, Cx >= 0}``.
-
-Rays come from one exact engine, :func:`_cone`, which takes distinct
-primitive integer rows: :func:`cone_rays` makes them so, and the state
-polytope and the valuation cone build them so
-(:func:`pseudobe.states._unit_free_rows`).  The equality rows are reduced
-once by the integer Gauss-Jordan :func:`_integer_rref` of
-:func:`solve_affine`, and the basis of their null space is read off that
+The equality rows are reduced once by the integer Gauss-Jordan
+:func:`_integer_rref`, and the basis of their null space is read off that
 reduction (:func:`_null_basis`), so a cone makes no Fraction at all.  The
 inequalities are restricted to that basis and scaled to primitive integer
 rows, dropping exact repeats, zero rows and positive multiples.  An
@@ -25,9 +18,11 @@ incremental double description pass (Motzkin et al. 1953; Fukuda & Prodon
 1996) then runs in integer arithmetic; :func:`_integer_rref` also picks its
 first independent rows and inverts them into its start rays.  A polytope
 is handled as the cone over its homogenised system: a vertex is a ray with
-t > 0, scaled to t = 1 (:func:`pseudobe.states.state_space`).  Within
-:func:`_shared_cones`, which the meta sweep opens, cones with the same row
-space of equalities and the same inequality rows share one engine run.
+t > 0, scaled to t = 1 (:func:`pseudobe.states.state_space`), and the
+dimension of the polytope's affine hull is read off the rank that
+:func:`_integer_rref` gives.  Within :func:`_shared_cones`, which the meta
+sweep opens, cones with the same row space of equalities and the same
+inequality rows share one engine run.
 
 Every output ray is re-checked against every input equality and
 inequality in integers.  The independent twins of these paths, a
@@ -41,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -77,37 +71,6 @@ def _coefficient_row(n: int, plus: Iterable[int], minus: Iterable[int] = ()) -> 
     return tuple(row)
 
 
-@dataclass(frozen=True)
-class LinearEquation:
-    """coeffs . x = rhs"""
-
-    coeffs: IntVector | Vector
-    rhs: int | Fraction
-
-
-@dataclass(frozen=True)
-class AffineSolutionSpace:
-    """Solution set written as particular + span(basis).
-
-    ``equalities`` is the canonical reduced (RREF) equality set; systems
-    with the same row space always produce identical fields.
-    """
-
-    num_vars: int
-    particular: Vector
-    basis: tuple[Vector, ...]
-    equalities: tuple[LinearEquation, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-
-def _require_arity(rows: Iterable[Sequence], num_vars: int, kind: str) -> None:
-    if any(len(row) != num_vars for row in rows):
-        raise ValueError(f"{kind} arity mismatch")
-
-
 def _integer_rref(rows: list[IntVector]) -> tuple[list[IntVector], list[int]]:
     """Reduced row echelon form of integer rows, eliminating in integers;
     returns (integer rows, pivot columns).
@@ -140,45 +103,6 @@ def _integer_rref(rows: list[IntVector]) -> tuple[list[IntVector], list[int]]:
     return rows[:r], pivots
 
 
-def solve_affine(
-    equalities: Sequence[LinearEquation], num_vars: int
-) -> Optional[AffineSolutionSpace]:
-    """Solve an equality system exactly; ``None`` means inconsistent.
-
-    The particular solution sets every free variable to 0; the basis has
-    one direction per free variable (that variable set to 1).  Each
-    augmented row is scaled to a primitive integer row whose first nonzero
-    entry is positive, zero rows and repeats are dropped, and the rest is
-    reduced by :func:`_integer_rref`, then divided by its pivots.  A
-    system's RREF depends only on its row space, so the result does not
-    depend on the order, scale or repetition of the rows.
-    """
-    _require_arity((eq.coeffs for eq in equalities), num_vars, "equation")
-    rows, pivots = _integer_rref(_equality_rows((*eq.coeffs, eq.rhs) for eq in equalities))
-    rows = [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
-    # a pivot in the right-hand side column is a row 0 = nonzero
-    if pivots and pivots[-1] == num_vars:
-        return None
-    free = [c for c in range(num_vars) if c not in pivots]
-
-    particular = [Fraction(0)] * num_vars
-    for row, pc in zip(rows, pivots):
-        particular[pc] = row[num_vars]
-
-    basis = []
-    for fc in free:
-        direction = [Fraction(0)] * num_vars
-        direction[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            direction[pc] = -row[fc]
-        basis.append(tuple(direction))
-
-    canonical = tuple(
-        LinearEquation(tuple(row[:num_vars]), row[num_vars]) for row in rows
-    )
-    return AffineSolutionSpace(num_vars, tuple(particular), tuple(basis), canonical)
-
-
 # ---------------------------------------------------------------------------
 # integer helpers
 
@@ -188,14 +112,9 @@ def _dot(a: Sequence, b: Sequence):
 
 
 def _primitive(values: Sequence) -> IntVector:
-    """The smallest integer vector that is a positive multiple of ``values``."""
-    try:
-        g = gcd(*values)
-    except TypeError:
-        # a Fraction entry: clear the denominators first
-        scale = lcm(*(v.denominator for v in values))
-        values = [v.numerator * (scale // v.denominator) for v in values]
-        g = gcd(*values)
+    """The smallest integer vector that is a positive multiple of the
+    integer vector ``values``."""
+    g = gcd(*values)
     return tuple(v // g for v in values) if g > 1 else tuple(values)
 
 
@@ -211,20 +130,14 @@ def _distinct_rows(rows: Iterable[Sequence]) -> list[IntVector]:
     return list(seen)
 
 
-def _equality_rows(rows: Iterable[Sequence]) -> list[IntVector]:
-    """:func:`_distinct_rows` of an equality system up to sign: of a row and
-    its negation, the larger one, which leads with a positive entry."""
-    return list({max(p, tuple(-v for v in p)): None for p in _distinct_rows(rows)})
-
-
 def _null_basis(
     reduced: Sequence[IntVector], pivots: Sequence[int], num_vars: int
 ) -> list[IntVector]:
     """Primitive integer basis of the null space of the rows whose
     :func:`_integer_rref` is ``(reduced, pivots)``: one vector per free
-    column, positive there and 0 on the other free columns, so each is the
-    primitive positive multiple of the matching basis vector of
-    :func:`solve_affine`."""
+    column, positive there and 0 on the other free columns: the primitive
+    positive multiple of the null space vector that is 1 on that free
+    column and 0 on the others."""
     # integer row i is RREF row i times its pivot entry, of either sign; the
     # lcm is positive, so scale // row[c] clears the pivots and keeps signs
     scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
@@ -334,7 +247,7 @@ def _rays(generators: Sequence[IntVector], rows: Sequence[IntVector]) -> set[Int
 
 
 # ---------------------------------------------------------------------------
-# public enumerators
+# the cone engine
 
 
 def _cone(
@@ -364,33 +277,6 @@ def _cone(
             memo[key] = found
     _check(found, equality_rows, rows)
     return found
-
-
-def cone_rays(
-    equalities: Sequence[LinearEquation],
-    inequalities: Sequence[IntVector | Vector],
-    num_vars: int,
-) -> tuple[IntVector, ...]:
-    """Extreme rays of ``{x : equalities(x)=0, ineq . x >= 0}``.
-
-    The equalities must be homogeneous.  The cone must be pointed (the
-    inequalities must not admit a line), which holds for every system built
-    by this package; otherwise ``ValueError``.  Rays are primitive integer
-    vectors (``int`` tuples, the smallest integer coordinates on the ray),
-    each checked in integers against the distinct primitive equality and
-    inequality rows, sorted lexicographically.
-
-    The rows are made distinct and primitive and handed to :func:`_cone`,
-    so no Fraction is made; with no equality rows the basis is the unit
-    vectors, on which the inequality rows project to themselves.
-    """
-    for eq in equalities:
-        if eq.rhs != 0:
-            raise ValueError("cone equalities must be homogeneous")
-    _require_arity(inequalities, num_vars, "inequality")
-    _require_arity((eq.coeffs for eq in equalities), num_vars, "equation")
-    equality_rows = _equality_rows(eq.coeffs for eq in equalities)
-    return _cone(equality_rows, _distinct_rows(inequalities), num_vars)
 
 
 @contextlib.contextmanager

@@ -2,7 +2,7 @@
 
 All candidates are rational-valued assignments checked exactly.  Each
 system is generated once as ``(plus, minus)`` index terms, which feed the
-polyhedra and, for states, :func:`state_equations`.  The polyhedra are built
+polyhedra and, for states, the dimension.  The polyhedra are built
 from the distinct terms with the unit's coordinate dropped, since the
 unit pins it (m(1) = 0, s(1) = t): the state polytope is read off the
 integer cone over its homogenised system, {(x, t) : Ax = bt, 0 <= x <= t},
@@ -25,17 +25,15 @@ from typing import Iterable, Optional
 from .algebra import FiniteAlgebra, Witness, _holds, _require_bottom, content_lines, leq, vee1
 from .dsystems import Subset
 from .linalg import (
-    AffineSolutionSpace,
     ConsistencyAlarmError,
     IntVector,
-    LinearEquation,
     Vector,
+    _check,
     _coefficient_row,
     _cone,
+    _integer_rref,
     _primitive,
-    cone_rays,
     parse_fraction,
-    solve_affine,
 )
 
 Assignment = tuple[int | Fraction, ...]  # one exact value per carrier element
@@ -159,8 +157,8 @@ class StateSpaceResult:
     system, as primitive integer points (s(0) t, ..., s(n-1) t, t) with
     t > 0, so the unit's coordinate equals the last one.  ``vertices``, the
     rays scaled to t = 1 as Fraction tuples sorted lexicographically, and
-    ``affine``, the solution space of :func:`state_equations`, are made
-    when first read."""
+    ``dimension``, that of the affine space the state equations cut out,
+    are made when first read."""
 
     algebra: FiniteAlgebra
     rays: tuple[IntVector, ...]
@@ -170,13 +168,15 @@ class StateSpaceResult:
         return tuple(sorted(tuple(Fraction(v, r[-1]) for v in r[:-1]) for r in self.rays))
 
     @cached_property
-    def affine(self) -> AffineSolutionSpace:
+    def dimension(self) -> int:
         # the all-ones point solves every state equation of any table pair:
-        # s(1) = 1, and each symmetry row's coefficients sum to 0
-        space = solve_affine(state_equations(self.algebra), self.algebra.size)
-        if space is None:
-            raise ConsistencyAlarmError("the state equations exclude the all-ones point")
-        return space
+        # s(1) = 1, and each symmetry row's coefficients sum to 0; so the
+        # homogenised rows, over (x, t) with the unit's coordinate as t,
+        # cut out a space that meets t = 1, in one dimension fewer
+        a = self.algebra
+        rows = _unit_free_rows(a, _state_terms(a), a.size)
+        _check([(1,) * a.size], rows, ())
+        return a.size - 1 - len(_integer_rref(rows)[0])
 
 
 def _state_terms(a: FiniteAlgebra) -> Iterable[Term]:
@@ -192,21 +192,14 @@ def _state_terms(a: FiniteAlgebra) -> Iterable[Term]:
                 yield (x, table[x][y]), (y, table[y][x])
 
 
-def state_equations(a: FiniteAlgebra) -> list[LinearEquation]:
-    """s(1)=1 plus the two symmetry equations per unordered pair."""
-    n = a.size
-    eqs = [LinearEquation(_coefficient_row(n, (a.unit,)), 1)]
-    eqs += [LinearEquation(_coefficient_row(n, *term), 0) for term in _state_terms(a)]
-    return eqs
-
-
 def state_space(a: FiniteAlgebra) -> StateSpaceResult:
-    """All states: the solutions of :func:`state_equations` in the unit box.
+    """All states: the solutions of s(1) = 1 and the symmetry equations of
+    :func:`_state_terms` in the unit box.
 
     The rays are those of the integer cone {(x, t) : Ax = bt, 0 <= x <= t}
     over the homogenised system, with s(1) = t taking the unit's
-    coordinate; the vertices are the rays scaled to t = 1.  An empty
-    polytope is a legal outcome, not an error.
+    coordinate; the vertices are the rays scaled to t = 1.  The polytope
+    is never empty: the constant 1 is a Bosbach state of every table pair.
     """
     n = a.size
     # x >= 0 and x <= t for each coordinate but the unit's, then t >= 0
@@ -324,9 +317,9 @@ def measure_cone(a: FiniteAlgebra) -> tuple[IntVector, ...]:
     m(1) = 0 is kept by dropping the unit's coordinate and putting 0 back
     at it on every ray."""
     n = a.size
-    eqs = [LinearEquation(row, 0) for row in _unit_free_rows(a, _measure_terms(a), n - 1)]
     nonneg = [_coefficient_row(n - 1, (i,)) for i in range(n - 1)]
-    return tuple(_with_unit(a, r, 0) for r in cone_rays(eqs, nonneg, n - 1))
+    rays = _cone(_unit_free_rows(a, _measure_terms(a), n - 1), nonneg, n - 1)
+    return tuple(_with_unit(a, r, 0) for r in rays)
 
 
 def measure_face(a: FiniteAlgebra, pv_rays: Iterable[IntVector]) -> tuple[IntVector, ...]:

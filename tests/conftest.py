@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from pseudobe import homs
+from pseudobe import homs, linalg
 from pseudobe.algebra import parse_algebra
 from pseudobe.finder import SearchConstraints, enumerate_models
 
@@ -41,6 +41,12 @@ def count_map_search(monkeypatch, *modules):
         monkeypatch.setattr(mod, "search_maps", counted)
         monkeypatch.setattr(mod, "scan_maps", no_scan)
     return work
+
+
+def engine_cone(equality_rows, rows, n):
+    """Extreme rays of ``{x : e . x = 0, r . x >= 0}`` from the package's
+    cone engine, for integer rows of any scale, repetition or sign."""
+    return linalg._cone(linalg._distinct_rows(equality_rows), linalg._distinct_rows(rows), n)
 
 
 def is_linear(a):

@@ -3,21 +3,24 @@ homomorphism search, each written from its definition.
 
 Every function here is the slow, unpruned twin of a fast path of the
 package, and the tests compare the two.  None of them shares code with
-the path it checks: this module takes from ``pseudobe`` only the
-``LinearEquation`` and ``AffineSolutionSpace`` data classes and exception
-types, so a fault in the engine's helpers cannot hit its oracle too.
+the path it checks: this module takes from ``pseudobe`` only exception
+types, and writes its own :class:`LinearEquation` and
+:class:`AffineSolutionSpace`, so a fault in the engine's helpers cannot
+hit its oracle too.
 
 * :func:`rref` and :func:`solve_affine` -- Gauss-Jordan elimination in
-  Fractions over every input row (``linalg.solve_affine`` eliminates in
-  integers over the distinct primitive rows);
+  Fractions over every input row (``linalg._integer_rref`` eliminates in
+  integers over the distinct primitive rows, and the state polytope's
+  ``dimension`` is read off its rank);
 * :func:`cone_rays` -- extreme rays from every choice of d - 1 active
-  inequalities (``linalg.cone_rays`` runs the double description method);
+  inequalities (``linalg._cone`` runs the double description method);
 * :func:`box_vertices` -- vertices of an affine space in a box from every
   choice of d active bounds (``states.state_space`` reads them off an
   integer cone);
-* :func:`measure_equations` and :func:`valuation_equations` -- the measure
-  and pseudo-valuation systems over all n coordinates (the package drops
-  the unit's coordinate and repeated rows);
+* :func:`state_equations`, :func:`measure_equations` and
+  :func:`valuation_equations` -- the state, measure and pseudo-valuation
+  systems over all n coordinates (the package drops the unit's coordinate
+  and repeated rows);
 * :func:`homomorphism_maps` -- every map of the product that preserves
   both tables (``homs.enumerate_homomorphisms`` prunes as it assigns).
 
@@ -29,11 +32,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from pseudobe.algebra import InconsistentOrderError
 from pseudobe.homs import SizeGuardError
-from pseudobe.linalg import AffineSolutionSpace, ConsistencyAlarmError, LinearEquation
+from pseudobe.linalg import ConsistencyAlarmError
 
 # the active-set enumerators try C(rows, d - 1) or C(2n, d) choices
 MAX_DIMENSION = 6
@@ -43,6 +47,29 @@ MAX_MAPS = 10_000_000
 
 class DimensionTooLargeError(ValueError):
     """The solution space is too large for an active-set enumerator."""
+
+
+@dataclass(frozen=True)
+class LinearEquation:
+    """coeffs . x = rhs"""
+
+    coeffs: tuple
+    rhs: int | Fraction
+
+
+@dataclass(frozen=True)
+class AffineSolutionSpace:
+    """The solutions particular + span(basis) of the RREF rows
+    ``equalities``."""
+
+    num_vars: int
+    particular: tuple[Fraction, ...]
+    basis: tuple[tuple[Fraction, ...], ...]
+    equalities: tuple[LinearEquation, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
 
 def _dot(row, x) -> int | Fraction:
@@ -229,6 +256,20 @@ def _leq(a, x: int, y: int) -> bool:
 def _row(n: int, plus, minus=()) -> tuple[int, ...]:
     """Coefficients of sum(v[i] for i in plus) - sum(v[i] for i in minus)."""
     return tuple(plus.count(i) - minus.count(i) for i in range(n))
+
+
+def state_equations(a) -> list[LinearEquation]:
+    """s(1) = 1, then s(x) + s(x -> y) - s(y) - s(y -> x) = 0 and the same
+    with ~>, for each x < y in row-major order (the pair y, x gives the
+    same equation negated)."""
+    n = a.size
+    eqs = [LinearEquation(_row(n, (a.unit,)), 1)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            eqs += [
+                LinearEquation(_row(n, (x, t[x][y]), (y, t[y][x])), 0) for t in (a.arrow, a.squig)
+            ]
+    return eqs
 
 
 def measure_equations(a) -> list[LinearEquation]:

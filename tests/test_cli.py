@@ -264,6 +264,22 @@ def test_states_summary_and_vertices(capsys, alg):
     assert out.count("vertex ") == 4
 
 
+@pytest.mark.parametrize(
+    "name, dimension, vertices",
+    [
+        ("alarm2", 0, 1),
+        ("bck4", 0, 1),
+        ("bounded6", 0, 1),
+        ("conda5", 2, 4),
+        ("constant2", 0, 1),
+        ("proper6", 2, 4),
+    ],
+)
+def test_states_summary_on_every_fixture(capsys, alg, name, dimension, vertices):
+    code, out, err = run(capsys, "states", alg(f"{name}.alg"))
+    assert (code, out, err) == (0, f"dimension {dimension}\nvertex-count {vertices}\n", "")
+
+
 def test_states_verify(capsys, alg):
     code, out, _ = run(
         capsys,

@@ -8,13 +8,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import FIXTURES, load_fixture
-from oracles import box_vertices, measure_equations, residual, valuation_equations
-from pseudobe import states
+from conftest import FIXTURES, engine_cone, load_fixture
+from oracles import (
+    box_vertices,
+    measure_equations,
+    residual,
+    solve_affine,
+    state_equations,
+    valuation_equations,
+)
+from pseudobe import linalg, states
 from pseudobe.algebra import FiniteAlgebra, UnboundedAlgebraError, check_axioms, negations, vee1
 from pseudobe.dsystems import is_involutive_ds
 from pseudobe.finder import SearchConstraints, enumerate_models
-from pseudobe.linalg import ConsistencyAlarmError, LinearEquation, cone_rays, solve_affine
+from pseudobe.linalg import ConsistencyAlarmError
 from pseudobe.states import (
     ConditionAMissingError,
     MembershipError,
@@ -33,7 +40,6 @@ from pseudobe.states import (
     measure_witness,
     parse_assignment,
     sm_characterization_check,
-    state_equations,
     state_kernel,
     state_morphism_witness,
     state_space,
@@ -82,11 +88,12 @@ def test_witness_is_the_first_pair_then_the_arrow_twin(bck4):
 
 def test_state_space_conda5(conda5):
     res = state_space(conda5)
-    assert res.affine.dimension == 2
+    assert res.dimension == 2
     # implied equalities: s(a) = s(d) and s(b) = s(c)
     a_i, b_i, c_i, d_i = (conda5.index(t) for t in "abcd")
+    space = solve_affine(state_equations(conda5), conda5.size)
     for lam in [(F(0), F(0)), (F(1, 7), F(3, 5))]:
-        pt = oracles.point(res.affine, lam)
+        pt = oracles.point(space, lam)
         assert pt[conda5.unit] == 1
         assert pt[a_i] == pt[d_i]
         assert pt[b_i] == pt[c_i]
@@ -100,7 +107,7 @@ def test_state_space_trivial_algebra():
 
     one = FiniteAlgebra("triv", ("1",), ((0,),), ((0,),), 0)
     res = state_space(one)
-    assert res.affine.dimension == 0
+    assert res.dimension == 0
     assert res.vertices == ((F(1),),)
 
 
@@ -375,17 +382,23 @@ def test_assignment_duplicate_key(conda5):
 SIX_ELEMENT_FIXTURES = ("proper6", "bounded6")
 
 
+def _integer_rref_over_its_pivots(rows):
+    reduced, pivots = linalg._integer_rref(linalg._distinct_rows(rows))
+    return [[F(v, row[c]) for v in row] for row, c in zip(reduced, pivots)], pivots
+
+
 def _engine_matches_audit(a):
     n = a.size
     for eqs in (state_equations(a), measure_equations(a)):
-        assert repr(solve_affine(eqs, n)) == repr(oracles.solve_affine(eqs, n)), a.name
-    nonneg = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+        augmented = [(*eq.coeffs, eq.rhs) for eq in eqs]
+        assert _integer_rref_over_its_pivots(augmented) == oracles.rref(augmented), a.name
+    nonneg = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     cones = [
         (valuation_equations(a), valuation_cone(a)),
         ((measure_equations(a), nonneg), measure_cone(a)),
     ]
     for (eqs, ineqs), public in cones:
-        rays = cone_rays(eqs, ineqs, n)
+        rays = engine_cone([eq.coeffs for eq in eqs], ineqs, n)
         audit = oracles.cone_rays(eqs, ineqs, n)
         assert rays == public == audit, a.name
         assert all(type(v) is int for r in rays + public + audit for v in r), a.name
@@ -394,12 +407,12 @@ def _engine_matches_audit(a):
 def test_engine_matches_audit_on_small_models(small_inputs):
     """The double description engine and the active-set oracle return the
     same tuples for the valuation cone and the measure cone, and the
-    integer elimination and the Fraction oracle the same state and measure
-    solution spaces (compared by repr, so types count), on bck4, conda5 and
-    every model of size <= 4; the six-element fixtures are the next test's
-    (the state polytope is compared with ``box_vertices`` further down).
-    Every ray coordinate, from ``cone_rays``, its oracle, ``measure_cone``
-    and ``valuation_cone``, is an ``int``."""
+    integer elimination and the Fraction oracle the same reduced state and
+    measure systems, on bck4, conda5 and every model of size <= 4; the
+    six-element fixtures are the next test's (the state polytope is
+    compared with ``box_vertices`` further down).  Every ray coordinate,
+    from the engine on the systems written out in full, its oracle,
+    ``measure_cone`` and ``valuation_cone``, is an ``int``."""
     assert len(small_inputs) == 87
     rest = [a for a in small_inputs if a.name not in SIX_ELEMENT_FIXTURES]
     assert len(rest) == 85
@@ -426,9 +439,9 @@ def test_state_space_matches_the_fraction_box_audit(small_inputs):
     """``state_space`` reads its rays off the integer cone over the
     homogenised system, with the unit's coordinate as t; the independent
     path solves ``state_equations`` with the Fraction oracle and runs the
-    active-set enumerator ``box_vertices`` on that space.  ``affine`` is
-    that space (by repr, so types count).  The meta sweep reads the state
-    kernels and the bounded filter off the integer rays (s(0) t, ...,
+    active-set enumerator ``box_vertices`` on that space; ``dimension``,
+    read off the integer rank, is that space's.  The meta sweep reads the
+    state kernels and the bounded filter off the integer rays (s(0) t, ...,
     s(n-1) t, t): each ray scaled to t = 1 is a vertex, {x : r[x] = t} is
     ``state_kernel`` of it, and r[x] = 0 exactly where it is 0.  Checked on
     every model of size <= 4 and every .alg fixture."""
@@ -436,9 +449,9 @@ def test_state_space_matches_the_fraction_box_audit(small_inputs):
     assert len(inputs) == 89
     for a in inputs:
         n = a.size
-        space = oracles.solve_affine(state_equations(a), n)
+        space = solve_affine(state_equations(a), n)
         result = state_space(a)
-        assert repr(result.affine) == repr(space), a.name
+        assert result.dimension == space.dimension, a.name
         assert repr(result.vertices) == repr(box_vertices(space, [0] * n, [1] * n)), a.name
         scaled = [tuple(F(v, r[-1]) for v in r[:-1]) for r in result.rays]
         assert sorted(scaled) == list(result.vertices), a.name
@@ -450,19 +463,23 @@ def test_state_space_matches_the_fraction_box_audit(small_inputs):
 
 def test_all_ones_solves_every_state_system(small_inputs):
     """s(1) = 1, and each symmetry row's coefficients sum to 0, so the
-    all-ones point solves the state equations of any table pair, and
-    ``affine``, their canonical solution space, is never empty."""
+    all-ones point solves the state equations of any table pair, and the
+    homogenised rows that ``dimension`` reads its rank off."""
     for a in _every_input(small_inputs):
         ones = (1,) * a.size
         assert all(residual(eq, ones) == 0 for eq in state_equations(a)), a.name
-        assert all(residual(eq, ones) == 0 for eq in state_space(a).affine.equalities), a.name
+        rows = states._unit_free_rows(a, states._state_terms(a), a.size)
+        assert all(sum(row) == 0 for row in rows), a.name
 
 
 def test_empty_state_system_alarms(conda5, monkeypatch):
-    # an empty solution space would contradict the all-ones point
-    monkeypatch.setattr(states, "solve_affine", lambda eqs, n: None)
+    # a row t = 0 leaves no state with s(1) = 1, which would contradict the
+    # all-ones point
+    result = state_space(conda5)
+    terms = states._state_terms
+    monkeypatch.setattr(states, "_state_terms", lambda a: [*terms(a), ((a.unit,), ())])
     with pytest.raises(ConsistencyAlarmError):
-        state_space(conda5).affine
+        result.dimension
 
 
 def _outcome(build):
@@ -474,7 +491,7 @@ def _outcome(build):
 
 
 def _state_vertices_by_box(a):
-    space = oracles.solve_affine(state_equations(a), a.size)
+    space = solve_affine(state_equations(a), a.size)
     return box_vertices(space, [0] * a.size, [1] * a.size)
 
 
@@ -495,26 +512,26 @@ def table_pairs(draw):
 def test_polyhedra_match_the_public_builders(a):
     """The three polyhedra, built from distinct terms without the unit's
     coordinate, equal the cones and box of the equation systems written
-    out in full by the oracles, or raise the same exception."""
+    out in full by the oracles, or raise the same exception; so does the
+    state polytope's dimension."""
     n = a.size
     nonneg = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+    def measure_rays():
+        return engine_cone([eq.coeffs for eq in measure_equations(a)], nonneg, n)
+
+    def valuation_rays():
+        eqs, rows = valuation_equations(a)
+        return engine_cone([eq.coeffs for eq in eqs], rows, n)
+
     pairs = [
         (lambda: state_space(a).vertices, lambda: _state_vertices_by_box(a)),
-        (lambda: measure_cone(a), lambda: cone_rays(measure_equations(a), nonneg, n)),
-        (lambda: valuation_cone(a), lambda: cone_rays(*valuation_equations(a), n)),
+        (lambda: state_space(a).dimension, lambda: solve_affine(state_equations(a), n).dimension),
+        (lambda: measure_cone(a), measure_rays),
+        (lambda: valuation_cone(a), valuation_rays),
     ]
     for built, public in pairs:
         assert _outcome(built) == _outcome(public)
-
-
-def test_equations_have_int_rhs_and_solve_alike_with_fractions(small_inputs):
-    # solve_affine returns the same space (by repr, so types count) when the
-    # right-hand sides are Fractions
-    for a in small_inputs:
-        for eqs in (state_equations(a), measure_equations(a), valuation_equations(a)[0]):
-            assert all(type(eq.rhs) is int for eq in eqs), a.name
-            fracs = [LinearEquation(eq.coeffs, F(eq.rhs)) for eq in eqs]
-            assert repr(solve_affine(eqs, a.size)) == repr(solve_affine(fracs, a.size)), a.name
 
 
 def test_vertices_and_rays_pass_the_witness_scans(small_inputs):

@@ -128,6 +128,20 @@ MUTANTS = (
         "tests/test_acceptance.py::test_criterion_11",
     ),
     Mutant(
+        "state-dimension-keeps-t",
+        "src/pseudobe/states.py",
+        "return a.size - 1 - len(_integer_rref(rows)[0])",
+        "return a.size - len(_integer_rref(rows)[0])",
+        "tests/test_cli.py::test_states_summary_on_every_fixture",
+    ),
+    Mutant(
+        "measure-cone-without-equalities",
+        "src/pseudobe/states.py",
+        "_cone(_unit_free_rows(a, _measure_terms(a), n - 1), nonneg, n - 1)",
+        "_cone((), nonneg, n - 1)",
+        "tests/test_states.py::test_measure_cone_two_rays",
+    ),
+    Mutant(
         "unit-coordinate-first",
         "src/pseudobe/states.py",
         "return values[: a.unit] + (value,) + values[a.unit :]",
@@ -152,13 +166,6 @@ MUTANTS = (
         "x[c] = -row[free] * (scale // row[c])",
         "x[c] = -row[free]",
         "tests/test_linalg.py::test_integer_cone_basis_matches_fraction_audit",
-    ),
-    Mutant(
-        "solve-affine-ignores-inconsistency",
-        "src/pseudobe/linalg.py",
-        "if pivots and pivots[-1] == num_vars:",
-        "if False:",
-        "tests/test_linalg.py::test_solve_inconsistent",
     ),
     Mutant(
         "cone-memo-key-drops-equalities",
